@@ -142,18 +142,15 @@ void BM_lift_sweep(benchmark::State& state) {
       make_gadget_supports(3, 1, 1, static_cast<std::size_t>(state.range(0)));
   LiftSweepOptions options;
   options.incremental = state.range(1) != 0;
-  options.inprocessing = state.range(2) != 0;
   for (auto _ : state) {
     benchmark::DoNotOptimize(run_lift_sweep(base, 3, 1, supports, options));
   }
 }
 BENCHMARK(BM_lift_sweep)
-    ->Args({6, 1, 1})
-    ->Args({6, 1, 0})
-    ->Args({6, 0, 0})
-    ->Args({8, 1, 1})
-    ->Args({8, 1, 0})
-    ->ArgNames({"gadgets", "incremental", "inprocess"})
+    ->Args({6, 1})
+    ->Args({6, 0})
+    ->Args({8, 1})
+    ->ArgNames({"gadgets", "incremental"})
     ->Unit(benchmark::kMillisecond);
 
 void BM_zero_round_decider(benchmark::State& state) {

@@ -123,57 +123,6 @@ struct SweepDemo {
   std::size_t cores_certified = 0;
 };
 
-/// E2i — CDCL inprocessing armed vs disarmed on two incremental lift
-/// sweeps: the ISSUE 6 acceptance instance lift_{3,1}(MM_3) over 8 nested
-/// gadget supports (all-SAT, conflict-free — it pins that the pipeline
-/// never *costs* conflicts and that probing runs), and lift_{2,2}(MM_2)
-/// over growing cycles (guarded non-nested reuse leaves redundant clauses
-/// behind, which is exactly what subsumption + vivification eat — the armed
-/// run must strictly reduce conflicts). Verdicts must match in both; wall
-/// time is reported, not gated.
-struct InprocessRun {
-  std::size_t big_delta = 0, big_r = 0;
-  std::size_t supports = 0;
-  bool verdicts_match = false;
-  std::uint64_t conflicts_on = 0, conflicts_off = 0;
-  std::uint64_t propagations_on = 0, propagations_off = 0;
-  double wall_on_ms = 0.0, wall_off_ms = 0.0;
-  SatStats stats;  // accumulated-solver counters of the armed run
-};
-
-struct InprocessDemo {
-  InprocessRun gadgets;  // lift_{3,1}(MM_3), 8 nested gadget supports
-  InprocessRun cycles;   // lift_{2,2}(MM_2), growing cycle supports
-};
-
-void print_sat_stats_json(std::FILE* f, const SatStats& s, const char* indent) {
-  std::fprintf(f,
-               "%s\"inprocess_runs\": %llu,\n"
-               "%s\"subsumed_clauses\": %llu,\n"
-               "%s\"strengthened_clauses\": %llu,\n"
-               "%s\"vivified_clauses\": %llu,\n"
-               "%s\"probed_literals\": %llu,\n"
-               "%s\"failed_literals\": %llu,\n"
-               "%s\"eliminated_vars\": %llu,\n"
-               "%s\"substituted_vars\": %llu,\n"
-               "%s\"inprocess_units\": %llu,\n"
-               "%s\"core_probe_solves\": %llu,\n"
-               "%s\"core_probe_conflicts\": %llu,\n"
-               "%s\"core_literals_removed\": %llu\n",
-               indent, static_cast<unsigned long long>(s.inprocess_runs), indent,
-               static_cast<unsigned long long>(s.subsumed_clauses), indent,
-               static_cast<unsigned long long>(s.strengthened_clauses), indent,
-               static_cast<unsigned long long>(s.vivified_clauses), indent,
-               static_cast<unsigned long long>(s.probed_literals), indent,
-               static_cast<unsigned long long>(s.failed_literals), indent,
-               static_cast<unsigned long long>(s.eliminated_vars), indent,
-               static_cast<unsigned long long>(s.substituted_vars), indent,
-               static_cast<unsigned long long>(s.inprocess_units), indent,
-               static_cast<unsigned long long>(s.core_probe_solves), indent,
-               static_cast<unsigned long long>(s.core_probe_conflicts), indent,
-               static_cast<unsigned long long>(s.core_literals_removed));
-}
-
 /// E2g — the cross-step RE cache on the E2 sequence set (Corollary 4.6
 /// matching sequence), verified with cache off, cache on (cold), and cache
 /// on (warm, same cache again). The gated invariants are verdicts_match,
@@ -282,8 +231,8 @@ void write_json(const std::vector<E2Row>& rows, const REStats& totals,
                 double table_wall_ms, double serial_table_wall_ms,
                 const BudgetDemo& budget_demo, const PortfolioDemo& portfolio_demo,
                 const SweepDemo& sweep_demo, const CacheDemo& cache_demo,
-                const CertDemo& cert_demo, const InprocessDemo& inprocess_demo,
-                const ServeDemo& serve_demo, const DiscoverDemo& discover_demo) {
+                const CertDemo& cert_demo, const ServeDemo& serve_demo,
+                const DiscoverDemo& discover_demo) {
   std::FILE* f = std::fopen("BENCH_RE.json", "w");
   if (f == nullptr) {
     std::fprintf(stderr, "warning: cannot write BENCH_RE.json\n");
@@ -292,7 +241,7 @@ void write_json(const std::vector<E2Row>& rows, const REStats& totals,
   std::fprintf(f,
                "{\n"
                "  \"bench\": \"bench_re\",\n"
-               "  \"schema_version\": 9,\n"
+               "  \"schema_version\": 10,\n"
                "  \"hardware_threads\": %u,\n"
                "  \"e2_table_wall_ms\": %.3f,\n"
                "  \"e2_table_serial_wall_ms\": %.3f,\n"
@@ -412,34 +361,6 @@ void write_json(const std::vector<E2Row>& rows, const REStats& totals,
                cert_demo.lift_valid ? "true" : "false", cert_demo.lift_emit_wall_ms,
                cert_demo.lift_check_wall_ms, cert_demo.lift_bytes,
                cert_demo.roundtrip_valid ? "true" : "false");
-  std::fprintf(f, "  \"inprocessing_demo\": {\n");
-  const std::pair<const char*, const InprocessRun&> inprocess_runs[] = {
-      {"gadgets", inprocess_demo.gadgets}, {"cycles", inprocess_demo.cycles}};
-  for (std::size_t i = 0; i < 2; ++i) {
-    const auto& [tag, run] = inprocess_runs[i];
-    std::fprintf(f,
-                 "    \"%s\": {\n"
-                 "      \"big_delta\": %zu, \"big_r\": %zu,\n"
-                 "      \"supports\": %zu,\n"
-                 "      \"verdicts_match\": %s,\n"
-                 "      \"conflicts_on\": %llu,\n"
-                 "      \"conflicts_off\": %llu,\n"
-                 "      \"propagations_on\": %llu,\n"
-                 "      \"propagations_off\": %llu,\n"
-                 "      \"wall_on_ms\": %.3f,\n"
-                 "      \"wall_off_ms\": %.3f,\n"
-                 "      \"sat_stats\": {\n",
-                 tag, run.big_delta, run.big_r, run.supports,
-                 run.verdicts_match ? "true" : "false",
-                 static_cast<unsigned long long>(run.conflicts_on),
-                 static_cast<unsigned long long>(run.conflicts_off),
-                 static_cast<unsigned long long>(run.propagations_on),
-                 static_cast<unsigned long long>(run.propagations_off),
-                 run.wall_on_ms, run.wall_off_ms);
-    print_sat_stats_json(f, run.stats, "        ");
-    std::fprintf(f, "      }\n    }%s\n", i == 0 ? "," : "");
-  }
-  std::fprintf(f, "  },\n");
   std::fprintf(f,
                "  \"serve_demo\": {\n"
                "    \"requests\": %zu,\n"
@@ -859,69 +780,6 @@ void print_table() {
         cert_demo.roundtrip_valid ? "ok" : "BROKEN");
   }
 
-  // E2i: CDCL inprocessing armed vs disarmed, on the ISSUE 6 acceptance
-  // instance (lift_{3,1}(MM_3), 8 nested gadgets) and on a conflict-bearing
-  // sweep (lift_{2,2}(MM_2), growing cycles).
-  InprocessDemo inprocess_demo;
-  {
-    const auto measure = [](const char* tag, const Problem& pi,
-                            std::size_t big_delta, std::size_t big_r,
-                            std::span<const BipartiteGraph> supports) {
-      InprocessRun run;
-      run.big_delta = big_delta;
-      run.big_r = big_r;
-      run.supports = supports.size();
-      LiftSweepOptions on;
-      on.incremental = true;
-      on.inprocessing = true;
-      const LiftSweepResult a = run_lift_sweep(pi, big_delta, big_r, supports, on);
-      LiftSweepOptions off;
-      off.incremental = true;
-      off.inprocessing = false;
-      const LiftSweepResult b = run_lift_sweep(pi, big_delta, big_r, supports, off);
-      run.verdicts_match = a.lift_materialized && b.lift_materialized &&
-                           a.steps.size() == b.steps.size();
-      for (std::size_t i = 0; run.verdicts_match && i < a.steps.size(); ++i) {
-        run.verdicts_match = a.steps[i].verdict == b.steps[i].verdict &&
-                             a.steps[i].verdict != Verdict::kExhausted;
-      }
-      run.conflicts_on = a.total_conflicts;
-      run.conflicts_off = b.total_conflicts;
-      run.propagations_on = a.total_propagations;
-      run.propagations_off = b.total_propagations;
-      run.wall_on_ms = a.total_wall_ms;
-      run.wall_off_ms = b.total_wall_ms;
-      run.stats = a.sat_stats;
-      std::printf(
-          "E2i inprocessing, lift_{%zu,%zu}(%s) over %zu supports: verdicts %s "
-          "| conflicts %llu (on) vs %llu (off) | wall %.2f ms vs %.2f ms\n"
-          "    passes: runs=%llu subsumed=%llu strengthened=%llu vivified=%llu "
-          "probed=%llu failed=%llu eliminated=%llu substituted=%llu units=%llu\n",
-          big_delta, big_r, tag, run.supports,
-          run.verdicts_match ? "match" : "DIVERGE",
-          static_cast<unsigned long long>(run.conflicts_on),
-          static_cast<unsigned long long>(run.conflicts_off), run.wall_on_ms,
-          run.wall_off_ms,
-          static_cast<unsigned long long>(run.stats.inprocess_runs),
-          static_cast<unsigned long long>(run.stats.subsumed_clauses),
-          static_cast<unsigned long long>(run.stats.strengthened_clauses),
-          static_cast<unsigned long long>(run.stats.vivified_clauses),
-          static_cast<unsigned long long>(run.stats.probed_literals),
-          static_cast<unsigned long long>(run.stats.failed_literals),
-          static_cast<unsigned long long>(run.stats.eliminated_vars),
-          static_cast<unsigned long long>(run.stats.substituted_vars),
-          static_cast<unsigned long long>(run.stats.inprocess_units));
-      return run;
-    };
-    const auto gadget_supports = make_gadget_supports(3, 1, 1, 8);
-    inprocess_demo.gadgets = measure("MM_3", make_maximal_matching_problem(3), 3,
-                                     1, gadget_supports);
-    const auto cycle_supports = make_cycle_supports(2, 9);
-    inprocess_demo.cycles = measure("MM_2", make_maximal_matching_problem(2), 2,
-                                    2, cycle_supports);
-    std::printf("\n");
-  }
-
   // E2j: the lower-bound service under overload and injected faults — a
   // verdict phase, a burst that must shed at admission, a deliberately torn
   // checkpoint, then a second server instance that must recover from the
@@ -1262,8 +1120,8 @@ void print_table() {
   }
 
   write_json(rows, totals, table_wall_ms, serial_table_wall_ms, budget_demo,
-             portfolio_demo, sweep_demo, cache_demo, cert_demo, inprocess_demo,
-             serve_demo, discover_demo);
+             portfolio_demo, sweep_demo, cache_demo, cert_demo, serve_demo,
+             discover_demo);
 }
 
 void BM_re_matching(benchmark::State& state) {

@@ -68,21 +68,13 @@ BENCHMARK(BM_random_3sat)->Arg(50)->Arg(100)->Arg(150)->Unit(benchmark::kMillise
 
 void BM_incremental_3sat_chunks(benchmark::State& state) {
   // The sweep-shaped workload: one accumulating solver, clauses arriving in
-  // chunks with a solve after each, inprocessing armed or disarmed by the
-  // second arg. Every variable is frozen at creation — chunks may reference
-  // any variable later, exactly the contract the incremental labeling sweep
-  // lives under — so the win here comes from the clause-level passes
-  // (subsumption, self-subsumption, vivification, probing).
+  // chunks with a solve after each.
   const std::size_t n = static_cast<std::size_t>(state.range(0));
   for (auto _ : state) {
     Rng rng(99);
     SatSolver s;
-    s.set_inprocessing(state.range(1) != 0);
     std::vector<Var> vars;
-    for (std::size_t v = 0; v < n; ++v) {
-      vars.push_back(s.new_var());
-      s.freeze(vars.back());
-    }
+    for (std::size_t v = 0; v < n; ++v) vars.push_back(s.new_var());
     const std::size_t m = static_cast<std::size_t>(3.6 * static_cast<double>(n));
     const std::size_t chunks = 6;
     for (std::size_t chunk = 0; chunk < chunks; ++chunk) {
@@ -98,13 +90,7 @@ void BM_incremental_3sat_chunks(benchmark::State& state) {
     }
   }
 }
-BENCHMARK(BM_incremental_3sat_chunks)
-    ->Args({120, 1})
-    ->Args({120, 0})
-    ->Args({160, 1})
-    ->Args({160, 0})
-    ->ArgNames({"vars", "inprocess"})
-    ->Unit(benchmark::kMillisecond);
+BENCHMARK(BM_incremental_3sat_chunks)->Arg(120)->Arg(160)->Unit(benchmark::kMillisecond);
 
 void BM_labeling_backtracking(benchmark::State& state) {
   const std::size_t half = static_cast<std::size_t>(state.range(0));

@@ -86,17 +86,14 @@
 //   --timeout-ms=N   wall-clock limit for the command's searches
 //   --max-nodes=N    search-node limit (forces deterministic serial paths)
 // A search that runs out of budget exits with code 3 and prints the budget
-// diagnostics; it never misreports as solvable/unsolvable.
+// diagnostics; it never misreports as solvable/unsolvable. Any other
+// argument starting with "--" that is not a known flag is a usage error
+// (exit 64), so a misspelled budget flag can never run a search unbudgeted.
 //
 // SIGINT/SIGTERM are handled the same way: the handler trips a global
 // cancel token every command budget chains to, the engines wind down
 // cooperatively (exhausted, never a flipped verdict), `sequence --re-cache`
 // still saves the warm cache, and the process exits 3.
-//
-// --no-inprocessing disarms the CDCL inprocessing pipeline (subsumption,
-// vivification, probing, variable elimination between solves) for the
-// portfolio, sweep, and --emit-cert solvers. Verdicts and exit codes are
-// identical in both modes — the flag exists for A/B timing and debugging.
 #include <signal.h>
 
 #include <cstdint>
@@ -347,12 +344,11 @@ int cmd_zero(const Problem& pi, const BipartiteGraph& support,
 }
 
 int cmd_portfolio(const Problem& pi, const BipartiteGraph& support,
-                  const BudgetFlags& flags, bool inprocessing) {
+                  const BudgetFlags& flags) {
   SearchBudget budget_storage;
   budget_storage.chain_to(&g_signal_token);
   PortfolioOptions options;
   options.budget = &budget_storage;  // signal chain; limits stay local below
-  options.inprocessing = inprocessing;
   options.timeout_ms = flags.timeout_ms;
   if (flags.max_nodes > 0) {
     // --max-nodes caps every engine in the race: backtracking nodes and
@@ -383,34 +379,6 @@ int cmd_portfolio(const Problem& pi, const BipartiteGraph& support,
   return 0;
 }
 
-/// Parses "gadgets:<lo>..<hi>" / "cycles:<lo>..<hi>" into a support family
-/// laid out for incremental reuse (src/lift/sweep.hpp).
-std::optional<std::vector<BipartiteGraph>> load_family(const std::string& spec,
-                                                       std::size_t big_delta,
-                                                       std::size_t big_r) {
-  const auto parse_range = [](const char* body, std::size_t* lo, std::size_t* hi) {
-    char* end = nullptr;
-    *lo = std::strtoul(body, &end, 10);
-    if (end == nullptr || std::strncmp(end, "..", 2) != 0) return false;
-    *hi = std::strtoul(end + 2, nullptr, 10);
-    return *lo >= 1 && *hi >= *lo;
-  };
-  std::size_t lo = 0, hi = 0;
-  if (spec.rfind("gadgets:", 0) == 0 && parse_range(spec.c_str() + 8, &lo, &hi)) {
-    return make_gadget_supports(big_delta, big_r, lo, hi);
-  }
-  if (spec.rfind("cycles:", 0) == 0 && parse_range(spec.c_str() + 7, &lo, &hi)) {
-    if (big_delta == 2 && big_r == 2 && lo >= 2) return make_cycle_supports(lo, hi);
-    std::fprintf(stderr, "cycles family needs Δ = r = 2 and lo >= 2\n");
-    return std::nullopt;
-  }
-  std::fprintf(stderr,
-               "bad family spec '%s' (want gadgets:<lo>..<hi> or "
-               "cycles:<lo>..<hi>)\n",
-               spec.c_str());
-  return std::nullopt;
-}
-
 int cmd_check_cert(const char* path) {
   cert::Certificate certificate;
   std::string error;
@@ -429,23 +397,28 @@ int cmd_check_cert(const char* path) {
 
 int cmd_sweep(const Problem& pi, std::size_t big_delta, std::size_t big_r,
               const std::string& family_spec, bool scratch,
-              const std::string& emit_cert_path, const BudgetFlags& flags,
-              bool inprocessing) {
+              const std::string& emit_cert_path, const BudgetFlags& flags) {
   if (big_delta < pi.white_degree() || big_r < pi.black_degree()) {
     std::fprintf(stderr, "lift targets must dominate the problem degrees\n");
     return 1;
   }
-  const auto supports = load_family(family_spec, big_delta, big_r);
-  if (!supports) return 1;
+  std::string error;
+  const auto family = parse_sweep_family_spec(family_spec, big_delta, big_r, &error);
+  if (!family) {
+    std::fprintf(stderr, "%s\n", error.c_str());
+    return 1;
+  }
+  const std::vector<BipartiteGraph> supports =
+      family->cycles ? make_cycle_supports(family->lo, family->hi)
+                     : make_gadget_supports(big_delta, big_r, family->lo, family->hi);
 
   SearchBudget budget_storage;
   LiftSweepOptions options;
   options.incremental = !scratch;
   options.certify_cores = !scratch;
-  options.inprocessing = inprocessing;
   options.budget = flags.configure(budget_storage);
   const LiftSweepResult result =
-      run_lift_sweep(pi, big_delta, big_r, *supports, options);
+      run_lift_sweep(pi, big_delta, big_r, supports, options);
   if (!result.lift_materialized) {
     std::fprintf(stderr, "lift too large to materialize\n");
     return 1;
@@ -492,13 +465,11 @@ int cmd_sweep(const Problem& pi, std::size_t big_delta, std::size_t big_r,
       return 1;
     }
     const auto certificate = cert::make_lift_unsat_certificate(
-        pi, big_delta, big_r, (*supports)[unsat_index], options.budget,
-        inprocessing);
+        pi, big_delta, big_r, supports[unsat_index], options.budget);
     if (!certificate.has_value()) {
       std::fprintf(stderr, "--emit-cert: failed to build the certificate\n");
       return 1;
     }
-    std::string error;
     if (!cert::save_certificate(*certificate, emit_cert_path, &error)) {
       std::fprintf(stderr, "--emit-cert: %s\n", error.c_str());
       return 1;
@@ -915,10 +886,6 @@ void print_usage(std::FILE* out) {
                "                                     when nodes are still live)\n"
                "  --seed=N                           simulate: instance + algorithm\n"
                "                                     seed\n"
-               "  --no-inprocessing                  portfolio/sweep/--emit-cert:\n"
-               "                                     disarm CDCL inprocessing (same\n"
-               "                                     verdicts and exit codes, A/B\n"
-               "                                     timing only)\n"
                "  --scratch                          sweep: re-encode each support\n"
                "  --repeat=N                         sequence: repeat last problem\n"
                "  --re-cache=PATH                    sequence/discover: persistent\n"
@@ -939,7 +906,8 @@ void print_usage(std::FILE* out) {
                "  --checkpoint-every=N               discover: checkpoint cadence\n"
                "                                     in expansions\n"
                "exit codes: 0 ok/valid, 1 error/invalid, 2 unsolvable/not-fixed/\n"
-               "            malformed cert, 3 budget exhausted, 64 usage\n");
+               "            malformed cert, 3 budget exhausted, 64 usage (incl.\n"
+               "            any unknown --flag)\n");
 }
 
 int usage() {
@@ -954,7 +922,6 @@ int main(int argc, char** argv) {
   // Split budget flags from positional arguments.
   BudgetFlags flags;
   bool scratch = false;
-  bool inprocessing = true;
   std::size_t repeat = 0;
   DiscoverFlags dflags;
   std::size_t sim_threads = 1;
@@ -970,8 +937,6 @@ int main(int argc, char** argv) {
       flags.max_nodes = std::strtoull(argv[i] + 12, nullptr, 10);
     } else if (std::strcmp(argv[i], "--scratch") == 0) {
       scratch = true;
-    } else if (std::strcmp(argv[i], "--no-inprocessing") == 0) {
-      inprocessing = false;
     } else if (std::strncmp(argv[i], "--threads=", 10) == 0) {
       sim_threads = std::strtoul(argv[i] + 10, nullptr, 10);
       dflags.threads = sim_threads == 0 ? 1 : sim_threads;
@@ -1002,6 +967,9 @@ int main(int argc, char** argv) {
     } else if (std::strcmp(argv[i], "--help") == 0) {
       print_usage(stdout);
       return 0;
+    } else if (std::strncmp(argv[i], "--", 2) == 0) {
+      std::fprintf(stderr, "unknown flag '%s'\n", argv[i]);
+      return usage();
     } else {
       args.push_back(argv[i]);
     }
@@ -1054,14 +1022,14 @@ int main(int argc, char** argv) {
   if (cmd == "sweep" && args.size() >= 5) {
     return cmd_sweep(*pi, std::strtoul(args[2], nullptr, 10),
                      std::strtoul(args[3], nullptr, 10), args[4], scratch,
-                     emit_cert_path, flags, inprocessing);
+                     emit_cert_path, flags);
   }
   if ((cmd == "solve" || cmd == "zero" || cmd == "portfolio") && args.size() >= 3) {
     const auto support = load_support(args[2]);
     if (!support) return 1;
     if (cmd == "solve") return cmd_solve(*pi, *support, flags);
     if (cmd == "zero") return cmd_zero(*pi, *support, flags);
-    return cmd_portfolio(*pi, *support, flags, inprocessing);
+    return cmd_portfolio(*pi, *support, flags);
   }
   return usage();
 }

@@ -39,13 +39,12 @@ std::optional<Certificate> make_lift_unsat_certificate(const Problem& pi,
                                                        std::size_t big_delta,
                                                        std::size_t big_r,
                                                        const BipartiteGraph& g,
-                                                       SearchBudget* budget,
-                                                       bool inprocessing) {
+                                                       SearchBudget* budget) {
   const LiftedProblem lift(pi, big_delta, big_r);
   const std::optional<Problem> psi = lift.materialize();
   if (!psi.has_value()) return std::nullopt;
   std::optional<LabelingCnf> cnf =
-      encode_bipartite_labeling(g, *psi, budget, /*log_proof=*/true, inprocessing);
+      encode_bipartite_labeling(g, *psi, budget, /*log_proof=*/true);
   if (!cnf.has_value()) return std::nullopt;
   if (cnf->solver.solve(/*conflict_budget=*/0, budget) != SatResult::kUnsat) {
     return std::nullopt;

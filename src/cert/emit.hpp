@@ -34,15 +34,11 @@ std::optional<Certificate> make_sequence_certificate(
 /// kUnsat (a solvable or budget-exhausted instance has nothing to certify).
 /// Certificate emission always re-encodes from scratch: the incremental
 /// sweep interleaves many supports through one solver, which would tangle
-/// their proofs together. `inprocessing` arms the solver's simplification
-/// pipeline; every pass logs its additions and deletions to the DRAT trace,
-/// so the emitted proof stays checkable either way (the CI cert job pins
-/// both modes against the standalone checker).
+/// their proofs together.
 std::optional<Certificate> make_lift_unsat_certificate(const Problem& pi,
                                                        std::size_t big_delta,
                                                        std::size_t big_r,
                                                        const BipartiteGraph& g,
-                                                       SearchBudget* budget = nullptr,
-                                                       bool inprocessing = true);
+                                                       SearchBudget* budget = nullptr);
 
 }  // namespace slocal::cert

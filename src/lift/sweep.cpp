@@ -2,6 +2,8 @@
 
 #include <algorithm>
 #include <chrono>
+#include <cstdlib>
+#include <cstring>
 #include <map>
 #include <utility>
 
@@ -55,7 +57,7 @@ LiftSweepResult run_lift_sweep(const Problem& pi, std::size_t big_delta,
   result.steps.reserve(supports.size());
 
   if (options.incremental) {
-    IncrementalLabelingSweep sweep(std::move(*psi), options.inprocessing);
+    IncrementalLabelingSweep sweep(std::move(*psi));
     for (const BipartiteGraph& g : supports) {
       const auto start = std::chrono::steady_clock::now();
       const IncrementalLabelingSweep::Step raw =
@@ -79,8 +81,6 @@ LiftSweepResult run_lift_sweep(const Problem& pi, std::size_t big_delta,
       result.steps.push_back(step);
     }
     result.total_clauses = sweep.clause_count();
-    result.total_propagations = sweep.solver().propagations();
-    result.sat_stats = sweep.solver().stats();
   } else {
     for (const BipartiteGraph& g : supports) {
       const auto start = std::chrono::steady_clock::now();
@@ -131,6 +131,36 @@ std::vector<BipartiteGraph> make_cycle_supports(std::size_t lo, std::size_t hi) 
     supports.push_back(make_bipartite_cycle(half));
   }
   return supports;
+}
+
+std::optional<SweepFamilySpec> parse_sweep_family_spec(const std::string& spec,
+                                                       std::size_t big_delta,
+                                                       std::size_t big_r,
+                                                       std::string* error) {
+  const auto parse_range = [](const char* body, std::size_t* lo, std::size_t* hi) {
+    char* end = nullptr;
+    *lo = std::strtoul(body, &end, 10);
+    if (end == nullptr || std::strncmp(end, "..", 2) != 0) return false;
+    *hi = std::strtoul(end + 2, nullptr, 10);
+    return *lo >= 1 && *hi >= *lo;
+  };
+  SweepFamilySpec parsed;
+  if (spec.rfind("gadgets:", 0) == 0 &&
+      parse_range(spec.c_str() + 8, &parsed.lo, &parsed.hi)) {
+    parsed.cycles = false;
+    return parsed;
+  }
+  if (spec.rfind("cycles:", 0) == 0 &&
+      parse_range(spec.c_str() + 7, &parsed.lo, &parsed.hi)) {
+    if (big_delta != 2 || big_r != 2 || parsed.lo < 2) {
+      *error = "cycles family needs delta = r = 2 and lo >= 2";
+      return std::nullopt;
+    }
+    parsed.cycles = true;
+    return parsed;
+  }
+  *error = "bad family '" + spec + "' (want gadgets:<lo>..<hi> or cycles:<lo>..<hi>)";
+  return std::nullopt;
 }
 
 std::vector<BipartiteGraph> make_gadget_supports_for(

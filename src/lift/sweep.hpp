@@ -16,11 +16,11 @@
 #include <cstdint>
 #include <optional>
 #include <span>
+#include <string>
 #include <vector>
 
 #include "src/formalism/problem.hpp"
 #include "src/graph/bipartite.hpp"
-#include "src/sat/solver.hpp"
 #include "src/util/budget.hpp"
 
 namespace slocal {
@@ -41,11 +41,6 @@ struct LiftSweepOptions {
   /// failed-assumption core to certify it (cost is usually trivial — the
   /// refutation is already learned).
   bool certify_cores = false;
-  /// Arms CDCL inprocessing on the accumulated solver (incremental mode
-  /// only): each step first simplifies the clauses the previous steps left
-  /// behind. Verdicts are unaffected — inprocessing on ≡ off is asserted by
-  /// the differential oracle — only conflicts and wall time change.
-  bool inprocessing = true;
   SearchBudget* budget = nullptr;
 };
 
@@ -75,12 +70,7 @@ struct LiftSweepResult {
   std::vector<LiftSweepStep> steps;  // one per support, same order
   std::size_t total_clauses = 0;     // distinct clauses encoded over the sweep
   std::uint64_t total_conflicts = 0;
-  std::uint64_t total_propagations = 0;  // incremental mode: accumulated solver
   double total_wall_ms = 0.0;
-  /// Incremental mode: the accumulated solver's inprocessing and core-probe
-  /// counters at the end of the sweep (all zero in scratch mode, and with
-  /// inprocessing off everything except the core-probe counters is zero).
-  SatStats sat_stats;
 };
 
 /// Decides lift_{Δ,r}(pi)-solvability on every support in `supports`.
@@ -105,6 +95,22 @@ std::vector<BipartiteGraph> make_gadget_supports(std::size_t big_delta,
 /// Consecutive cycles share all path edges but close at a different black
 /// node, exercising the guarded (non-nested) reuse case.
 std::vector<BipartiteGraph> make_cycle_supports(std::size_t lo, std::size_t hi);
+
+/// A parsed sweep family spec: "gadgets:<lo>..<hi>" or "cycles:<lo>..<hi>",
+/// the grammar of `slocal_tool sweep` and the service's sweep requests.
+struct SweepFamilySpec {
+  bool cycles = false;
+  std::size_t lo = 0;
+  std::size_t hi = 0;
+};
+
+/// Validates and parses a family spec against the lift targets (cycles
+/// require Δ = r = 2 and lo >= 2). nullopt with *error set on a malformed
+/// spec. Imposes no size cap; callers that need one apply their own.
+std::optional<SweepFamilySpec> parse_sweep_family_spec(const std::string& spec,
+                                                       std::size_t big_delta,
+                                                       std::size_t big_r,
+                                                       std::string* error);
 
 /// Supports for an arbitrary ascending size list instead of a contiguous
 /// range. Each graph is laid out with exactly the same node ids as its

@@ -25,8 +25,6 @@ Var SatSolver::new_var() {
   reason_.push_back(kNoReason);
   activity_.push_back(0.0);
   seen_.push_back(0);
-  frozen_.push_back(0);
-  var_state_.push_back(kVarActive);
   phase_.push_back(kUndef);
   watches_.emplace_back();
   watches_.emplace_back();
@@ -58,14 +56,6 @@ void SatSolver::log_step(bool is_delete, std::span<const Lit> lits) {
 void SatSolver::add_clause(std::vector<Lit> lits) {
   if (unsat_) return;
   assert(trail_limits_.empty() && "clauses may only be added at decision level 0");
-  ++clauses_since_inprocess_;
-#ifndef NDEBUG
-  for (const Lit l : lits) {
-    assert(var_state_[l.var()] == kVarActive &&
-           "clause references an eliminated variable: freeze() variables that "
-           "may reappear in clauses added after an inprocessing round");
-  }
-#endif
   if (logging_) {
     // Input clauses are logged verbatim: the stored clause below may be
     // strengthened against root units or dropped entirely, but the proof
@@ -101,7 +91,7 @@ void SatSolver::add_clause(std::vector<Lit> lits) {
   // When root units stripped literals, the stored clause differs from the
   // logged input as a set. Log the stored form as a derived addition (RUP:
   // the dropped literals are unit-propagation-false, falsifying the input
-  // clause) so a later inprocessing deletion matches an active clause.
+  // clause) so the trace holds every clause the solver stores.
   if (logging_ && stripped && kept.size() >= 2) log_step(false, kept);
   if (kept.empty()) {
     unsat_ = true;
@@ -328,10 +318,7 @@ std::optional<Lit> SatSolver::pick_branch() {
   double best_activity = -1.0;
   bool found = false;
   for (Var v = 0; v < assigns_.size(); ++v) {
-    // Eliminated/substituted variables occur in no active clause; their
-    // values come from model reconstruction, never from branching.
-    if (assigns_[v] == kUndef && var_state_[v] == kVarActive &&
-        activity_[v] > best_activity) {
+    if (assigns_[v] == kUndef && activity_[v] > best_activity) {
       best = v;
       best_activity = activity_[v];
       found = true;
@@ -387,35 +374,6 @@ void SatSolver::reduce_learned() {
   }
 }
 
-void SatSolver::save_model() {
-  model_ = assigns_;
-  if (reconstruction_.empty()) return;
-  // Extend the model over eliminated/substituted variables. Defaults make
-  // every witness false, so the newest-first replay flips a variable only
-  // when one of its stored clauses would otherwise be unsatisfied — the
-  // SatELite argument then guarantees every deleted clause is satisfied.
-  for (const ReconstructionFrame& f : reconstruction_) {
-    model_[f.witness.var()] = f.witness.negated() ? kTrue : kFalse;
-  }
-  const auto lit_true = [&](Lit l) {
-    const std::uint8_t v = model_[l.var()];
-    return v != kUndef && (v == kFalse) == l.negated();
-  };
-  for (std::size_t i = reconstruction_.size(); i-- > 0;) {
-    const ReconstructionFrame& f = reconstruction_[i];
-    bool satisfied = false;
-    for (const Lit l : f.clause) {
-      if (lit_true(l)) {
-        satisfied = true;
-        break;
-      }
-    }
-    if (!satisfied) {
-      model_[f.witness.var()] = f.witness.negated() ? kFalse : kTrue;
-    }
-  }
-}
-
 SatResult SatSolver::solve(std::uint64_t conflict_budget, SearchBudget* budget) {
   return solve_under_assumptions({}, conflict_budget, budget);
 }
@@ -425,25 +383,11 @@ SatResult SatSolver::solve_under_assumptions(std::span<const Lit> assumptions,
                                              SearchBudget* budget) {
   failed_assumptions_.clear();
   if (unsat_) return SatResult::kUnsat;
-  // Assumption variables are frozen for good: a variable whose identity
-  // matters to a caller (it may return in failed_assumptions() or in a
-  // later assumption set) must never be eliminated or substituted away.
-  for (const Lit a : assumptions) {
-    assert(var_state_[a.var()] == kVarActive &&
-           "assumed variable was eliminated by inprocessing — freeze() "
-           "assumption variables before their first inprocessed solve");
-    frozen_[a.var()] = 1;
-  }
   if (budget != nullptr && !budget->keep_going()) return SatResult::kUnknown;
   if (propagate() != kNoReason) {
     unsat_ = true;
     if (logging_) log_step(false, {});
     return SatResult::kUnsat;
-  }
-  if (inprocess_enabled_ && clauses_since_inprocess_ > 0 &&
-      trail_limits_.empty() && (budget == nullptr || budget->keep_going())) {
-    inprocess(budget);
-    if (unsat_) return SatResult::kUnsat;
   }
   std::uint64_t restart_limit = 100;
   std::uint64_t conflicts_since_restart = 0;
@@ -534,7 +478,7 @@ SatResult SatSolver::solve_under_assumptions(std::span<const Lit> assumptions,
       if (enqueued_assumption) continue;
       const auto branch = pick_branch();
       if (!branch) {
-        save_model();
+        model_ = assigns_;
         backtrack(0);
         return SatResult::kSat;
       }

@@ -51,21 +51,16 @@ class Lit {
 enum class SatResult { kSat, kUnsat, kUnknown };
 
 /// Cumulative counters for the work the solver does outside the core CDCL
-/// loop: the inprocessing passes (src/sat/inprocess.cpp) and the deletion
-/// probes of minimize_core(). All counters are monotone over the solver's
-/// lifetime and copied with it, so a portfolio copy starts from its parent's
-/// totals.
+/// loop: the deletion probes of minimize_core(). All counters are monotone
+/// over the solver's lifetime and copied with it, so a portfolio copy starts
+/// from its parent's totals.
 struct SatStats {
-  // Inprocessing pass counters.
+  // Always 0: kept only because perfbench/ reads them; the next benchmark
+  // change removes them.
   std::uint64_t inprocess_runs = 0;
-  std::uint64_t subsumed_clauses = 0;      // deleted: another clause subsumes them
-  std::uint64_t strengthened_clauses = 0;  // literal removed by self-subsumption
-  std::uint64_t vivified_clauses = 0;      // shortened by vivification probes
-  std::uint64_t probed_literals = 0;       // failed-literal probes attempted
-  std::uint64_t failed_literals = 0;       // probes that yielded a root unit
-  std::uint64_t eliminated_vars = 0;       // removed by bounded variable elimination
-  std::uint64_t substituted_vars = 0;      // merged by equivalent-literal SCCs
-  std::uint64_t inprocess_units = 0;       // root units derived by any pass
+  std::uint64_t subsumed_clauses = 0;
+  std::uint64_t vivified_clauses = 0;
+  std::uint64_t eliminated_vars = 0;
   // minimize_core() probe accounting: each deletion probe is a budgeted
   // re-solve whose conflicts would otherwise be invisible to callers.
   std::uint64_t core_probe_solves = 0;
@@ -156,33 +151,6 @@ class SatSolver {
   const SatProof& proof() const { return proof_; }
   void clear_proof() { proof_.clear(); }
 
-  /// Enables inprocessing: whenever a solve starts at decision level 0 and
-  /// clauses were added since the last simplification round, the pipeline in
-  /// src/sat/inprocess.cpp runs first (equivalent-literal substitution,
-  /// failed-literal probing, subsumption + self-subsumption, vivification,
-  /// bounded variable elimination). All passes are equisatisfiability-
-  /// preserving, charge the solve's SearchBudget, and log every clause they
-  /// add or delete to the DRAT stream when proof logging is on.
-  void set_inprocessing(bool on) { inprocess_enabled_ = on; }
-  bool inprocessing() const { return inprocess_enabled_; }
-
-  /// Marks a variable as off-limits for variable elimination and
-  /// equivalent-literal substitution. Freeze every variable whose identity
-  /// must survive simplification: assumption literals (frozen automatically
-  /// by solve_under_assumptions), guard literals, and any variable that may
-  /// appear in clauses added after an inprocessing round. Non-frozen
-  /// variables may disappear from the clause database; their model values
-  /// are reconstructed transparently (see value()).
-  void freeze(Var v) { frozen_[v] = 1; }
-  bool frozen(Var v) const { return frozen_[v] != 0; }
-
-  /// Runs one inprocessing round right now (must be at decision level 0).
-  /// Normally triggered automatically from solve once set_inprocessing(true)
-  /// is armed; exposed for tests and one-shot preprocessing. A tripped
-  /// `budget` stops the pipeline cleanly between clause transformations —
-  /// the database stays equisatisfiable at every intermediate point.
-  void inprocess(SearchBudget* budget = nullptr);
-
   const SatStats& stats() const { return stats_; }
 
   /// Branching-polarity preferences, one entry per variable: 0 = decide
@@ -195,15 +163,6 @@ class SatSolver {
   void set_phases(std::span<const std::uint8_t> phases);
   const std::vector<std::uint8_t>& phases() const { return phase_; }
 
-  /// The literals fixed at decision level 0 (input units plus everything
-  /// root propagation and inprocessing derived from them). Stable while no
-  /// solve is running.
-  std::span<const Lit> root_units() const {
-    return std::span<const Lit>(trail_.data(),
-                                trail_limits_.empty() ? trail_.size()
-                                                      : trail_limits_[0]);
-  }
-
   /// Diversifies the branching heuristic for portfolio racing: seed != 0
   /// perturbs variable activities by a tiny deterministic per-variable
   /// jitter (breaking ties differently per seed) and derives decision
@@ -213,10 +172,7 @@ class SatSolver {
   void set_branch_seed(std::uint64_t seed);
 
   /// Model access after kSat (the model of the most recent kSat solve; it
-  /// survives later clause additions until the next solve call). Variables
-  /// eliminated or substituted by inprocessing are reconstructed: the saved
-  /// model is extended by replaying the reconstruction stack, so value() is
-  /// defined — and satisfies every original clause — for them too.
+  /// survives later clause additions until the next solve call).
   bool value(Var v) const;
 
   std::uint64_t conflicts() const { return conflicts_; }
@@ -228,29 +184,12 @@ class SatSolver {
   std::uint64_t learned_gc_runs() const { return learned_gc_runs_; }
 
  private:
-  friend class Inprocessor;
-
   enum : std::uint8_t { kTrue = 0, kFalse = 1, kUndef = 2 };
-  /// Lifecycle of a variable under inprocessing. Eliminated/substituted
-  /// variables have no occurrence in any active clause; the solver never
-  /// branches on them and save_model() reconstructs their values.
-  enum : std::uint8_t { kVarActive = 0, kVarEliminated = 1, kVarSubstituted = 2 };
 
   struct Clause {
     std::vector<Lit> lits;
     bool learned = false;
     double activity = 0.0;
-  };
-
-  /// One frame of the model-reconstruction stack (SatELite-style witnesses).
-  /// save_model() replays frames newest-first: if `clause` is unsatisfied by
-  /// the partial model, the witness literal's variable is flipped to make
-  /// `witness` true. BVE pushes the eliminated variable's positive-side
-  /// clauses (witness = the literal of v in the clause); equivalent-literal
-  /// substitution pushes the two binary equivalence halves.
-  struct ReconstructionFrame {
-    Lit witness;
-    std::vector<Lit> clause;
   };
 
   using ClauseRef = std::uint32_t;
@@ -274,7 +213,6 @@ class SatSolver {
   std::optional<Lit> pick_branch();
   void attach(ClauseRef cr);
   void reduce_learned();
-  void save_model();
   void log_step(bool is_delete, std::span<const Lit> lits);
 
   std::vector<Clause> clauses_;
@@ -298,24 +236,13 @@ class SatSolver {
   std::size_t learned_count_ = 0;
   std::uint64_t learned_gc_runs_ = 0;
 
-  std::vector<std::uint8_t> model_;  // extended assigns_ snapshot of the last kSat
+  std::vector<std::uint8_t> model_;  // assigns_ snapshot of the last kSat
   std::vector<Lit> failed_assumptions_;
-  std::vector<std::uint8_t> seen_;  // scratch for analyze()
-
-  // Inprocessing state (all copied with the solver, so portfolio copies and
-  // sweep snapshots reconstruct models identically).
-  bool inprocess_enabled_ = false;
-  std::vector<std::uint8_t> frozen_;     // per var: may not be eliminated
-  std::vector<std::uint8_t> var_state_;  // per var: kVarActive/Eliminated/Substituted
-  std::vector<std::uint8_t> phase_;      // per var: saved polarity (2 = none)
-  std::vector<ReconstructionFrame> reconstruction_;
-  std::uint64_t clauses_since_inprocess_ = 0;  // trigger for the next round
-  std::size_t vivify_cursor_ = 0;              // round-robin across rounds
-  std::size_t probe_cursor_ = 0;
+  std::vector<std::uint8_t> seen_;   // scratch for analyze()
+  std::vector<std::uint8_t> phase_;  // per var: saved polarity (2 = none)
   SatStats stats_;
 
   bool logging_ = false;
-  std::size_t logged_root_units_ = 0;  // trail prefix already logged as units
   SatProof proof_;
 };
 

@@ -48,13 +48,30 @@ std::optional<Problem> load_problem_file(const std::string& path, std::string* e
   return problem;
 }
 
-/// Parses "gadgets:<lo>..<hi>" / "cycles:<lo>..<hi>" (the slocal_tool sweep
-/// family grammar) into laid-out-for-reuse supports.
+/// Sweep families larger than this are rejected as invalid: one request must
+/// not pin a worker on an unbounded support list.
+constexpr std::size_t kMaxSweepSupports = 257;
+
+/// parse_sweep_family_spec plus the service's support cap.
+std::optional<SweepFamilySpec> parse_capped_family(const std::string& spec,
+                                                   std::size_t big_delta,
+                                                   std::size_t big_r,
+                                                   std::string* error) {
+  auto parsed = parse_sweep_family_spec(spec, big_delta, big_r, error);
+  if (parsed && parsed->hi - parsed->lo >= kMaxSweepSupports) {
+    *error = "family too large (more than " + std::to_string(kMaxSweepSupports) +
+             " supports)";
+    return std::nullopt;
+  }
+  return parsed;
+}
+
+/// Parses a sweep family spec into laid-out-for-reuse supports.
 std::optional<std::vector<BipartiteGraph>> parse_family(const std::string& spec,
                                                         std::size_t big_delta,
                                                         std::size_t big_r,
                                                         std::string* error) {
-  const auto parsed = parse_sweep_family_spec(spec, big_delta, big_r, error);
+  const auto parsed = parse_capped_family(spec, big_delta, big_r, error);
   if (!parsed) return std::nullopt;
   if (parsed->cycles) return make_cycle_supports(parsed->lo, parsed->hi);
   return make_gadget_supports(big_delta, big_r, parsed->lo, parsed->hi);
@@ -71,44 +88,6 @@ std::string join_verdicts(const std::vector<Verdict>& verdicts) {
 }
 
 }  // namespace
-
-std::optional<SweepFamilySpec> parse_sweep_family_spec(const std::string& spec,
-                                                       std::size_t big_delta,
-                                                       std::size_t big_r,
-                                                       std::string* error) {
-  const auto parse_range = [](const char* body, std::size_t* lo, std::size_t* hi) {
-    char* end = nullptr;
-    *lo = std::strtoul(body, &end, 10);
-    if (end == nullptr || std::strncmp(end, "..", 2) != 0) return false;
-    *hi = std::strtoul(end + 2, nullptr, 10);
-    return *lo >= 1 && *hi >= *lo;
-  };
-  SweepFamilySpec parsed;
-  if (spec.rfind("gadgets:", 0) == 0 &&
-      parse_range(spec.c_str() + 8, &parsed.lo, &parsed.hi)) {
-    if (parsed.hi - parsed.lo > 256) {
-      *error = "family too large (more than 257 supports)";
-      return std::nullopt;
-    }
-    parsed.cycles = false;
-    return parsed;
-  }
-  if (spec.rfind("cycles:", 0) == 0 &&
-      parse_range(spec.c_str() + 7, &parsed.lo, &parsed.hi)) {
-    if (big_delta != 2 || big_r != 2 || parsed.lo < 2) {
-      *error = "cycles family needs delta = r = 2 and lo >= 2";
-      return std::nullopt;
-    }
-    if (parsed.hi - parsed.lo > 256) {
-      *error = "family too large (more than 257 supports)";
-      return std::nullopt;
-    }
-    parsed.cycles = true;
-    return parsed;
-  }
-  *error = "bad family '" + spec + "' (want gadgets:<lo>..<hi> or cycles:<lo>..<hi>)";
-  return std::nullopt;
-}
 
 Server::Server(const ServeOptions& options)
     : options_(options),
@@ -308,8 +287,8 @@ std::string Server::sweep_group_key(const Request& request) const {
       request.big_r < problem->black_degree()) {
     return {};
   }
-  const auto spec = parse_sweep_family_spec(request.family, request.big_delta,
-                                            request.big_r, &error);
+  const auto spec =
+      parse_capped_family(request.family, request.big_delta, request.big_r, &error);
   if (!spec) return {};
   char buf[96];
   const CanonicalForm canonical = canonicalize(*problem);
@@ -512,8 +491,8 @@ void Server::execute_sweep_group(std::vector<AdmittedSweep> group) {
   members.reserve(group.size());
   bool cycles = false;
   for (const AdmittedSweep& a : group) {
-    const auto spec = parse_sweep_family_spec(a.request.family, a.request.big_delta,
-                                              a.request.big_r, &error);
+    const auto spec = parse_capped_family(a.request.family, a.request.big_delta,
+                                          a.request.big_r, &error);
     if (!spec) {
       invalid_all(error);  // unreachable: the group key already parsed it
       return;

@@ -117,24 +117,6 @@ struct ServeCounters {
   std::uint64_t sweep_single_dispatch = 0;
 };
 
-/// A parsed sweep family spec: "gadgets:<lo>..<hi>" or "cycles:<lo>..<hi>"
-/// (the slocal_tool grammar). Exposed so the batching dispatcher can group
-/// requests by family *kind* and slice per-request ranges out of one
-/// union solve.
-struct SweepFamilySpec {
-  bool cycles = false;
-  std::size_t lo = 0;
-  std::size_t hi = 0;
-};
-
-/// Validates and parses a family spec against the lift targets (cycles
-/// require Δ = r = 2; at most 257 supports). nullopt with *error set on
-/// malformed or oversized specs.
-std::optional<SweepFamilySpec> parse_sweep_family_spec(const std::string& spec,
-                                                       std::size_t big_delta,
-                                                       std::size_t big_r,
-                                                       std::string* error);
-
 class Server {
  public:
   explicit Server(const ServeOptions& options);

@@ -81,13 +81,12 @@ std::optional<LabelingCnf> encode_bipartite_labeling(const BipartiteGraph& g,
                                                      const Problem& pi,
                                                      SearchBudget* budget,
                                                      bool log_proof,
-                                                     bool inprocessing) {
+                                                     bool /*unused*/) {
   LabelingCnf cnf;
   SatSolver& solver = cnf.solver;
   // Proof logging has to be armed before the first clause goes in: the
   // solver cannot reconstruct original clauses from its simplified store.
   if (log_proof) solver.start_proof();
-  solver.set_inprocessing(inprocessing);
   const std::size_t alphabet = pi.alphabet_size();
   std::vector<std::vector<Var>>& x = cnf.edge_label_vars;
   x.resize(g.edge_count());
@@ -156,27 +155,20 @@ std::optional<std::vector<Label>> solve_graph_halfedge_labeling_sat(
                                       conflict_budget, stats, budget);
 }
 
-IncrementalLabelingSweep::IncrementalLabelingSweep(Problem pi, bool inprocessing)
-    : pi_(std::move(pi)) {
+IncrementalLabelingSweep::IncrementalLabelingSweep(Problem pi) : pi_(std::move(pi)) {
   // The bad-prefix DFS re-tests the same partial multisets across nodes and
   // supports; the hashed extension index turns those into O(1) lookups.
   pi_.white().build_extension_index();
   pi_.black().build_extension_index();
-  solver_.set_inprocessing(inprocessing);
 }
 
 const std::vector<Var>& IncrementalLabelingSweep::edge_vars(NodeId w, NodeId b) {
   const EdgeKey key = edge_key(w, b);
   const auto it = edge_vars_.find(key);
   if (it != edge_vars_.end()) return it->second;
-  const std::vector<Var>& vars =
-      edge_vars_
-          .emplace(key, make_edge_vars(solver_, pi_.alphabet_size(), clause_count_))
-          .first->second;
-  // Edge variables reappear in the blocking clauses of every later support
-  // that contains this edge: inprocessing must never eliminate them.
-  for (const Var v : vars) solver_.freeze(v);
-  return vars;
+  return edge_vars_
+      .emplace(key, make_edge_vars(solver_, pi_.alphabet_size(), clause_count_))
+      .first->second;
 }
 
 bool IncrementalLabelingSweep::encode_support(const BipartiteGraph& g,
@@ -205,9 +197,6 @@ bool IncrementalLabelingSweep::encode_support(const BipartiteGraph& g,
       if (step != nullptr) ++step->reused_guards;
     } else {
       guard = solver_.new_var();
-      // Guards are future assumptions (and may be retracted-but-reused by any
-      // later step); their identity must survive every inprocessing round.
-      solver_.freeze(guard);
       std::vector<const std::vector<Var>*> incident_vars;
       incident_vars.reserve(incident.size());
       for (const EdgeKey k : key.second) incident_vars.push_back(&edge_vars_.at(k));

@@ -51,14 +51,13 @@ struct LabelingCnf {
 /// returns nullopt — a partial encoding must never be solved, since missing
 /// blocking clauses would make kSat unsound. log_proof arms the solver's
 /// DRAT trace before the first clause is added (certificate emission).
-/// `inprocessing` arms the solver's simplification pipeline (the one-shot
-/// encoding needs no freezing: every clause exists before the first solve,
-/// and decode reads eliminated variables through model reconstruction).
+/// The trailing bool is ignored: it is kept only because perfbench/ passes
+/// it, and the next benchmark change removes it.
 std::optional<LabelingCnf> encode_bipartite_labeling(const BipartiteGraph& g,
                                                      const Problem& pi,
                                                      SearchBudget* budget = nullptr,
                                                      bool log_proof = false,
-                                                     bool inprocessing = false);
+                                                     bool unused = false);
 
 /// Reads the edge labeling out of a solver in the kSat state.
 std::vector<Label> decode_bipartite_labeling(const LabelingCnf& cnf,
@@ -100,13 +99,7 @@ std::optional<std::vector<Label>> solve_graph_halfedge_labeling_sat(
 /// under only those guards to certify the core).
 class IncrementalLabelingSweep {
  public:
-  /// `inprocessing` arms the accumulated solver's simplification pipeline
-  /// (src/sat/inprocess.cpp): each solve_support first simplifies whatever
-  /// the previous steps left behind. Edge variables and guard variables are
-  /// frozen at creation — clauses of later supports reference existing edge
-  /// variables, and guards must keep their identity across assumption sets —
-  /// so only the anonymous interior of the encoding is ever eliminated.
-  explicit IncrementalLabelingSweep(Problem pi, bool inprocessing = true);
+  explicit IncrementalLabelingSweep(Problem pi);
 
   /// A constrained node of a step's support ((side, node id) pair).
   struct NodeRef {

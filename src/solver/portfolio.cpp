@@ -34,28 +34,11 @@ PortfolioResult solve_labeling_portfolio(const BipartiteGraph& g, const Problem&
   if (cnf == nullptr) {
     SearchBudget encode_budget;
     encode_budget.chain_to(&race);
-    local_cnf = encode_bipartite_labeling(g, pi, &encode_budget, false,
-                                          options.inprocessing);
+    local_cnf = encode_bipartite_labeling(g, pi, &encode_budget);
     if (!local_cnf.has_value()) {
       result.reason = race.halted() ? race.reason() : encode_budget.reason();
       result.wall_ms = race.elapsed_ms();
       return result;  // kExhausted before the race even started
-    }
-    // Simplify the base instance once, pre-copy: every CDCL copy would
-    // otherwise run the identical deterministic pipeline (branch seeds only
-    // jitter activities, which no pass reads). A tripped race skips this —
-    // a clean exhausted exit beats a half-simplified database. The work is
-    // capped by the caller's per-engine node budget so that a deliberately
-    // unwinnable race (tiny caps, exit-code contract) stays unwinnable:
-    // simplification must not decide instances the engines may not.
-    if (options.inprocessing && race.keep_going()) {
-      for (const Lit a : options.assumptions) {
-        local_cnf->solver.freeze(a.var());
-      }
-      SearchBudget simplify;
-      simplify.chain_to(&race);
-      if (options.node_budget > 0) simplify.set_node_limit(options.node_budget);
-      local_cnf->solver.inprocess(&simplify);
     }
     cnf = &*local_cnf;
   }

@@ -50,13 +50,6 @@ struct PortfolioOptions {
   /// the same question directly on (g, pi).
   const LabelingCnf* encoded = nullptr;
   std::vector<Lit> assumptions;
-  /// Arms CDCL inprocessing for the race. With an in-call encoding the base
-  /// instance is simplified ONCE before it is copied, so the copies race the
-  /// simplified clauses instead of each repeating identical passes. A
-  /// pre-encoded instance keeps whatever its own solver has armed (an
-  /// incremental sweep snapshot carries the sweep's setting); this flag does
-  /// not override it — the snapshot's frozen set is the sweep's contract.
-  bool inprocessing = true;
   /// Branching-polarity preload for every CDCL copy (see
   /// SatSolver::set_phases). Feed a previous race's winner_phase back in to
   /// restart losing engines with the winner's saved phases — on a sweep of

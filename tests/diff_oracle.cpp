@@ -114,8 +114,7 @@ std::string DiffOracleReport::summary() const {
 void diff_check_family(const Problem& pi, std::span<const BipartiteGraph> supports,
                        std::uint64_t max_brute_assignments,
                        std::size_t portfolio_threads, DiffOracleReport* report) {
-  IncrementalLabelingSweep sweep(pi, /*inprocessing=*/true);
-  IncrementalLabelingSweep plain_sweep(pi, /*inprocessing=*/false);
+  IncrementalLabelingSweep sweep(pi);
   for (std::size_t si = 0; si < supports.size(); ++si) {
     const BipartiteGraph& g = supports[si];
     ++report->instances;
@@ -150,40 +149,26 @@ void diff_check_family(const Problem& pi, std::span<const BipartiteGraph> suppor
       fail("from-scratch CDCL model decodes to an invalid labeling");
     }
 
-    // Engines 3 and 4 — incremental CDCL with inprocessing armed and
-    // disarmed (each sweep's solver is shared across the family). The pair
-    // pins the inprocessing equivalence: no simplification pass may flip a
-    // verdict, hand back a model the original clauses reject, or break the
-    // failed-assumption core contract.
-    const struct {
-      const char* tag;
-      IncrementalLabelingSweep* engine;
-    } sweeps[] = {{"inprocessed", &sweep}, {"plain", &plain_sweep}};
-    for (const auto& [tag, engine] : sweeps) {
-      const IncrementalLabelingSweep::Step step = engine->solve_support(g);
-      const std::string name = std::string("incremental CDCL (") + tag + ")";
-      if (step.verdict == Verdict::kExhausted) {
-        fail(name + " returned exhausted without a budget");
-      } else if ((step.verdict == Verdict::kYes) != expected) {
-        fail(name + " disagrees with backtracking");
-      } else if (step.verdict == Verdict::kYes) {
-        if (!step.labels.has_value() ||
-            !check_bipartite_labeling(g, pi, *step.labels)) {
-          fail(name + " model decodes to an invalid labeling");
-        }
-      } else {
-        // Every incremental UNSAT must carry a verifiable core: re-solving
-        // under only the failed assumptions must still refute.
-        if (engine->check_last_core() != Verdict::kNo) {
-          fail(name + " failed-assumption core did not re-solve to UNSAT");
-        } else {
-          ++report->cores_certified;
-        }
+    // Engine 3 — incremental CDCL (one solver shared across the family).
+    const IncrementalLabelingSweep::Step step = sweep.solve_support(g);
+    if (step.verdict == Verdict::kExhausted) {
+      fail("incremental CDCL returned exhausted without a budget");
+    } else if ((step.verdict == Verdict::kYes) != expected) {
+      fail("incremental CDCL disagrees with backtracking");
+    } else if (step.verdict == Verdict::kYes) {
+      if (!step.labels.has_value() || !check_bipartite_labeling(g, pi, *step.labels)) {
+        fail("incremental CDCL model decodes to an invalid labeling");
       }
+    } else if (sweep.check_last_core() != Verdict::kNo) {
+      // Every incremental UNSAT must carry a verifiable core: re-solving
+      // under only the failed assumptions must still refute.
+      fail("incremental CDCL failed-assumption core did not re-solve to UNSAT");
+    } else {
+      ++report->cores_certified;
     }
 
-    // Engine 5 — the racing portfolio (its own pre-copy simplification,
-    // phase saving, and thread scheduling on top of the same encodings).
+    // Engine 4 — the racing portfolio (phase saving and thread scheduling
+    // on top of the same encoding).
     PortfolioOptions portfolio;
     portfolio.threads = portfolio_threads;
     const PortfolioResult race = solve_labeling_portfolio(g, pi, portfolio);
@@ -197,7 +182,7 @@ void diff_check_family(const Problem& pi, std::span<const BipartiteGraph> suppor
       fail("portfolio labeling is invalid");
     }
 
-    // Engine 6 — brute-force enumeration (small sizes only).
+    // Engine 5 — brute-force enumeration (small sizes only).
     const auto brute = brute_force_solvable(g, pi, max_brute_assignments);
     if (brute.has_value()) {
       ++report->brute_checked;

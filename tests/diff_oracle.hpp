@@ -1,20 +1,17 @@
 // Differential-testing oracle for the bipartite labeling deciders.
 //
 // The framework's central question — "does Ψ admit a bipartite solution on
-// G?" — is now answered by six independent engines: the incremental CDCL
-// sweep with inprocessing armed (IncrementalLabelingSweep, assumption
-// literals per support), the same sweep with inprocessing disarmed (pinning
-// that no simplification pass can flip a verdict, invalidate a model, or
-// break a core), the from-scratch CDCL path (solve_bipartite_labeling_sat),
-// the backtracking labeling solver (solve_bipartite_labeling), the racing
-// portfolio (solve_labeling_portfolio, at a configurable thread count), and,
-// at small sizes, plain brute-force enumeration over all label assignments.
-// Lower bounds hinge on trusting UNSAT answers, so this harness cross-checks
-// all of them on seeded random (problem, support-family) instances,
-// validates every claimed solution with check_bipartite_labeling, and
-// requires each incremental UNSAT — from both sweep configurations — to
-// come with a failed-assumption core that re-solves to UNSAT on its own
-// (IncrementalLabelingSweep::check_last_core).
+// G?" — is now answered by five independent engines: the incremental CDCL
+// sweep (IncrementalLabelingSweep, assumption literals per support), the
+// from-scratch CDCL path (solve_bipartite_labeling_sat), the backtracking
+// labeling solver (solve_bipartite_labeling), the racing portfolio
+// (solve_labeling_portfolio, at a configurable thread count), and, at small
+// sizes, plain brute-force enumeration over all label assignments. Lower
+// bounds hinge on trusting UNSAT answers, so this harness cross-checks all
+// of them on seeded random (problem, support-family) instances, validates
+// every claimed solution with check_bipartite_labeling, and requires each
+// incremental UNSAT to come with a failed-assumption core that re-solves to
+// UNSAT on its own (IncrementalLabelingSweep::check_last_core).
 //
 // The harness is a library (used by diff_oracle_test.cpp and reusable from
 // fuzzers): run_diff_oracle is a pure function of its options, so a failure
@@ -65,9 +62,8 @@ struct DiffOracleReport {
   std::string summary() const;
 };
 
-/// Cross-checks one support family against all six engines, reusing one
-/// inprocessed and one plain incremental sweep across the family. Appends
-/// to `report`.
+/// Cross-checks one support family against all five engines, reusing one
+/// incremental sweep across the family. Appends to `report`.
 void diff_check_family(const Problem& pi, std::span<const BipartiteGraph> supports,
                        std::uint64_t max_brute_assignments,
                        std::size_t portfolio_threads, DiffOracleReport* report);

@@ -1,8 +1,7 @@
-// Drives the differential oracle (tests/diff_oracle.hpp): six independent
-// engines — including the incremental sweep with inprocessing armed AND
-// disarmed, and the portfolio at one and four threads — must agree on every
-// seeded instance, incremental UNSAT answers must carry certified
-// failed-assumption cores, the incremental lift sweep must reproduce the
+// Drives the differential oracle (tests/diff_oracle.hpp): five independent
+// engines — including the incremental sweep and the portfolio at one and
+// four threads — must agree on every seeded instance, incremental UNSAT
+// answers must carry certified failed-assumption cores, the incremental lift sweep must reproduce the
 // from-scratch sweep verdict-for-verdict while encoding strictly fewer
 // clauses, and sequence verification must be bit-identical across RE-cache
 // modes (off / cold / warm / persisted) and thread counts.
@@ -33,8 +32,8 @@ TEST(DiffOracle, TwoHundredSeededInstancesAgreeAcrossAllEngines) {
   EXPECT_TRUE(report.ok()) << report.summary();
   EXPECT_GE(report.instances, 200);
   // The corpus must actually exercise both verdicts, the brute-force
-  // cross-check, and the UNSAT-core certification path (both the
-  // inprocessed and the plain sweep certify every core, hence > 20).
+  // cross-check, and the UNSAT-core certification path (the incremental
+  // sweep certifies every core).
   EXPECT_GT(report.yes, 20) << report.summary();
   EXPECT_GT(report.no, 20) << report.summary();
   EXPECT_GT(report.brute_checked, 50) << report.summary();
@@ -43,9 +42,7 @@ TEST(DiffOracle, TwoHundredSeededInstancesAgreeAcrossAllEngines) {
 
 TEST(DiffOracle, TwoHundredSeededInstancesAgreeAtFourPortfolioThreads) {
   // Same campaign with real portfolio races: four threads mean the
-  // backtracker and the CDCL copies genuinely overlap, and the pre-copy
-  // inprocessing runs concurrently with nothing (it is pre-race) but its
-  // output is consumed by every racing copy.
+  // backtracker and the CDCL copies genuinely overlap.
   DiffOracleOptions options;
   options.portfolio_threads = 4;
   const DiffOracleReport report = run_diff_oracle(options);

@@ -72,10 +72,9 @@ TEST(Sat, XorChainSat) {
   for (int i = 0; i + 1 < 12; ++i) EXPECT_NE(s.value(v[i]), s.value(v[i + 1]));
 }
 
-/// Pigeonhole principle PHP(n+1, n): n+1 pigeons, n holes — UNSAT and
-/// requires real conflict-driven search.
-void pigeonhole(std::size_t holes) {
-  SatSolver s;
+/// Adds the pigeonhole principle PHP(n+1, n) to `s`: n+1 pigeons, n holes —
+/// UNSAT and requires real conflict-driven search.
+void add_pigeonhole(SatSolver& s, std::size_t holes) {
   const std::size_t pigeons = holes + 1;
   std::vector<std::vector<Var>> x(pigeons, std::vector<Var>(holes));
   for (auto& row : x) {
@@ -93,31 +92,23 @@ void pigeonhole(std::size_t holes) {
       }
     }
   }
-  EXPECT_EQ(s.solve(), SatResult::kUnsat) << "PHP(" << pigeons << "," << holes << ")";
 }
 
-TEST(Sat, PigeonholeSmall) { pigeonhole(4); }
-TEST(Sat, PigeonholeMedium) { pigeonhole(6); }
+TEST(Sat, PigeonholeSmall) {
+  SatSolver s;
+  add_pigeonhole(s, 4);
+  EXPECT_EQ(s.solve(), SatResult::kUnsat);
+}
+
+TEST(Sat, PigeonholeMedium) {
+  SatSolver s;
+  add_pigeonhole(s, 6);
+  EXPECT_EQ(s.solve(), SatResult::kUnsat);
+}
 
 TEST(Sat, ConflictBudgetReturnsUnknown) {
   SatSolver s;
-  const std::size_t holes = 9, pigeons = 10;
-  std::vector<std::vector<Var>> x(pigeons, std::vector<Var>(holes));
-  for (auto& row : x) {
-    for (auto& var : row) var = s.new_var();
-  }
-  for (std::size_t p = 0; p < pigeons; ++p) {
-    std::vector<Lit> clause;
-    for (std::size_t h = 0; h < holes; ++h) clause.push_back(pos(x[p][h]));
-    s.add_clause(clause);
-  }
-  for (std::size_t h = 0; h < holes; ++h) {
-    for (std::size_t p1 = 0; p1 < pigeons; ++p1) {
-      for (std::size_t p2 = p1 + 1; p2 < pigeons; ++p2) {
-        s.add_clause({neg(x[p1][h]), neg(x[p2][h])});
-      }
-    }
-  }
+  add_pigeonhole(s, 9);
   EXPECT_EQ(s.solve(/*conflict_budget=*/5), SatResult::kUnknown);
 }
 
@@ -478,288 +469,9 @@ TEST(Sat, PhasesReflectModelAfterSatSolve) {
 }
 
 // ---------------------------------------------------------------------------
-// Inprocessing (src/sat/inprocess.cpp): every pass must preserve
-// satisfiability, keep models valid for the *original* clauses (through the
-// reconstruction stack), keep assumption cores sound, stop cleanly under a
-// budget, and leave the DRAT trace checkable.
+// DRAT logging: the independent RUP checker (src/cert/drat.cpp) must accept
+// the full refutation trace of every UNSAT solve.
 // ---------------------------------------------------------------------------
-
-/// True when the solver's current model satisfies every clause as the caller
-/// originally asserted it — value() sees through eliminated/substituted
-/// variables via the reconstruction stack, so this is the round-trip check.
-bool model_satisfies(const SatSolver& s,
-                     const std::vector<std::vector<Lit>>& clauses) {
-  for (const auto& clause : clauses) {
-    bool any = false;
-    for (const Lit l : clause) any = any || (s.value(l.var()) != l.negated());
-    if (!any) return false;
-  }
-  return true;
-}
-
-/// Random clause list over variables 0..num_vars-1, independent of any
-/// solver (so the same formula can seed several differently-configured ones).
-std::vector<std::vector<Lit>> random_clauses(Rng& rng, std::size_t num_vars,
-                                             std::size_t num_clauses) {
-  std::vector<std::vector<Lit>> clauses;
-  for (std::size_t c = 0; c < num_clauses; ++c) {
-    std::vector<Lit> clause;
-    const std::size_t width = 2 + static_cast<std::size_t>(rng.below(2));
-    for (std::size_t k = 0; k < width; ++k) {
-      const Var v = static_cast<Var>(rng.below(num_vars));
-      clause.push_back(rng.chance(0.5) ? pos(v) : neg(v));
-    }
-    clauses.push_back(std::move(clause));
-  }
-  return clauses;
-}
-
-TEST(SatInprocess, VerdictsAndModelsMatchBruteForce) {
-  Rng rng(46);
-  SatStats total;
-  for (int instance = 0; instance < 150; ++instance) {
-    const std::size_t num_vars = 5 + static_cast<std::size_t>(rng.below(6));
-    const auto clauses = random_clauses(rng, num_vars, num_vars * 4);
-    SatSolver s;
-    s.set_inprocessing(true);
-    for (std::size_t v = 0; v < num_vars; ++v) s.new_var();
-    for (const auto& clause : clauses) s.add_clause(clause);
-    const bool expected = brute_force_sat(num_vars, clauses);
-    const SatResult got = s.solve();
-    EXPECT_EQ(got, expected ? SatResult::kSat : SatResult::kUnsat)
-        << "instance " << instance;
-    if (got == SatResult::kSat) {
-      EXPECT_TRUE(model_satisfies(s, clauses)) << "instance " << instance;
-      // A SAT instance never conflicts in the initial root propagation, so
-      // the pre-search trigger must have fired. (UNSAT instances may die at
-      // the root before the trigger is reached.)
-      EXPECT_GE(s.stats().inprocess_runs, 1u);
-    }
-    total.subsumed_clauses += s.stats().subsumed_clauses;
-    total.strengthened_clauses += s.stats().strengthened_clauses;
-    total.eliminated_vars += s.stats().eliminated_vars;
-    total.substituted_vars += s.stats().substituted_vars;
-    total.inprocess_units += s.stats().inprocess_units;
-  }
-  // The seeds must actually exercise the pipeline, not just tolerate it
-  // (each individual pass is pinned by its own crafted test below).
-  EXPECT_GT(total.subsumed_clauses + total.strengthened_clauses, 0u);
-  EXPECT_GT(total.eliminated_vars + total.substituted_vars +
-                total.inprocess_units,
-            0u);
-}
-
-TEST(SatInprocess, IncrementalPrefixAgreesWithPlainSolverAndBruteForce) {
-  // The incremental lift sweep's exact usage pattern: clauses arrive in
-  // chunks, inprocessing runs between solves, and every prefix verdict must
-  // match a never-simplifying solver and brute force. Every variable can
-  // reappear in a later chunk, so all of them are frozen — the sweep's
-  // contract for its edge and guard variables. The clause-level passes
-  // (subsumption, vivification, probing) still run at full strength.
-  Rng rng(47);
-  for (int instance = 0; instance < 40; ++instance) {
-    const std::size_t num_vars = 5 + static_cast<std::size_t>(rng.below(5));
-    SatSolver inprocessed;
-    inprocessed.set_inprocessing(true);
-    for (std::size_t v = 0; v < num_vars; ++v) {
-      inprocessed.freeze(inprocessed.new_var());
-    }
-    std::vector<std::vector<Lit>> so_far;
-    for (int chunk = 0; chunk < 6; ++chunk) {
-      for (const auto& clause : random_clauses(rng, num_vars, num_vars)) {
-        so_far.push_back(clause);
-        inprocessed.add_clause(clause);
-      }
-      SatSolver plain;
-      for (std::size_t v = 0; v < num_vars; ++v) plain.new_var();
-      for (const auto& clause : so_far) plain.add_clause(clause);
-      const SatResult got = inprocessed.solve();
-      EXPECT_EQ(got, plain.solve()) << "instance " << instance << " chunk " << chunk;
-      const bool expected = brute_force_sat(num_vars, so_far);
-      EXPECT_EQ(got, expected ? SatResult::kSat : SatResult::kUnsat)
-          << "instance " << instance << " chunk " << chunk;
-      if (got == SatResult::kSat) {
-        EXPECT_TRUE(model_satisfies(inprocessed, so_far))
-            << "instance " << instance << " chunk " << chunk;
-      }
-      if (got == SatResult::kUnsat) break;  // no clause additions after that
-    }
-  }
-}
-
-TEST(SatInprocess, SubsumptionAndSelfSubsumingResolutionShrinkTheDatabase) {
-  SatSolver s;
-  const Var a = s.new_var(), b = s.new_var(), c = s.new_var();
-  const std::vector<std::vector<Lit>> clauses = {
-      {pos(a), pos(b)},
-      {pos(a), pos(b), pos(c)},  // subsumed by the binary
-      {pos(a), neg(b), pos(c)},  // resolving on b with the binary drops ¬b
-  };
-  for (const auto& clause : clauses) s.add_clause(clause);
-  s.inprocess();
-  EXPECT_GE(s.stats().subsumed_clauses, 1u);
-  EXPECT_GE(s.stats().strengthened_clauses, 1u);
-  ASSERT_EQ(s.solve(), SatResult::kSat);
-  EXPECT_TRUE(model_satisfies(s, clauses));
-}
-
-TEST(SatInprocess, EquivalentLiteralsCollapseToOneRepresentative) {
-  SatSolver s;
-  const Var a = s.new_var(), b = s.new_var(), c = s.new_var();
-  // a → b → c → a: one SCC, two variables substituted away. The aliases
-  // must still report consistent values through reconstruction.
-  const std::vector<std::vector<Lit>> clauses = {
-      {neg(a), pos(b)}, {neg(b), pos(c)}, {neg(c), pos(a)}};
-  for (const auto& clause : clauses) s.add_clause(clause);
-  s.inprocess();
-  EXPECT_GE(s.stats().substituted_vars, 2u);
-  ASSERT_EQ(s.solve(), SatResult::kSat);
-  EXPECT_EQ(s.value(a), s.value(b));
-  EXPECT_EQ(s.value(b), s.value(c));
-  EXPECT_TRUE(model_satisfies(s, clauses));
-}
-
-TEST(SatInprocess, FailedLiteralProbingDerivesImpliedRootUnits) {
-  SatSolver s;
-  const Var a = s.new_var(), x = s.new_var();
-  const std::vector<std::vector<Lit>> clauses = {{pos(a), pos(x)},
-                                                 {pos(a), neg(x)}};
-  for (const auto& clause : clauses) s.add_clause(clause);
-  s.inprocess();
-  EXPECT_GE(s.stats().failed_literals, 1u);
-  bool derived_a = false;
-  for (const Lit u : s.root_units()) derived_a = derived_a || u == pos(a);
-  EXPECT_TRUE(derived_a) << "probing ¬a must derive the root unit a";
-  ASSERT_EQ(s.solve(), SatResult::kSat);
-  EXPECT_TRUE(s.value(a));
-}
-
-TEST(SatInprocess, RootUnitsAreImpliedByTheOriginalClauses) {
-  // Soundness of every unit any pass derives: asserting its negation against
-  // the original formula in a fresh solver must be UNSAT.
-  Rng rng(48);
-  std::size_t units_checked = 0;
-  for (int instance = 0; instance < 30; ++instance) {
-    const std::size_t num_vars = 5 + static_cast<std::size_t>(rng.below(5));
-    const auto clauses = random_clauses(rng, num_vars, num_vars * 4);
-    SatSolver s;
-    for (std::size_t v = 0; v < num_vars; ++v) s.new_var();
-    for (const auto& clause : clauses) s.add_clause(clause);
-    s.inprocess();
-    for (const Lit u : s.root_units()) {
-      SatSolver check;
-      for (std::size_t v = 0; v < num_vars; ++v) check.new_var();
-      for (const auto& clause : clauses) check.add_clause(clause);
-      check.add_clause({~u});
-      EXPECT_EQ(check.solve(), SatResult::kUnsat)
-          << "instance " << instance << " derived an unimplied unit";
-      ++units_checked;
-    }
-  }
-  EXPECT_GT(units_checked, 0u) << "seed derived no units at all";
-}
-
-TEST(SatInprocess, EliminatedVariableModelsReconstruct) {
-  SatSolver s;
-  const Var x = s.new_var(), a1 = s.new_var(), a2 = s.new_var(),
-            b1 = s.new_var();
-  // x has one positive and one negative occurrence (kept ternary so the
-  // clauses stay out of the binary implication graph): BVE replaces them by
-  // the single resolvent and must reconstruct x's value in the model.
-  const std::vector<std::vector<Lit>> clauses = {
-      {pos(x), pos(a1), pos(a2)},
-      {neg(x), pos(b1)},
-      {neg(a1), neg(b1), neg(a2)},
-  };
-  for (const auto& clause : clauses) s.add_clause(clause);
-  s.inprocess();
-  EXPECT_GE(s.stats().eliminated_vars, 1u);
-  ASSERT_EQ(s.solve(), SatResult::kSat);
-  EXPECT_TRUE(model_satisfies(s, clauses))
-      << "reconstruction must extend the model over eliminated variables";
-}
-
-TEST(SatInprocess, VivificationShortensChainImpliedClauses) {
-  SatSolver s;
-  const Var a = s.new_var(), b = s.new_var(), c = s.new_var(),
-            x1 = s.new_var(), x2 = s.new_var();
-  // Assuming ¬a propagates x1 → x2 → b, so (a ∨ b ∨ c) vivifies to (a ∨ b).
-  // The chain is too long for subsumption to see the redundancy.
-  const std::vector<std::vector<Lit>> clauses = {
-      {pos(a), pos(x1)},
-      {neg(x1), pos(x2)},
-      {neg(x2), pos(b)},
-      {pos(a), pos(b), pos(c)},
-  };
-  for (const auto& clause : clauses) s.add_clause(clause);
-  s.inprocess();
-  EXPECT_GE(s.stats().vivified_clauses, 1u);
-  ASSERT_EQ(s.solve(), SatResult::kSat);
-  EXPECT_TRUE(model_satisfies(s, clauses));
-}
-
-TEST(SatInprocess, FrozenAssumptionCoresStaySound) {
-  // The sweep's guard contract: assumption variables are frozen before their
-  // first inprocessed solve, and UNSAT cores must keep refuting the original
-  // formula on their own.
-  Rng rng(49);
-  int unsat_instances = 0;
-  for (int instance = 0; instance < 120; ++instance) {
-    const std::size_t num_vars = 5 + static_cast<std::size_t>(rng.below(6));
-    const auto clauses = random_clauses(rng, num_vars, num_vars * 3);
-    SatSolver s;
-    s.set_inprocessing(true);
-    for (std::size_t v = 0; v < num_vars; ++v) s.new_var();
-    for (const auto& clause : clauses) s.add_clause(clause);
-    std::vector<Lit> assumptions;
-    for (std::size_t v = 0; v < num_vars; ++v) {
-      s.freeze(static_cast<Var>(v));
-      assumptions.push_back(rng.chance(0.5) ? pos(static_cast<Var>(v))
-                                            : neg(static_cast<Var>(v)));
-    }
-    if (s.solve() != SatResult::kSat) continue;  // want assumption-driven cores
-    if (s.solve_under_assumptions(assumptions) != SatResult::kUnsat) continue;
-    ++unsat_instances;
-    SatSolver check;
-    for (std::size_t v = 0; v < num_vars; ++v) check.new_var();
-    for (const auto& clause : clauses) check.add_clause(clause);
-    for (const Lit c : s.failed_assumptions()) {
-      bool found = false;
-      for (const Lit a : assumptions) found = found || a == c;
-      EXPECT_TRUE(found) << "core literal outside the assumptions";
-      check.add_clause({c});
-    }
-    EXPECT_EQ(check.solve(), SatResult::kUnsat) << "instance " << instance;
-    EXPECT_EQ(s.solve(), SatResult::kSat) << "instance " << instance;
-  }
-  EXPECT_GE(unsat_instances, 10) << "seed produced too few UNSAT cores";
-}
-
-TEST(SatInprocess, BudgetStopsTheRoundWithoutCorruptingTheSolver) {
-  // A round cut off at any point — including before it starts — must leave
-  // a solver that still decides the formula correctly.
-  Rng rng(50);
-  for (int instance = 0; instance < 25; ++instance) {
-    const std::size_t num_vars = 5 + static_cast<std::size_t>(rng.below(5));
-    const auto clauses = random_clauses(rng, num_vars, num_vars * 4);
-    const bool expected = brute_force_sat(num_vars, clauses);
-    for (const std::uint64_t limit : {1u, 4u, 32u, 256u}) {
-      SatSolver s;
-      for (std::size_t v = 0; v < num_vars; ++v) s.new_var();
-      for (const auto& clause : clauses) s.add_clause(clause);
-      SearchBudget budget;
-      budget.set_node_limit(limit);
-      s.inprocess(&budget);
-      const SatResult got = s.solve();
-      EXPECT_EQ(got, expected ? SatResult::kSat : SatResult::kUnsat)
-          << "instance " << instance << " limit " << limit;
-      if (got == SatResult::kSat) {
-        EXPECT_TRUE(model_satisfies(s, clauses))
-            << "instance " << instance << " limit " << limit;
-      }
-    }
-  }
-}
 
 cert::DratProof to_drat(const SatProof& proof) {
   cert::DratProof out;
@@ -771,19 +483,14 @@ cert::DratProof to_drat(const SatProof& proof) {
   return out;
 }
 
-TEST(SatInprocess, DratRefutationsStayCheckableWithInprocessingArmed) {
-  // Every pass logs its additions and deletions, so the independent RUP
-  // checker must accept the full refutation trace of an inprocessed solve.
+TEST(Sat, DratRefutationsOfRandomFormulasCheck) {
   Rng rng(51);
   int refutations = 0;
   for (int instance = 0; instance < 60 && refutations < 15; ++instance) {
     const std::size_t num_vars = 5 + static_cast<std::size_t>(rng.below(4));
-    const auto clauses = random_clauses(rng, num_vars, num_vars * 5);
     SatSolver s;
     s.start_proof();
-    s.set_inprocessing(true);
-    for (std::size_t v = 0; v < num_vars; ++v) s.new_var();
-    for (const auto& clause : clauses) s.add_clause(clause);
+    random_instance(s, rng, num_vars, num_vars * 5);
     if (s.solve() != SatResult::kUnsat) continue;
     ++refutations;
     const cert::DratResult checked =
@@ -793,29 +500,11 @@ TEST(SatInprocess, DratRefutationsStayCheckableWithInprocessingArmed) {
   EXPECT_GE(refutations, 10) << "seed produced too few refutations";
 }
 
-TEST(SatInprocess, DratPigeonholeRefutationChecksWithInprocessing) {
-  // A structured instance where inprocessing does real work (BVE and
-  // subsumption both fire on PHP encodings) on top of a deep CDCL proof.
+TEST(Sat, DratPigeonholeRefutationChecks) {
+  // A structured instance with a deep CDCL proof (learned clauses, restarts).
   SatSolver s;
   s.start_proof();
-  s.set_inprocessing(true);
-  const std::size_t holes = 4, pigeons = 5;
-  std::vector<std::vector<Var>> x(pigeons, std::vector<Var>(holes));
-  for (auto& row : x) {
-    for (auto& var : row) var = s.new_var();
-  }
-  for (std::size_t p = 0; p < pigeons; ++p) {
-    std::vector<Lit> clause;
-    for (std::size_t h = 0; h < holes; ++h) clause.push_back(pos(x[p][h]));
-    s.add_clause(clause);
-  }
-  for (std::size_t h = 0; h < holes; ++h) {
-    for (std::size_t p1 = 0; p1 < pigeons; ++p1) {
-      for (std::size_t p2 = p1 + 1; p2 < pigeons; ++p2) {
-        s.add_clause({neg(x[p1][h]), neg(x[p2][h])});
-      }
-    }
-  }
+  add_pigeonhole(s, 4);
   ASSERT_EQ(s.solve(), SatResult::kUnsat);
   const cert::DratResult checked =
       cert::check_drat(to_drat(s.proof()), {}, s.var_count());

@@ -41,6 +41,7 @@
 #include "src/discover/checkpoint.hpp"
 #include "src/formalism/canonical.hpp"
 #include "src/formalism/parser.hpp"
+#include "src/net/batcher.hpp"
 #include "src/problems/matching_family.hpp"
 #include "src/re/re_cache.hpp"
 #include "src/serve/checkpoint.hpp"
@@ -530,6 +531,37 @@ TEST(ServeServer, SweepMemoReplaysCompletedVerdicts) {
                                  " 1 2 cycles:2..4"));
   server.drain();
   EXPECT_NE(sink.only_response("s3").find(" invalid "), std::string::npos);
+}
+
+TEST(ServeServer, OversizedSweepFamilyIsInvalidBatchedOrNot) {
+  // The 257-support cap is the service's own rule (the shared family grammar
+  // has none): it must hold on the per-request path and when the batching
+  // dispatcher groups sweeps by family kind.
+  ServeOptions options;
+  options.workers = 2;
+  Server server(options);
+  Collector sink;
+  sink.attach(server);
+  const std::string mm3 = problem("maximal_matching_3.txt");
+  EXPECT_TRUE(server.handle_line("req u1 sweep " + mm3 + " 3 3 gadgets:1..258"));
+  EXPECT_TRUE(server.handle_line("req u2 sweep " + problem("two_coloring.txt") +
+                                 " 2 2 cycles:2..259"));
+  server.drain();
+  {
+    net::SweepBatcherOptions batch_options;
+    batch_options.window_ms = 60'000;  // flush() decides, not the clock
+    net::SweepBatcher batcher(server, batch_options);
+    batcher.attach();
+    EXPECT_TRUE(server.handle_line("req b1 sweep " + mm3 + " 3 3 gadgets:1..258"));
+    EXPECT_TRUE(server.handle_line("req b2 sweep " + mm3 + " 3 3 gadgets:1..2"));
+    batcher.flush();
+    server.drain();
+  }
+  for (const char* id : {"u1", "u2", "b1"}) {
+    const std::string resp = sink.only_response(id);
+    EXPECT_NE(resp.find(" invalid family too large"), std::string::npos) << resp;
+  }
+  EXPECT_NE(sink.only_response("b2").find(" ok "), std::string::npos);
 }
 
 // ------------------------------------------------------------- checkpoints

@@ -69,9 +69,7 @@ std::vector<ExitRow> exit_rows() {
   // contradiction (a double-counting argument over the whole graph) that no
   // engine — CDCL under any seed, backtracking under any order — can decide
   // within one node/conflict, so every racer trips its cap and the tool must
-  // report exit 3 rather than pretend --max-nodes was honored; the pin holds
-  // with inprocessing armed and disarmed because pre-race simplification is
-  // capped by the same per-engine budget.
+  // report exit 3 rather than pretend --max-nodes was honored.
   const std::string parity_capped =
       "portfolio " + problem("edge_parity_3.txt") + "complete:3x3 --max-nodes=1";
   const std::string sweep_cycles =
@@ -85,28 +83,30 @@ std::vector<ExitRow> exit_rows() {
       {"PortfolioUnsolvableOddCycle",
        "portfolio " + problem("two_coloring.txt") + "cycle:3", 2},
       {"PortfolioExhaustsOnCappedParity", parity_capped, 3},
+      {"PortfolioParityUnsolvable",
+       "portfolio " + problem("edge_parity_3.txt") + "complete:3x3", 2},
+      // The removed --no-inprocessing flag is a usage error on every command
+      // that once accepted it; the same commands without it are rows above.
       {"PortfolioExhaustsOnCappedParityNoInprocessing",
-       parity_capped + " --no-inprocessing", 3},
-      // --no-inprocessing is an A/B timing knob: verdicts and exit codes
-      // are contractually identical in both modes.
+       parity_capped + " --no-inprocessing", 64},
       {"PortfolioSolvableNoInprocessing",
        "portfolio " + problem("two_coloring.txt") + "cycle:4 --no-inprocessing",
-       0},
+       64},
       {"PortfolioUnsolvableNoInprocessing",
        "portfolio " + problem("two_coloring.txt") + "cycle:3 --no-inprocessing",
-       2},
+       64},
       {"PortfolioParityUnsolvableNoInprocessing",
        "portfolio " + problem("edge_parity_3.txt") +
            "complete:3x3 --no-inprocessing",
-       2},
-      // sweep: decides the cycle family incrementally, from scratch, and
-      // without inprocessing; exhausts under a one-node cap; rejects lift
-      // targets the problem cannot dominate (maximal_matching_3 has black
-      // degree 2, so r = 1 cannot host the lift).
+       64},
+      // sweep: decides the cycle family incrementally and from scratch;
+      // exhausts under a one-node cap; rejects lift targets the problem
+      // cannot dominate (maximal_matching_3 has black degree 2, so r = 1
+      // cannot host the lift).
       {"SweepDecidesCycles", sweep_cycles, 0},
       {"SweepDecidesCyclesScratch", sweep_cycles + " --scratch", 0},
       {"SweepDecidesCyclesNoInprocessing",
-       sweep_cycles + " --no-inprocessing", 0},
+       sweep_cycles + " --no-inprocessing", 64},
       {"SweepExhaustsUnderNodeCap", sweep_cycles + " --max-nodes=1", 3},
       {"SweepRejectsNonDominatingLift",
        "sweep " + problem("maximal_matching_3.txt") + "3 1 gadgets:1..3", 1},
@@ -137,6 +137,11 @@ std::vector<ExitRow> exit_rows() {
       {"NoArgsIsUsage", "", 64},
       {"UnknownCommandIsUsage",
        "frobnicate " + problem("two_coloring.txt") + "cycle:4", 64},
+      // Unknown flags are usage errors, never positionals: a misspelled
+      // budget flag must not run the sweep unbudgeted.
+      {"SweepRejectsMisspelledBudgetFlag",
+       "sweep " + problem("maximal_matching_3.txt") + "3 3 gadgets:1..2 --max-node=1",
+       64},
       {"MissingProblemFileIsInputError",
        "portfolio " + problem("no_such_problem.txt") + "cycle:4", 1},
       {"BadInstanceSpecIsInputError",
@@ -223,10 +228,25 @@ TEST(ToolCli, HelpExitsZeroAndMentionsEveryCommand) {
   EXPECT_EQ(run_tool_capture("--help", &out), 0);
   for (const char* cmd : {"print", "re", "fixed", "lift", "solve", "zero",
                           "portfolio", "sweep", "sequence", "check-cert",
-                          "simulate", "discover", "--emit-cert",
-                          "--no-inprocessing"}) {
+                          "simulate", "discover", "--emit-cert"}) {
     EXPECT_NE(out.find(cmd), std::string::npos) << "--help misses " << cmd;
   }
+}
+
+TEST(ToolCli, UnknownFlagIsNamedOnStderr) {
+  const std::string capture =
+      (std::filesystem::path(testing::TempDir()) / "tool_stderr.txt").string();
+  const std::string cmd = std::string("'") + SLOCAL_TOOL_PATH + "' portfolio " +
+                          problem("two_coloring.txt") +
+                          "cycle:4 --no-inprocessing >/dev/null 2>'" + capture + "'";
+  const int status = std::system(cmd.c_str());
+  ASSERT_TRUE(status != -1 && WIFEXITED(status));
+  EXPECT_EQ(WEXITSTATUS(status), 64);
+  std::ifstream in(capture);
+  std::stringstream err;
+  err << in.rdbuf();
+  EXPECT_NE(err.str().find("unknown flag '--no-inprocessing'"), std::string::npos)
+      << err.str();
 }
 
 // -- simulate: the batched CSR simulator behind a CLI (exit pins live in
@@ -285,20 +305,16 @@ TEST(ToolCli, SequenceEmitsCertificateBothCheckersAccept) {
 
 TEST(ToolCli, SweepEmitsLiftUnsatCertificateBothCheckersAccept) {
   // cycles:2..6 contains the odd cycles C_3 and C_5; the first unsolvable
-  // support (C_3) gets a from-scratch DRAT refutation. The emitted proof
-  // must validate with inprocessing armed (every pass logs its additions
-  // and deletions) and disarmed alike.
-  for (const char* mode : {"", " --no-inprocessing"}) {
-    const std::string cert =
-        (std::filesystem::path(testing::TempDir()) / "cli_lift.cert").string();
-    std::filesystem::remove(cert);
-    EXPECT_EQ(run_tool("sweep " + problem("two_coloring.txt") +
-                       "2 2 cycles:2..6 --emit-cert='" + cert + "'" + mode),
-              0);
-    ASSERT_TRUE(std::filesystem::exists(cert));
-    EXPECT_EQ(run_tool("check-cert '" + cert + "'"), 0) << "mode:" << mode;
-    EXPECT_EQ(run_cert_check(cert), 0) << "mode:" << mode;
-  }
+  // support (C_3) gets a from-scratch DRAT refutation.
+  const std::string cert =
+      (std::filesystem::path(testing::TempDir()) / "cli_lift.cert").string();
+  std::filesystem::remove(cert);
+  EXPECT_EQ(run_tool("sweep " + problem("two_coloring.txt") +
+                     "2 2 cycles:2..6 --emit-cert='" + cert + "'"),
+            0);
+  ASSERT_TRUE(std::filesystem::exists(cert));
+  EXPECT_EQ(run_tool("check-cert '" + cert + "'"), 0);
+  EXPECT_EQ(run_cert_check(cert), 0);
 }
 
 TEST(ToolCli, SweepEmitCertFailsWhenNothingIsUnsolvable) {
