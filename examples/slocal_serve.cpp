@@ -38,15 +38,17 @@
 #include <unistd.h>
 
 #include <atomic>
+#include <cstdint>
 #include <cstdio>
-#include <cstdlib>
-#include <cstring>
 #include <string>
+#include <string_view>
+#include <type_traits>
 
 #include "src/net/batcher.hpp"
 #include "src/net/event_loop.hpp"
 #include "src/net/tcp_server.hpp"
 #include "src/serve/server.hpp"
+#include "src/util/strings.hpp"
 
 namespace {
 
@@ -126,46 +128,49 @@ int main(int argc, char** argv) {
   TcpServerOptions tcp_options;
   std::uint64_t batch_window_ms = 10;
   for (int i = 1; i < argc; ++i) {
-    const char* arg = argv[i];
-    if (std::strncmp(arg, "--workers=", 10) == 0) {
-      options.workers = std::strtoull(arg + 10, nullptr, 10);
-    } else if (std::strncmp(arg, "--queue=", 8) == 0) {
-      options.queue_capacity = std::strtoull(arg + 8, nullptr, 10);
-    } else if (std::strncmp(arg, "--max-nodes=", 12) == 0) {
-      options.default_max_nodes = std::strtoull(arg + 12, nullptr, 10);
-    } else if (std::strncmp(arg, "--timeout-ms=", 13) == 0) {
-      options.default_timeout_ms = std::strtoull(arg + 13, nullptr, 10);
-    } else if (std::strncmp(arg, "--max-timeout-ms=", 17) == 0) {
-      options.max_timeout_ms = std::strtoull(arg + 17, nullptr, 10);
-    } else if (std::strncmp(arg, "--retry-after-ms=", 17) == 0) {
-      options.retry_after_ms = std::strtod(arg + 17, nullptr);
-    } else if (std::strncmp(arg, "--checkpoint=", 13) == 0) {
-      options.checkpoint_path = arg + 13;
-    } else if (std::strncmp(arg, "--checkpoint-every=", 19) == 0) {
-      options.checkpoint_every = std::strtoull(arg + 19, nullptr, 10);
-    } else if (std::strncmp(arg, "--fault-plan=", 13) == 0) {
+    const std::string_view arg = argv[i];
+    // Numeric flags are strict decimals: a malformed value is a usage
+    // error, never a silent 0 (an unlimited budget, an ephemeral port, ...).
+    bool malformed = false;
+    const auto number = [&](std::string_view flag, auto* out,
+                            std::uint64_t max = UINT64_MAX) {
+      if (arg.rfind(flag, 0) != 0) return false;
+      std::uint64_t value = 0;
+      malformed = !slocal::parse_u64(arg.substr(flag.size()), &value) || value > max;
+      *out = static_cast<std::remove_reference_t<decltype(*out)>>(value);
+      return true;
+    };
+    if (arg == "--help") {
+      print_usage(stdout);
+      return 0;
+    } else if (arg.rfind("--checkpoint=", 0) == 0) {
+      options.checkpoint_path = arg.substr(13);
+    } else if (arg.rfind("--fault-plan=", 0) == 0) {
       std::string error;
-      const auto plan = ServeFaultPlan::parse(arg + 13, &error);
+      const auto plan = ServeFaultPlan::parse(std::string(arg.substr(13)), &error);
       if (!plan) {
         std::fprintf(stderr, "--fault-plan: %s\n", error.c_str());
         return 64;
       }
       options.faults = *plan;
-    } else if (std::strncmp(arg, "--listen=", 9) == 0) {
+    } else if (number("--listen=", &tcp_options.port, 65535)) {
       listen_mode = true;
-      tcp_options.port =
-          static_cast<std::uint16_t>(std::strtoul(arg + 9, nullptr, 10));
-    } else if (std::strncmp(arg, "--max-connections=", 18) == 0) {
-      tcp_options.max_connections = std::strtoull(arg + 18, nullptr, 10);
-    } else if (std::strncmp(arg, "--idle-timeout-ms=", 18) == 0) {
-      tcp_options.idle_timeout_ms = std::strtoull(arg + 18, nullptr, 10);
-    } else if (std::strncmp(arg, "--batch-window-ms=", 18) == 0) {
-      batch_window_ms = std::strtoull(arg + 18, nullptr, 10);
-    } else if (std::strcmp(arg, "--help") == 0) {
-      print_usage(stdout);
-      return 0;
-    } else {
-      std::fprintf(stderr, "unknown flag '%s'\n", arg);
+    } else if (!number("--workers=", &options.workers) &&
+               !number("--queue=", &options.queue_capacity) &&
+               !number("--max-nodes=", &options.default_max_nodes) &&
+               !number("--timeout-ms=", &options.default_timeout_ms) &&
+               !number("--max-timeout-ms=", &options.max_timeout_ms) &&
+               !number("--retry-after-ms=", &options.retry_after_ms) &&
+               !number("--checkpoint-every=", &options.checkpoint_every) &&
+               !number("--max-connections=", &tcp_options.max_connections) &&
+               !number("--idle-timeout-ms=", &tcp_options.idle_timeout_ms) &&
+               !number("--batch-window-ms=", &batch_window_ms)) {
+      std::fprintf(stderr, "unknown flag '%s'\n", argv[i]);
+      print_usage(stderr);
+      return 64;
+    }
+    if (malformed) {
+      std::fprintf(stderr, "malformed value in '%s'\n", argv[i]);
       print_usage(stderr);
       return 64;
     }
@@ -238,8 +243,11 @@ int main(int argc, char** argv) {
     }
   }
 
-  server.request_shutdown();
+  // Drain before cancelling: at stdin EOF the in-flight requests finish with
+  // their verdicts. A `shutdown` request or a signal has already tripped the
+  // cancel token, so those requests wind down as retryable instead.
   server.drain();
+  server.request_shutdown();
   std::string flush_error;
   const bool flushed = server.flush_checkpoint(&flush_error);
   if (!flushed) {

@@ -1,94 +1,28 @@
 // slocal_tool — command-line front end to the framework, in the spirit of
 // the Round Eliminator: feed a problem in the paper's notation, inspect it,
-// speed it up, lift it, or decide solvability on a generated support.
+// speed it up, lift it, decide solvability on a generated support, verify
+// or discover lower-bound sequences, check proof certificates, or run the
+// batched simulator. `slocal_tool --help` lists every command and flag;
+// README.md walks through them.
 //
 // Problem file format: white configurations (one per line), a line "---",
 // black configurations (one per line). Tokens: NAME, NAME^k, [A B]^k.
 //
-//   slocal_tool print     <file>            parse + constraints + diagram DOT
-//   slocal_tool re        <file> [steps]    apply RE `steps` times (default 1)
-//   slocal_tool fixed     <file>            fixed-point check
-//   slocal_tool lift      <file> <Δ> <r>    materialize lift_{Δ,r}
-//   slocal_tool solve     <file> <support>  bipartite solvability on a support:
-//                                           cycle:<h> | complete:<a>x<b>
-//   slocal_tool zero      <file> <support>  0-round Supported-LOCAL decision
-//   slocal_tool portfolio <file> <support>  race backtracking vs CDCL seeds
-//   slocal_tool sweep     <file> <Δ> <r> <family>
-//                                           lift_{Δ,r} solvability across a
-//                                           support family, incrementally
-//                                           (one SAT solver, assumption
-//                                           literals per support; --scratch
-//                                           re-encodes each size instead):
-//                                           gadgets:<lo>..<hi> | cycles:<lo>..<hi>
-//   slocal_tool sequence  <file> [<file>...] verify Π_0, Π_1, ... as a lower
-//                                           bound sequence (each Π_i must be
-//                                           a relaxation of RE(Π_{i-1})).
-//                                           --repeat=N appends N extra copies
-//                                           of the last problem (fixed-point
-//                                           chains from a single file);
-//                                           --re-cache=PATH loads the RE
-//                                           cache from PATH if it exists and
-//                                           saves it back after the run, so
-//                                           repeated invocations warm-start
-//                                           (a corrupt cache file is rejected
-//                                           with exit 2 — never a wrong
-//                                           verdict).
-//   slocal_tool check-cert <file>           validate a proof certificate
-//                                           (same verdicts and exit codes as
-//                                           the standalone cert_check binary)
-//   slocal_tool discover  <file> [<file>...] search the relaxation space for
-//                                           lower-bound sequences over the
-//                                           given problem family (every file
-//                                           is a candidate-pool member; the
-//                                           non-trivial ones seed the
-//                                           frontier). --target-length=K
-//                                           asks for K verified steps,
-//                                           --beam=N sets the frontier
-//                                           width, --max-expansions=N and
-//                                           --max-nodes=N bound the search,
-//                                           --checkpoint=PATH arms the
-//                                           crash-safe frontier checkpoint
-//                                           (resumed automatically when the
-//                                           file exists; a corrupt file is
-//                                           exit 2), --emit-cert=PATH
-//                                           writes each find's sequence
-//                                           certificate (find k > 0 goes to
-//                                           PATH.k). Output is bit-identical
-//                                           for every --threads value. Exit
-//                                           codes: 0 found, 1 none, 2
-//                                           corrupt checkpoint, 3 budget
-//                                           exhausted, 64 usage.
-//   slocal_tool simulate  <algorithm> <instance>
-//                                           run a Supported-model algorithm on
-//                                           a streamed instance through the
-//                                           batched CSR simulator. Algorithms:
-//                                           luby-mis | greedy-mis |
-//                                           color-class-mis | ring-coloring.
-//                                           Instances: cycle:<n> | path:<n> |
-//                                           torus:<w>x<h> | regular:<n>x<d>.
-//                                           --threads=N (0 = all cores; output
-//                                           is bit-identical either way),
-//                                           --rounds=N round cap (exit 2 when
-//                                           nodes are still live at the cap),
-//                                           --seed=N instance + algorithm
-//                                           seed. Budget flags apply: a
-//                                           deadline or node limit that trips
-//                                           mid-run exits 3 with no verdict.
-//
-// Certificate emission: `sequence --emit-cert=PATH` writes a sequence
-// certificate (fingerprints + relaxation witnesses per step) once the
-// sequence verifies; `sweep --emit-cert=PATH` writes a lift-unsat
-// certificate (CNF + DRAT refutation) for the first unsolvable support of
-// the sweep. Either certificate is validated independently by check-cert /
-// cert_check, which re-check witnesses and proofs without the engines.
+// The verbs the service exposes too — sequence, sweep, discover,
+// check-cert — run through the command core (src/serve/command.hpp), which
+// owns loading, validation, engine wiring, and the outcome class; this file
+// keeps argv parsing, the printed reports, and the tool's own side effects:
+// --re-cache (warm start + save), --emit-cert files, --checkpoint, and
+// --scratch.
 //
 // Budget flags (accepted anywhere after the command):
 //   --timeout-ms=N   wall-clock limit for the command's searches
 //   --max-nodes=N    search-node limit (forces deterministic serial paths)
 // A search that runs out of budget exits with code 3 and prints the budget
 // diagnostics; it never misreports as solvable/unsolvable. Any other
-// argument starting with "--" that is not a known flag is a usage error
-// (exit 64), so a misspelled budget flag can never run a search unbudgeted.
+// argument starting with "--" that is not a known flag, and any numeric flag
+// whose value is not a plain decimal, is a usage error (exit 64), so a
+// misspelled or malformed budget flag can never run a search unbudgeted.
 //
 // SIGINT/SIGTERM are handled the same way: the handler trips a global
 // cancel token every command budget chains to, the engines wind down
@@ -105,27 +39,26 @@
 #include <optional>
 #include <sstream>
 #include <string>
+#include <string_view>
+#include <utility>
 #include <vector>
 
-#include "src/cert/check.hpp"
 #include "src/cert/emit.hpp"
-#include "src/cert/format.hpp"
-#include "src/discover/discover.hpp"
 #include "src/formalism/diagram.hpp"
 #include "src/formalism/parser.hpp"
 #include "src/graph/generators.hpp"
 #include "src/graph/hypergraph.hpp"
 #include "src/lift/lift.hpp"
 #include "src/net/client.hpp"
+#include "src/serve/command.hpp"
 #include "src/sim/algorithms.hpp"
 #include "src/sim/fast/csr_graph.hpp"
 #include "src/sim/fast/csr_network.hpp"
 #include "src/util/rng.hpp"
+#include "src/util/strings.hpp"
 #include "src/util/thread_pool.hpp"
-#include "src/lift/sweep.hpp"
 #include "src/re/re_cache.hpp"
 #include "src/re/round_elimination.hpp"
-#include "src/re/sequence.hpp"
 #include "src/solver/edge_labeling.hpp"
 #include "src/solver/portfolio.hpp"
 #include "src/solver/zero_round.hpp"
@@ -159,18 +92,40 @@ void install_signal_handlers() {
   signal(SIGPIPE, SIG_IGN);
 }
 
-struct BudgetFlags {
+/// Every --flag the tool accepts, parsed once in main. Numeric flags are
+/// strict decimals: a malformed value is a usage error, never a silent 0
+/// that would run a search unbudgeted.
+struct Flags {
   std::uint64_t timeout_ms = 0;
   std::uint64_t max_nodes = 0;
+  bool scratch = false;
+  std::uint64_t repeat = 0;
+  std::string re_cache_path;
+  std::string emit_cert_path;
+  std::uint64_t threads = 1;
+  std::uint64_t rounds = 10'000;
+  std::uint64_t seed = 1;
+  std::uint64_t target_length = 1;
+  std::uint64_t beam = 4;
+  std::uint64_t max_expansions = 256;
+  std::uint64_t max_finds = 1;
+  std::uint64_t step_nodes = 0;
+  std::string checkpoint_path;
+  std::uint64_t checkpoint_every = 0;
 
-  /// The shared budget for a command. Always non-null: even with no limit
-  /// flags the budget carries the signal chain (an unlimited budget only
-  /// polls, so behavior without a signal is unchanged).
-  SearchBudget* configure(SearchBudget& storage) const {
+  /// The deadline plus the signal chain, for engines that own the node cap
+  /// through their own options (REOptions::max_nodes, the discover pool).
+  /// Always non-null: an unlimited budget still carries the signal chain.
+  SearchBudget* configure_deadline(SearchBudget& storage) const {
     if (timeout_ms > 0) storage.set_deadline_ms(static_cast<double>(timeout_ms));
-    if (max_nodes > 0) storage.set_node_limit(max_nodes);
     storage.chain_to(&g_signal_token);
     return &storage;
+  }
+
+  /// The shared budget for a command: deadline, node limit, signal chain.
+  SearchBudget* configure(SearchBudget& storage) const {
+    if (max_nodes > 0) storage.set_node_limit(max_nodes);
+    return configure_deadline(storage);
   }
 };
 
@@ -180,19 +135,36 @@ int report_exhausted(const SearchBudget& budget) {
 }
 
 std::optional<Problem> load_problem(const char* path) {
-  std::ifstream in(path);
-  if (!in) {
-    std::fprintf(stderr, "cannot open %s\n", path);
-    return std::nullopt;
-  }
-  std::stringstream buffer;
-  buffer << in.rdbuf();
-  ParseError error;
-  auto problem = parse_problem_text(path, buffer.str(), &error);
-  if (!problem) {
-    std::fprintf(stderr, "%s: parse error: %s\n", path, error.to_string().c_str());
-  }
+  std::string error;
+  auto problem = load_problem_file(path, &error);
+  if (!problem) std::fprintf(stderr, "%s\n", error.c_str());
   return problem;
+}
+
+/// --re-cache=PATH warm start, shared by sequence and discover: a missing
+/// file is a cold run, but an unreadable or corrupt one is a hard error
+/// (false; exit 2) so a bad cache can never silently degrade into a wrong
+/// or uncached verdict.
+bool warm_start(RECache& cache, const std::string& path) {
+  if (!std::ifstream(path).good()) return true;
+  std::string error;
+  if (cache.load(path, &error)) return true;
+  std::fprintf(stderr, "%s\n", error.c_str());
+  return false;
+}
+
+bool save_cache(const RECache& cache, const std::string& path) {
+  std::string error;
+  if (cache.save(path, &error)) return true;
+  std::fprintf(stderr, "%s\n", error.c_str());
+  return false;
+}
+
+bool save_certificate(const cert::Certificate& certificate, const std::string& path) {
+  std::string error;
+  if (cert::save_certificate(certificate, path, &error)) return true;
+  std::fprintf(stderr, "--emit-cert: %s\n", error.c_str());
+  return false;
 }
 
 std::optional<BipartiteGraph> load_support(const std::string& spec) {
@@ -234,19 +206,15 @@ int cmd_print(const Problem& pi) {
   return 0;
 }
 
-int cmd_re(const Problem& pi, int steps, const BudgetFlags& flags) {
+int cmd_re(const Problem& pi, int steps, const Flags& flags) {
   Problem current = pi;
   SearchBudget budget_storage;
   REOptions options;
   options.max_configurations = 5'000'000;
+  // options.max_nodes owns the node cap, so the budget itself stays
+  // unlimited and only polls.
   options.max_nodes = flags.max_nodes;
-  // Deadline plus the signal chain; options.max_nodes owns the node cap, so
-  // the budget itself stays unlimited and only polls.
-  if (flags.timeout_ms > 0) {
-    budget_storage.set_deadline_ms(static_cast<double>(flags.timeout_ms));
-  }
-  budget_storage.chain_to(&g_signal_token);
-  options.budget = &budget_storage;
+  options.budget = flags.configure_deadline(budget_storage);
   REStats stats;
   options.stats = &stats;
   for (int s = 1; s <= steps; ++s) {
@@ -269,15 +237,11 @@ int cmd_re(const Problem& pi, int steps, const BudgetFlags& flags) {
   return 0;
 }
 
-int cmd_fixed(const Problem& pi, const BudgetFlags& flags) {
+int cmd_fixed(const Problem& pi, const Flags& flags) {
   SearchBudget budget_storage;
   REOptions options;
   options.max_nodes = flags.max_nodes;
-  if (flags.timeout_ms > 0) {
-    budget_storage.set_deadline_ms(static_cast<double>(flags.timeout_ms));
-  }
-  budget_storage.chain_to(&g_signal_token);
-  options.budget = &budget_storage;
+  options.budget = flags.configure_deadline(budget_storage);
   REStats stats;
   options.stats = &stats;
   const bool fixed = is_fixed_point(pi, options);
@@ -291,8 +255,9 @@ int cmd_fixed(const Problem& pi, const BudgetFlags& flags) {
 }
 
 int cmd_lift(const Problem& pi, std::size_t big_delta, std::size_t big_r) {
-  if (big_delta < pi.white_degree() || big_r < pi.black_degree()) {
-    std::fprintf(stderr, "lift targets must dominate the problem degrees\n");
+  std::string error;
+  if (!command::check_lift_targets(pi, big_delta, big_r, &error)) {
+    std::fprintf(stderr, "%s\n", error.c_str());
     return 1;
   }
   const LiftedProblem lift(pi, big_delta, big_r);
@@ -307,18 +272,14 @@ int cmd_lift(const Problem& pi, std::size_t big_delta, std::size_t big_r) {
 }
 
 int cmd_solve(const Problem& pi, const BipartiteGraph& support,
-              const BudgetFlags& flags) {
+              const Flags& flags) {
   SearchBudget budget_storage;
   LabelingOptions options;
   // The shared budget owns both limits so its describe() reflects the trip.
   options.budget = flags.configure(budget_storage);
   bool exhausted = false;
   const auto labels = solve_bipartite_labeling(support, pi, options, &exhausted);
-  if (!labels && exhausted) {
-    if (options.budget != nullptr) return report_exhausted(budget_storage);
-    std::fprintf(stderr, "budget exhausted: node cap hit\n");
-    return kExitExhausted;
-  }
+  if (!labels && exhausted) return report_exhausted(budget_storage);
   if (!labels) {
     std::printf("UNSOLVABLE on this support\n");
     return 2;
@@ -330,7 +291,7 @@ int cmd_solve(const Problem& pi, const BipartiteGraph& support,
 }
 
 int cmd_zero(const Problem& pi, const BipartiteGraph& support,
-             const BudgetFlags& flags) {
+             const Flags& flags) {
   SearchBudget budget_storage;
   SearchBudget* budget = flags.configure(budget_storage);
   ZeroRoundStats stats;
@@ -344,7 +305,7 @@ int cmd_zero(const Problem& pi, const BipartiteGraph& support,
 }
 
 int cmd_portfolio(const Problem& pi, const BipartiteGraph& support,
-                  const BudgetFlags& flags) {
+                  const Flags& flags) {
   SearchBudget budget_storage;
   budget_storage.chain_to(&g_signal_token);
   PortfolioOptions options;
@@ -379,57 +340,44 @@ int cmd_portfolio(const Problem& pi, const BipartiteGraph& support,
   return 0;
 }
 
-int cmd_check_cert(const char* path) {
-  cert::Certificate certificate;
-  std::string error;
-  if (!cert::load_certificate(path, &certificate, &error)) {
-    std::fprintf(stderr, "check-cert: %s\n", error.c_str());
-    return 2;
-  }
-  const cert::CertCheckResult result = cert::check_certificate(certificate);
-  if (result.status != cert::CertStatus::kValid) {
+int cmd_check_cert(const std::string& path) {
+  const command::CheckCertResult result = command::run_check_cert(path);
+  if (result.outcome == command::Outcome::kCorrupt) {
+    std::fprintf(stderr, "check-cert: %s\n", result.error.c_str());
+  } else if (result.outcome == command::Outcome::kNo) {
     std::fprintf(stderr, "check-cert: INVALID: %s\n", result.message.c_str());
-    return 1;
+  } else {
+    std::printf("check-cert: VALID (%s)\n", result.message.c_str());
   }
-  std::printf("check-cert: VALID (%s)\n", result.message.c_str());
-  return 0;
+  return command::exit_code(result.outcome, /*no_exit=*/1);
 }
 
-int cmd_sweep(const Problem& pi, std::size_t big_delta, std::size_t big_r,
-              const std::string& family_spec, bool scratch,
-              const std::string& emit_cert_path, const BudgetFlags& flags) {
-  if (big_delta < pi.white_degree() || big_r < pi.black_degree()) {
-    std::fprintf(stderr, "lift targets must dominate the problem degrees\n");
-    return 1;
-  }
+int cmd_sweep(const std::string& path, std::size_t big_delta, std::size_t big_r,
+              const std::string& family_spec, const Flags& flags) {
   std::string error;
-  const auto family = parse_sweep_family_spec(family_spec, big_delta, big_r, &error);
-  if (!family) {
+  const auto plan = command::plan_sweep(path, big_delta, big_r, family_spec,
+                                        /*max_supports=*/0, &error);
+  if (!plan) {
     std::fprintf(stderr, "%s\n", error.c_str());
     return 1;
   }
-  const std::vector<BipartiteGraph> supports =
-      family->cycles ? make_cycle_supports(family->lo, family->hi)
-                     : make_gadget_supports(big_delta, big_r, family->lo, family->hi);
-
   SearchBudget budget_storage;
   LiftSweepOptions options;
-  options.incremental = !scratch;
-  options.certify_cores = !scratch;
-  options.budget = flags.configure(budget_storage);
-  const LiftSweepResult result =
-      run_lift_sweep(pi, big_delta, big_r, supports, options);
-  if (!result.lift_materialized) {
-    std::fprintf(stderr, "lift too large to materialize\n");
+  options.incremental = !flags.scratch;
+  options.certify_cores = !flags.scratch;
+  const command::SweepResult result =
+      command::run_sweep(*plan, options, *flags.configure(budget_storage));
+  if (result.outcome == command::Outcome::kInvalid) {
+    std::fprintf(stderr, "%s\n", result.error.c_str());
     return 1;
   }
 
   std::printf("lift_{%zu,%zu}(%s) sweep over %s (%s)\n", big_delta, big_r,
-              pi.name().c_str(), family_spec.c_str(),
-              scratch ? "from scratch" : "incremental");
-  bool exhausted = false;
-  for (std::size_t i = 0; i < result.steps.size(); ++i) {
-    const LiftSweepStep& step = result.steps[i];
+              plan->problem.name().c_str(), family_spec.c_str(),
+              flags.scratch ? "from scratch" : "incremental");
+  const std::vector<LiftSweepStep>& steps = result.sweep.steps;
+  for (std::size_t i = 0; i < steps.size(); ++i) {
+    const LiftSweepStep& step = steps[i];
     std::printf("  support %zu (%zu edges): %s", i + 1, step.edges,
                 to_string(step.verdict));
     if (step.verdict == Verdict::kNo && step.core_nodes > 0) {
@@ -437,226 +385,139 @@ int cmd_sweep(const Problem& pi, std::size_t big_delta, std::size_t big_r,
                   step.core_check == Verdict::kNo ? ", certified" : "");
     }
     std::printf(" [clauses+=%zu wall=%.2fms]\n", step.new_clauses, step.wall_ms);
-    exhausted = exhausted || step.verdict == Verdict::kExhausted;
   }
-  std::printf("total: %zu clauses, %llu conflicts, %.2f ms\n", result.total_clauses,
-              static_cast<unsigned long long>(result.total_conflicts),
-              result.total_wall_ms);
-  if (exhausted) {
-    if (options.budget != nullptr) return report_exhausted(budget_storage);
-    std::fprintf(stderr, "budget exhausted\n");
-    return kExitExhausted;
+  std::printf("total: %zu clauses, %llu conflicts, %.2f ms\n", result.sweep.total_clauses,
+              static_cast<unsigned long long>(result.sweep.total_conflicts),
+              result.sweep.total_wall_ms);
+  if (result.outcome == command::Outcome::kExhausted) {
+    return report_exhausted(budget_storage);
   }
-  if (!emit_cert_path.empty()) {
+  if (!flags.emit_cert_path.empty()) {
     // Certify the first unsolvable support: re-encode it from scratch with
     // proof logging (the incremental sweep interleaves all supports through
     // one solver, so its conflicts are not a per-support refutation).
-    std::size_t unsat_index = result.steps.size();
-    for (std::size_t i = 0; i < result.steps.size(); ++i) {
-      if (result.steps[i].verdict == Verdict::kNo) {
-        unsat_index = i;
-        break;
-      }
+    std::size_t unsat_index = 0;
+    while (unsat_index < steps.size() && steps[unsat_index].verdict != Verdict::kNo) {
+      ++unsat_index;
     }
-    if (unsat_index == result.steps.size()) {
+    if (unsat_index == steps.size()) {
       std::fprintf(stderr,
                    "--emit-cert: no unsolvable support in the sweep, "
                    "nothing to certify\n");
       return 1;
     }
     const auto certificate = cert::make_lift_unsat_certificate(
-        pi, big_delta, big_r, supports[unsat_index], options.budget);
+        plan->problem, big_delta, big_r, result.supports[unsat_index], &budget_storage);
     if (!certificate.has_value()) {
       std::fprintf(stderr, "--emit-cert: failed to build the certificate\n");
       return 1;
     }
-    if (!cert::save_certificate(*certificate, emit_cert_path, &error)) {
-      std::fprintf(stderr, "--emit-cert: %s\n", error.c_str());
-      return 1;
-    }
+    if (!save_certificate(*certificate, flags.emit_cert_path)) return 1;
     std::printf("certificate: lift-unsat for support %zu written to %s\n",
-                unsat_index + 1, emit_cert_path.c_str());
+                unsat_index + 1, flags.emit_cert_path.c_str());
   }
-  return 0;
+  return command::exit_code(result.outcome);
 }
 
-int cmd_sequence(std::vector<Problem> problems, std::size_t repeat,
-                 const std::string& cache_path,
-                 const std::string& emit_cert_path, const BudgetFlags& flags) {
-  for (std::size_t i = 0; i < repeat; ++i) problems.push_back(problems.back());
-  if (problems.size() < 2) {
+int cmd_sequence(const std::vector<std::string>& files, const Flags& flags) {
+  if (files.size() + flags.repeat < 2) {
     std::fprintf(stderr, "sequence needs at least two problems "
                          "(give more files or --repeat=N)\n");
     return 1;
   }
-
   RECache cache;
-  const bool use_cache = !cache_path.empty();
-  if (use_cache) {
-    // Warm-start from an existing cache file; a missing file is a cold run,
-    // but an unreadable or corrupt one is a hard error (exit 2) so a bad
-    // cache can never silently degrade into a wrong or uncached verdict.
-    std::ifstream probe(cache_path);
-    if (probe.good()) {
-      std::string error;
-      if (!cache.load(cache_path, &error)) {
-        std::fprintf(stderr, "%s\n", error.c_str());
-        return 2;
-      }
-    }
-  }
+  const bool use_cache = !flags.re_cache_path.empty();
+  if (use_cache && !warm_start(cache, flags.re_cache_path)) return 2;
 
   SearchBudget budget_storage;
   REOptions options;
+  // options.max_nodes owns the node cap; the budget carries the deadline.
   options.max_nodes = flags.max_nodes;
-  if (flags.timeout_ms > 0) {
-    budget_storage.set_deadline_ms(static_cast<double>(flags.timeout_ms));
-  }
-  budget_storage.chain_to(&g_signal_token);
-  options.budget = &budget_storage;
-  REStats stats;
-  options.stats = &stats;
   if (use_cache) options.cache = &cache;
-
-  // With --emit-cert the emitter drives the verification itself (one run,
-  // witnesses kept); without it the plain verifier keeps the lean path.
-  SequenceReport report;
-  std::optional<cert::Certificate> certificate;
-  if (emit_cert_path.empty()) {
-    report = verify_lower_bound_sequence(problems, options);
-  } else {
-    certificate = cert::make_sequence_certificate(problems, options, &report);
+  const bool emit = !flags.emit_cert_path.empty();
+  const command::SequenceResult result =
+      command::run_sequence(files, flags.repeat, options, emit,
+                            *flags.configure_deadline(budget_storage));
+  if (result.outcome == command::Outcome::kInvalid) {
+    std::fprintf(stderr, "%s\n", result.error.c_str());
+    return 1;
   }
-  std::printf("%s", report.to_string().c_str());
+  std::printf("%s", result.report.to_string().c_str());
   if (use_cache) {
     const RECacheCounters c = cache.counters();
     std::printf("re-cache: entries=%zu hits=%llu misses=%llu\n", c.entries,
                 static_cast<unsigned long long>(c.hits),
                 static_cast<unsigned long long>(c.misses));
-    std::string error;
-    if (!cache.save(cache_path, &error)) {
-      std::fprintf(stderr, "%s\n", error.c_str());
-      return 1;
-    }
+    if (!save_cache(cache, flags.re_cache_path)) return 1;
   }
-  std::printf("stats: %s\n", stats.to_string().c_str());
-
-  bool exhausted = false;
-  for (const SequenceStepReport& step : report.steps) {
-    exhausted = exhausted || step.re_budget_exhausted ||
-                step.relaxation_verdict == Verdict::kExhausted;
+  std::printf("stats: %s\n", result.stats.to_string().c_str());
+  if (result.outcome == command::Outcome::kExhausted) {
+    return report_exhausted(budget_storage);
   }
-  if (exhausted) {
-    if (options.budget != nullptr) return report_exhausted(budget_storage);
-    std::fprintf(stderr, "budget exhausted\n");
-    return kExitExhausted;
-  }
-  if (!emit_cert_path.empty()) {
-    if (!certificate.has_value()) {
+  if (emit) {
+    if (!result.certificate.has_value()) {
       std::fprintf(stderr,
                    "--emit-cert: sequence did not verify, nothing to "
                    "certify\n");
       return 2;
     }
-    std::string error;
-    if (!cert::save_certificate(*certificate, emit_cert_path, &error)) {
-      std::fprintf(stderr, "--emit-cert: %s\n", error.c_str());
-      return 1;
-    }
+    if (!save_certificate(*result.certificate, flags.emit_cert_path)) return 1;
     std::printf("certificate: sequence (%zu steps) written to %s\n",
-                report.steps.size(), emit_cert_path.c_str());
+                result.report.steps.size(), flags.emit_cert_path.c_str());
   }
-  return report.valid ? 0 : 2;
+  return command::exit_code(result.outcome);
 }
 
-struct DiscoverFlags {
-  std::size_t target_length = 1;
-  std::size_t beam = 4;
-  std::size_t max_expansions = 256;
-  std::size_t max_finds = 1;
-  std::size_t threads = 1;
-  std::uint64_t step_nodes = 0;
-  std::string checkpoint_path;
-  std::size_t checkpoint_every = 0;
-};
-
-int cmd_discover(const std::vector<Problem>& family,
-                 const DiscoverFlags& dflags, const std::string& cache_path,
-                 const std::string& emit_cert_path, const BudgetFlags& flags) {
+int cmd_discover(const std::vector<std::string>& files, const Flags& flags) {
   RECache cache;
-  const bool use_cache = !cache_path.empty();
-  if (use_cache) {
-    // Same contract as `sequence`: missing = cold, corrupt = exit 2.
-    std::ifstream probe(cache_path);
-    if (probe.good()) {
-      std::string error;
-      if (!cache.load(cache_path, &error)) {
-        std::fprintf(stderr, "%s\n", error.c_str());
-        return 2;
-      }
-    }
-  }
+  const bool use_cache = !flags.re_cache_path.empty();
+  if (use_cache && !warm_start(cache, flags.re_cache_path)) return 2;
 
-  SearchBudget budget_storage;
   discover::DiscoverOptions options;
-  options.target_length = dflags.target_length;
-  options.beam_width = dflags.beam;
-  options.max_expansions = dflags.max_expansions;
-  options.max_finds = dflags.max_finds;
-  options.threads = dflags.threads;
-  options.step_nodes = dflags.step_nodes;
+  options.target_length = flags.target_length;
+  options.beam_width = flags.beam;
+  options.max_expansions = flags.max_expansions;
+  options.max_finds = flags.max_finds;
+  options.threads = flags.threads == 0 ? 1 : flags.threads;
+  options.step_nodes = flags.step_nodes;
   options.total_nodes = flags.max_nodes;  // --max-nodes = total node pool
-  options.checkpoint_path = dflags.checkpoint_path;
-  options.checkpoint_every = dflags.checkpoint_every;
+  options.checkpoint_path = flags.checkpoint_path;
+  options.checkpoint_every = flags.checkpoint_every;
+  if (use_cache) options.cache = &cache;
   // The budget carries the deadline and the signal chain; the node pool is
   // steered by the driver itself, so the budget's own node limit stays off.
-  if (flags.timeout_ms > 0) {
-    budget_storage.set_deadline_ms(static_cast<double>(flags.timeout_ms));
+  SearchBudget budget_storage;
+  const command::DiscoverResult run = command::run_discover(
+      files, options, *flags.configure_deadline(budget_storage));
+  if (run.outcome == command::Outcome::kInvalid) {
+    std::fprintf(stderr, "%s\n", run.error.c_str());
+    return 1;
   }
-  budget_storage.chain_to(&g_signal_token);
-  options.budget = &budget_storage;
-  if (use_cache) options.cache = &cache;
-
-  const discover::DiscoverResult result = discover::run_discovery(family, options);
+  const discover::DiscoverResult& result = run.discovery;
   std::printf("%s", result.log.c_str());
   std::printf("status: %s\n", discover::to_string(result.status));
   std::printf("stats: %s\n", result.stats.to_string().c_str());
 
-  if (use_cache && result.status != discover::DiscoverStatus::kCorrupt) {
-    std::string error;
-    if (!cache.save(cache_path, &error)) {
-      std::fprintf(stderr, "%s\n", error.c_str());
-      return 1;
-    }
+  if (use_cache && run.outcome != command::Outcome::kCorrupt &&
+      !save_cache(cache, flags.re_cache_path)) {
+    return 1;
   }
-  if (!emit_cert_path.empty()) {
+  if (!flags.emit_cert_path.empty()) {
     for (std::size_t k = 0; k < result.found.size(); ++k) {
-      const std::string path =
-          k == 0 ? emit_cert_path : emit_cert_path + "." + std::to_string(k);
-      std::string error;
-      if (!cert::save_certificate(result.found[k].certificate, path, &error)) {
-        std::fprintf(stderr, "--emit-cert: %s\n", error.c_str());
-        return 1;
-      }
+      const std::string path = k == 0 ? flags.emit_cert_path
+                                      : flags.emit_cert_path + "." + std::to_string(k);
+      if (!save_certificate(result.found[k].certificate, path)) return 1;
       std::printf("certificate: find %zu (%zu steps) written to %s\n", k,
                   result.found[k].chain.size() - 1, path.c_str());
     }
   }
-  switch (result.status) {
-    case discover::DiscoverStatus::kFound:
-      return 0;
-    case discover::DiscoverStatus::kNone:
-      return 1;
-    case discover::DiscoverStatus::kCorrupt:
-      return 2;
-    case discover::DiscoverStatus::kExhausted:
-      if (budget_storage.exhausted()) return report_exhausted(budget_storage);
-      std::fprintf(stderr, "budget exhausted: search caps hit before a "
-                           "definitive verdict (raise --max-expansions / "
-                           "--max-nodes, or resume via --checkpoint)\n");
-      return kExitExhausted;
+  if (run.outcome == command::Outcome::kExhausted) {
+    if (budget_storage.exhausted()) return report_exhausted(budget_storage);
+    std::fprintf(stderr, "budget exhausted: search caps hit before a "
+                         "definitive verdict (raise --max-expansions / "
+                         "--max-nodes, or resume via --checkpoint)\n");
   }
-  return 1;
+  return command::exit_code(run.outcome, /*no_exit=*/1);
 }
 
 /// Streams an instance spec (cycle:<n>, path:<n>, torus:<w>x<h>,
@@ -728,8 +589,10 @@ std::optional<CsrGraph> load_instance(const std::string& spec, std::uint64_t see
 }
 
 int cmd_simulate(const std::string& alg_spec, const std::string& instance_spec,
-                 std::size_t threads, std::size_t max_rounds, std::uint64_t seed,
-                 const BudgetFlags& flags) {
+                 const Flags& flags) {
+  const std::size_t threads = flags.threads;
+  const std::size_t max_rounds = flags.rounds;
+  const std::uint64_t seed = flags.seed;
   auto csr = load_instance(instance_spec, seed);
   if (!csr) return 1;
 
@@ -845,10 +708,10 @@ int cmd_client(const char* target, const std::string& line) {
   std::istringstream in(*response);
   std::string resp, id, cls;
   in >> resp >> id >> cls;
-  if (cls == "invalid") return 1;
-  if (cls == "corrupt") return 2;
-  if (cls == "retryable") return kExitExhausted;
-  return 0;
+  return command::exit_code(cls == "invalid"     ? command::Outcome::kInvalid
+                            : cls == "corrupt"   ? command::Outcome::kCorrupt
+                            : cls == "retryable" ? command::Outcome::kExhausted
+                                                 : command::Outcome::kYes);
 }
 
 void print_usage(std::FILE* out) {
@@ -919,63 +782,68 @@ int usage() {
 
 int main(int argc, char** argv) {
   install_signal_handlers();
-  // Split budget flags from positional arguments.
-  BudgetFlags flags;
-  bool scratch = false;
-  std::size_t repeat = 0;
-  DiscoverFlags dflags;
-  std::size_t sim_threads = 1;
-  std::size_t sim_rounds = 10'000;
-  std::uint64_t sim_seed = 1;
-  std::string re_cache_path;
-  std::string emit_cert_path;
+  // Split flags from positional arguments.
+  Flags flags;
+  const std::pair<std::string_view, std::uint64_t*> numeric_flags[] = {
+      {"--timeout-ms=", &flags.timeout_ms},
+      {"--max-nodes=", &flags.max_nodes},
+      {"--repeat=", &flags.repeat},
+      {"--threads=", &flags.threads},
+      {"--rounds=", &flags.rounds},
+      {"--seed=", &flags.seed},
+      {"--target-length=", &flags.target_length},
+      {"--beam=", &flags.beam},
+      {"--max-expansions=", &flags.max_expansions},
+      {"--max-finds=", &flags.max_finds},
+      {"--step-nodes=", &flags.step_nodes},
+      {"--checkpoint-every=", &flags.checkpoint_every},
+  };
+  const std::pair<std::string_view, std::string*> path_flags[] = {
+      {"--re-cache=", &flags.re_cache_path},
+      {"--emit-cert=", &flags.emit_cert_path},
+      {"--checkpoint=", &flags.checkpoint_path},
+  };
   std::vector<const char*> args;
   for (int i = 1; i < argc; ++i) {
-    if (std::strncmp(argv[i], "--timeout-ms=", 13) == 0) {
-      flags.timeout_ms = std::strtoull(argv[i] + 13, nullptr, 10);
-    } else if (std::strncmp(argv[i], "--max-nodes=", 12) == 0) {
-      flags.max_nodes = std::strtoull(argv[i] + 12, nullptr, 10);
-    } else if (std::strcmp(argv[i], "--scratch") == 0) {
-      scratch = true;
-    } else if (std::strncmp(argv[i], "--threads=", 10) == 0) {
-      sim_threads = std::strtoul(argv[i] + 10, nullptr, 10);
-      dflags.threads = sim_threads == 0 ? 1 : sim_threads;
-    } else if (std::strncmp(argv[i], "--target-length=", 16) == 0) {
-      dflags.target_length = std::strtoul(argv[i] + 16, nullptr, 10);
-    } else if (std::strncmp(argv[i], "--beam=", 7) == 0) {
-      dflags.beam = std::strtoul(argv[i] + 7, nullptr, 10);
-    } else if (std::strncmp(argv[i], "--max-expansions=", 17) == 0) {
-      dflags.max_expansions = std::strtoul(argv[i] + 17, nullptr, 10);
-    } else if (std::strncmp(argv[i], "--max-finds=", 12) == 0) {
-      dflags.max_finds = std::strtoul(argv[i] + 12, nullptr, 10);
-    } else if (std::strncmp(argv[i], "--step-nodes=", 13) == 0) {
-      dflags.step_nodes = std::strtoull(argv[i] + 13, nullptr, 10);
-    } else if (std::strncmp(argv[i], "--checkpoint=", 13) == 0) {
-      dflags.checkpoint_path = argv[i] + 13;
-    } else if (std::strncmp(argv[i], "--checkpoint-every=", 19) == 0) {
-      dflags.checkpoint_every = std::strtoul(argv[i] + 19, nullptr, 10);
-    } else if (std::strncmp(argv[i], "--rounds=", 9) == 0) {
-      sim_rounds = std::strtoul(argv[i] + 9, nullptr, 10);
-    } else if (std::strncmp(argv[i], "--seed=", 7) == 0) {
-      sim_seed = std::strtoull(argv[i] + 7, nullptr, 10);
-    } else if (std::strncmp(argv[i], "--repeat=", 9) == 0) {
-      repeat = std::strtoul(argv[i] + 9, nullptr, 10);
-    } else if (std::strncmp(argv[i], "--re-cache=", 11) == 0) {
-      re_cache_path = argv[i] + 11;
-    } else if (std::strncmp(argv[i], "--emit-cert=", 12) == 0) {
-      emit_cert_path = argv[i] + 12;
-    } else if (std::strcmp(argv[i], "--help") == 0) {
+    const std::string_view arg = argv[i];
+    if (arg == "--help") {
       print_usage(stdout);
       return 0;
-    } else if (std::strncmp(argv[i], "--", 2) == 0) {
+    }
+    if (arg == "--scratch") {
+      flags.scratch = true;
+      continue;
+    }
+    if (arg.rfind("--", 0) != 0) {
+      args.push_back(argv[i]);
+      continue;
+    }
+    const std::size_t eq = arg.find('=');
+    const std::string_view name = eq == std::string_view::npos ? arg : arg.substr(0, eq + 1);
+    const std::string_view value = arg.substr(name.size());
+    bool known = false;
+    for (const auto& [flag, target] : numeric_flags) {
+      if (name != flag) continue;
+      known = true;
+      if (!parse_u64(value, target)) {
+        std::fprintf(stderr, "malformed value in '%s' (want a non-negative integer)\n",
+                     argv[i]);
+        return usage();
+      }
+    }
+    for (const auto& [flag, target] : path_flags) {
+      if (name != flag) continue;
+      known = true;
+      *target = value;
+    }
+    if (!known) {
       std::fprintf(stderr, "unknown flag '%s'\n", argv[i]);
       return usage();
-    } else {
-      args.push_back(argv[i]);
     }
   }
   if (args.size() < 2) return usage();
   const std::string cmd = args[0];
+  const std::vector<std::string> files(args.begin() + 1, args.end());
   if (cmd == "check-cert") return cmd_check_cert(args[1]);
   if (cmd == "client") {
     if (args.size() < 3) return usage();
@@ -988,27 +856,13 @@ int main(int argc, char** argv) {
   }
   if (cmd == "simulate") {
     if (args.size() < 3) return usage();
-    return cmd_simulate(args[1], args[2], sim_threads, sim_rounds, sim_seed,
-                        flags);
+    return cmd_simulate(args[1], args[2], flags);
   }
-  if (cmd == "sequence") {
-    std::vector<Problem> problems;
-    for (std::size_t i = 1; i < args.size(); ++i) {
-      const auto p = load_problem(args[i]);
-      if (!p) return 1;
-      problems.push_back(*p);
-    }
-    return cmd_sequence(std::move(problems), repeat, re_cache_path,
-                        emit_cert_path, flags);
-  }
-  if (cmd == "discover") {
-    std::vector<Problem> family;
-    for (std::size_t i = 1; i < args.size(); ++i) {
-      const auto p = load_problem(args[i]);
-      if (!p) return 1;
-      family.push_back(*p);
-    }
-    return cmd_discover(family, dflags, re_cache_path, emit_cert_path, flags);
+  if (cmd == "sequence") return cmd_sequence(files, flags);
+  if (cmd == "discover") return cmd_discover(files, flags);
+  if (cmd == "sweep" && args.size() >= 5) {
+    return cmd_sweep(args[1], std::strtoul(args[2], nullptr, 10),
+                     std::strtoul(args[3], nullptr, 10), args[4], flags);
   }
   const auto pi = load_problem(args[1]);
   if (!pi) return 1;
@@ -1018,11 +872,6 @@ int main(int argc, char** argv) {
   if (cmd == "lift" && args.size() >= 4) {
     return cmd_lift(*pi, std::strtoul(args[2], nullptr, 10),
                     std::strtoul(args[3], nullptr, 10));
-  }
-  if (cmd == "sweep" && args.size() >= 5) {
-    return cmd_sweep(*pi, std::strtoul(args[2], nullptr, 10),
-                     std::strtoul(args[3], nullptr, 10), args[4], scratch,
-                     emit_cert_path, flags);
   }
   if ((cmd == "solve" || cmd == "zero" || cmd == "portfolio") && args.size() >= 3) {
     const auto support = load_support(args[2]);

@@ -1,10 +1,9 @@
 #include "src/cert/format.hpp"
 
-#include <cstdio>
-#include <fstream>
 #include <sstream>
 
 #include "src/formalism/serialize.hpp"
+#include "src/util/atomic_file.hpp"
 
 namespace slocal::cert {
 
@@ -15,11 +14,7 @@ bool fail(std::string* error, const std::string& message) {
   return false;
 }
 
-std::string hex16(std::uint64_t v) {
-  char buf[17];
-  std::snprintf(buf, sizeof(buf), "%016llx", static_cast<unsigned long long>(v));
-  return buf;
-}
+constexpr std::string_view kMagic = "slocal-cert 1";
 
 /// Guard against absurd allocation requests from a crafted (checksum-valid)
 /// file; every real certificate in this repository is far below these.
@@ -93,24 +88,6 @@ void write_lift(std::ostream& out, const LiftUnsatCert& lift) {
     write_clause(out, step.is_delete ? 'd' : 'a', step.lits);
   }
   write_clause(out, 't', lift.target);
-}
-
-bool read_hex16(std::istream& in, std::uint64_t* out) {
-  std::string token;
-  if (!(in >> token) || token.size() != 16) return false;
-  std::uint64_t v = 0;
-  for (const char c : token) {
-    v <<= 4;
-    if (c >= '0' && c <= '9') {
-      v |= static_cast<std::uint64_t>(c - '0');
-    } else if (c >= 'a' && c <= 'f') {
-      v |= static_cast<std::uint64_t>(c - 'a' + 10);
-    } else {
-      return false;
-    }
-  }
-  *out = v;
-  return true;
 }
 
 bool read_sequence(std::istream& in, SequenceCert* seq, std::string* error) {
@@ -300,42 +277,20 @@ bool save_certificate(const Certificate& cert, const std::string& path,
   } else {
     write_lift(out, cert.lift);
   }
-  const std::string payload = out.str();
-  std::ofstream file(path, std::ios::trunc | std::ios::binary);
-  if (!file) return fail(error, "cert: cannot open '" + path + "' for writing");
-  file << "slocal-cert 1\n"
-       << "checksum " << hex16(fnv1a_bytes(payload)) << '\n'
-       << payload;
-  file.flush();
-  if (!file) return fail(error, "cert: write to '" + path + "' failed");
+  // Atomic replace, like every other persisted artifact: a crash mid-save
+  // leaves the previous certificate at `path` or the new one, never a torn
+  // file.
+  std::string io_error;
+  if (!write_file_atomic(path, frame_payload(kMagic, out.str()), &io_error)) {
+    return fail(error, "cert: " + io_error);
+  }
   return true;
 }
 
 bool load_certificate(const std::string& path, Certificate* cert,
                       std::string* error) {
-  std::ifstream file(path, std::ios::binary);
-  if (!file) return fail(error, "cert: cannot open '" + path + "'");
-  std::string line;
-  if (!std::getline(file, line) || line != "slocal-cert 1") {
-    return fail(error, "cert: '" + path + "' is not a slocal-cert 1 file");
-  }
-  if (!std::getline(file, line) || line.size() != 9 + 16 ||
-      line.compare(0, 9, "checksum ") != 0) {
-    return fail(error, "cert: malformed checksum line");
-  }
-  std::uint64_t stored_checksum = 0;
-  {
-    std::istringstream hex_in(line.substr(9));
-    if (!read_hex16(hex_in, &stored_checksum)) {
-      return fail(error, "cert: malformed checksum line");
-    }
-  }
-  std::ostringstream raw;
-  raw << file.rdbuf();
-  const std::string payload = raw.str();
-  if (fnv1a_bytes(payload) != stored_checksum) {
-    return fail(error, "cert: payload checksum mismatch (corrupt file)");
-  }
+  std::string payload;
+  if (!read_framed_file(path, kMagic, "cert", &payload, error)) return false;
 
   std::istringstream in(payload);
   std::string tag, kind;

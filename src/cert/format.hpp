@@ -79,8 +79,9 @@ struct Certificate {
 std::uint64_t lift_cnf_hash(std::size_t num_vars,
                             const std::vector<std::vector<std::int32_t>>& clauses);
 
-/// Writes `cert` to `path` in the container format above. False on I/O
-/// failure (message in *error).
+/// Writes `cert` to `path` in the container format above, atomically
+/// (write_file_atomic): a crash mid-save leaves the previous file or the new
+/// one, never a torn certificate. False on I/O failure (message in *error).
 bool save_certificate(const Certificate& cert, const std::string& path,
                       std::string* error);
 

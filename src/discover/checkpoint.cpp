@@ -1,7 +1,5 @@
 #include "src/discover/checkpoint.hpp"
 
-#include <cstdio>
-#include <fstream>
 #include <sstream>
 
 #include "src/formalism/canonical.hpp"
@@ -19,30 +17,11 @@ constexpr std::size_t kMaxChain = 4096;
 constexpr std::size_t kMaxFrontier = 1 << 20;
 constexpr std::size_t kMaxVisited = 1 << 24;
 
+constexpr std::string_view kMagic = "slocal-discover 1";
+
 bool fail(std::string* error, const std::string& message) {
   if (error != nullptr) *error = message;
   return false;
-}
-
-void write_hex(std::ostream& out, std::uint64_t v) {
-  char buf[24];
-  std::snprintf(buf, sizeof(buf), "%016llx", static_cast<unsigned long long>(v));
-  out << buf;
-}
-
-bool read_hex(std::istream& in, std::uint64_t* v) {
-  std::string token;
-  if (!(in >> token) || token.size() != 16) return false;
-  std::uint64_t parsed = 0;
-  for (const char c : token) {
-    int digit;
-    if (c >= '0' && c <= '9') digit = c - '0';
-    else if (c >= 'a' && c <= 'f') digit = c - 'a' + 10;
-    else return false;
-    parsed = (parsed << 4) | static_cast<std::uint64_t>(digit);
-  }
-  *v = parsed;
-  return true;
 }
 
 }  // namespace
@@ -53,26 +32,17 @@ std::string serialize_frontier_checkpoint(const FrontierCheckpoint& cp) {
       << cp.expansions << ' ' << cp.nodes_spent << ' ' << cp.finds_emitted << ' '
       << (cp.definitive ? 1 : 0) << '\n';
   out << "visited " << cp.visited.size() << '\n';
-  for (const std::uint64_t fp : cp.visited) {
-    write_hex(out, fp);
-    out << '\n';
-  }
+  for (const std::uint64_t fp : cp.visited) out << hex16(fp) << '\n';
   out << "frontier " << cp.frontier.size() << '\n';
   for (const FrontierNode& node : cp.frontier) {
     out << "node " << node.score << ' ' << node.seq << ' ' << node.chain.size()
         << '\n';
     for (std::size_t i = 0; i < node.chain.size(); ++i) {
-      out << "fp ";
-      write_hex(out, node.fingerprints[i]);
-      out << '\n';
+      out << "fp " << hex16(node.fingerprints[i]) << '\n';
       write_problem(out, node.chain[i]);
     }
   }
-  const std::string payload = out.str();
-  char checksum_line[40];
-  std::snprintf(checksum_line, sizeof(checksum_line), "checksum %016llx\n",
-                static_cast<unsigned long long>(fnv1a_bytes(payload)));
-  return "slocal-discover 1\n" + std::string(checksum_line) + payload;
+  return frame_payload(kMagic, out.str());
 }
 
 bool save_frontier_checkpoint(const FrontierCheckpoint& cp, const std::string& path,
@@ -86,39 +56,9 @@ bool save_frontier_checkpoint(const FrontierCheckpoint& cp, const std::string& p
 
 bool load_frontier_checkpoint(const std::string& path, FrontierCheckpoint* out,
                               std::string* error) {
-  std::ifstream file(path, std::ios::binary);
-  if (!file) {
-    return fail(error, "discover-checkpoint: cannot open '" + path + "'");
-  }
-  std::string magic;
-  if (!std::getline(file, magic)) {
-    return fail(error, "discover-checkpoint: '" + path + "' is not a checkpoint");
-  }
-  if (magic != "slocal-discover 1") {
-    return fail(error, magic.rfind("slocal-discover", 0) == 0
-                           ? "discover-checkpoint: unsupported version ('" +
-                                 magic + "')"
-                           : "discover-checkpoint: '" + path +
-                                 "' is not a checkpoint");
-  }
-  std::string checksum_text;
-  if (!std::getline(file, checksum_text) || checksum_text.size() != 9 + 16 ||
-      checksum_text.compare(0, 9, "checksum ") != 0) {
-    return fail(error, "discover-checkpoint: malformed checksum line");
-  }
-  std::uint64_t stored_checksum = 0;
-  {
-    std::istringstream hex(checksum_text.substr(9));
-    if (!(hex >> std::hex >> stored_checksum)) {
-      return fail(error, "discover-checkpoint: malformed checksum line");
-    }
-  }
-  std::ostringstream raw;
-  raw << file.rdbuf();
-  const std::string payload = raw.str();
-  if (fnv1a_bytes(payload) != stored_checksum) {
-    return fail(error,
-                "discover-checkpoint: payload checksum mismatch (corrupt file)");
+  std::string payload;
+  if (!read_framed_file(path, kMagic, "discover-checkpoint", &payload, error)) {
+    return false;
   }
 
   // Parse and validate everything into a local object; *out is only
@@ -145,7 +85,7 @@ bool load_frontier_checkpoint(const std::string& path, FrontierCheckpoint* out,
   cp.visited.reserve(visited_count);
   for (std::size_t i = 0; i < visited_count; ++i) {
     std::uint64_t fp = 0;
-    if (!read_hex(in, &fp)) {
+    if (!read_hex16(in, &fp)) {
       return fail(error, "discover-checkpoint: malformed visited fingerprint");
     }
     if (i > 0 && fp <= cp.visited.back()) {
@@ -171,7 +111,7 @@ bool load_frontier_checkpoint(const std::string& path, FrontierCheckpoint* out,
     node.fingerprints.reserve(chain_length);
     for (std::size_t j = 0; j < chain_length; ++j) {
       std::uint64_t fp = 0;
-      if (!(in >> tag) || tag != "fp" || !read_hex(in, &fp)) {
+      if (!(in >> tag) || tag != "fp" || !read_hex16(in, &fp)) {
         return fail(error, "discover-checkpoint: malformed chain fingerprint");
       }
       Problem p;

@@ -11,6 +11,7 @@
 #include "src/discover/checkpoint.hpp"
 #include "src/formalism/canonical.hpp"
 #include "src/formalism/relaxation.hpp"
+#include "src/formalism/serialize.hpp"
 #include "src/re/round_elimination.hpp"
 #include "src/re/sequence.hpp"
 
@@ -23,12 +24,6 @@ namespace {
 /// expansion less.
 constexpr std::uint64_t kMinStepNodes = 1'024;
 constexpr std::uint64_t kDefaultStepNodes = 200'000;
-
-std::string hex16(std::uint64_t v) {
-  char buf[24];
-  std::snprintf(buf, sizeof(buf), "%016llx", static_cast<unsigned long long>(v));
-  return buf;
-}
 
 /// Sum of the deterministic node-like counters of one RE application — the
 /// currency the steering rule accounts in.

@@ -2,7 +2,9 @@
 
 #include <cctype>
 #include <charconv>
+#include <fstream>
 #include <functional>
+#include <sstream>
 
 #include "src/util/bitset.hpp"
 #include "src/util/strings.hpp"
@@ -168,6 +170,20 @@ std::string ParseError::to_string() const {
     out += ": ";
   }
   return out + message;
+}
+
+std::optional<Problem> load_problem_file(const std::string& path, std::string* error) {
+  std::ifstream in(path);
+  if (!in) {
+    *error = "cannot open '" + path + "'";
+    return std::nullopt;
+  }
+  std::stringstream buffer;
+  buffer << in.rdbuf();
+  ParseError parse_error;
+  auto problem = parse_problem_text(path, buffer.str(), &parse_error);
+  if (!problem) *error = "parse error: " + parse_error.to_string();
+  return problem;
 }
 
 std::optional<Constraint> parse_constraint(std::string_view text,

@@ -55,6 +55,11 @@ std::optional<Problem> parse_problem_text(std::string_view name,
                                           std::string_view text,
                                           ParseError* error = nullptr);
 
+/// Reads and parses the problem file at `path` (named after the path). On
+/// failure returns nullopt with "cannot open '<path>'" or "parse error:
+/// <ParseError::to_string()>" in *error.
+std::optional<Problem> load_problem_file(const std::string& path, std::string* error);
+
 /// Parses a single constraint against an existing registry (labels are
 /// interned into it). Returns nullopt and fills error on malformed input:
 /// bad syntax, mismatched sizes, oversized alphabets, and duplicate

@@ -1,7 +1,10 @@
 #include "src/formalism/serialize.hpp"
 
+#include <cstdio>
+#include <fstream>
 #include <istream>
 #include <ostream>
+#include <sstream>
 #include <utility>
 #include <vector>
 
@@ -14,6 +17,19 @@ bool fail(std::string* error, const std::string& message) {
   return false;
 }
 
+/// Exactly 16 lowercase hex digits, the spelling hex16 writes.
+bool parse_hex16(std::string_view text, std::uint64_t* out) {
+  if (text.size() != 16) return false;
+  std::uint64_t v = 0;
+  for (const char c : text) {
+    const bool digit = c >= '0' && c <= '9';
+    if (!digit && (c < 'a' || c > 'f')) return false;
+    v = (v << 4) | static_cast<std::uint64_t>(digit ? c - '0' : c - 'a' + 10);
+  }
+  *out = v;
+  return true;
+}
+
 }  // namespace
 
 std::uint64_t fnv1a_bytes(std::string_view data) {
@@ -23,6 +39,51 @@ std::uint64_t fnv1a_bytes(std::string_view data) {
     h *= 1099511628211ULL;
   }
   return h;
+}
+
+std::string hex16(std::uint64_t v) {
+  char buf[17];
+  std::snprintf(buf, sizeof(buf), "%016llx", static_cast<unsigned long long>(v));
+  return buf;
+}
+
+bool read_hex16(std::istream& in, std::uint64_t* out) {
+  std::string token;
+  return static_cast<bool>(in >> token) && parse_hex16(token, out);
+}
+
+std::string frame_payload(std::string_view magic, std::string_view payload) {
+  return std::string(magic) + "\nchecksum " + hex16(fnv1a_bytes(payload)) + "\n" +
+         std::string(payload);
+}
+
+bool read_framed_file(const std::string& path, std::string_view magic,
+                      const std::string& context, std::string* payload,
+                      std::string* error) {
+  std::ifstream file(path, std::ios::binary);
+  if (!file) return fail(error, context + ": cannot open '" + path + "'");
+  std::string line;
+  if (!std::getline(file, line) || line != magic) {
+    // The format name is the magic up to (and with) the space before its
+    // version number.
+    const std::string name(magic.substr(0, magic.rfind(' ') + 1));
+    return fail(error, line.rfind(name, 0) == 0
+                           ? context + ": unsupported version ('" + line + "')"
+                           : context + ": '" + path + "' is not a " + name + "file");
+  }
+  std::uint64_t stored = 0;
+  if (!std::getline(file, line) || line.rfind("checksum ", 0) != 0 ||
+      !parse_hex16(std::string_view(line).substr(9), &stored)) {
+    return fail(error, context + ": malformed checksum line");
+  }
+  std::ostringstream raw;
+  raw << file.rdbuf();
+  std::string bytes = raw.str();
+  if (fnv1a_bytes(bytes) != stored) {
+    return fail(error, context + ": payload checksum mismatch (corrupt file)");
+  }
+  *payload = std::move(bytes);
+  return true;
 }
 
 void write_problem(std::ostream& out, const Problem& p) {

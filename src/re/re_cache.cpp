@@ -1,7 +1,5 @@
 #include "src/re/re_cache.hpp"
 
-#include <cstdio>
-#include <fstream>
 #include <sstream>
 #include <utility>
 
@@ -11,6 +9,8 @@
 namespace slocal {
 
 namespace {
+
+constexpr std::string_view kMagic = "slocal-re-cache 2";
 
 std::uint64_t fnv1a_step(std::uint64_t h, std::uint64_t v) {
   for (int shift = 0; shift < 64; shift += 8) {
@@ -97,25 +97,16 @@ std::string RECache::serialize() const {
   out << "entries " << entries_ << '\n';
   for (const auto& [fingerprint, bucket] : table_) {
     for (const Entry& entry : bucket) {
-      char header[64];
-      std::snprintf(header, sizeof(header), "entry %016llx %016llx\n",
-                    static_cast<unsigned long long>(fingerprint),
-                    static_cast<unsigned long long>(
-                        entry_checksum(entry.input, entry.result)));
-      out << header;
+      out << "entry " << hex16(fingerprint) << ' '
+          << hex16(entry_checksum(entry.input, entry.result)) << '\n';
       write_problem(out, entry.input);
       write_problem(out, entry.result);
     }
   }
-  // The header names the format, then a checksum line binds every byte of
-  // the payload that follows (format version 2; version 1 had per-entry
+  // The magic names the format (version 2; version 1 had per-entry
   // checksums only, which left bytes outside the numeric stream — tags,
   // whitespace, the entry count — unprotected against bit flips).
-  const std::string payload = out.str();
-  char checksum_line[40];
-  std::snprintf(checksum_line, sizeof(checksum_line), "checksum %016llx\n",
-                static_cast<unsigned long long>(fnv1a_bytes(payload)));
-  return "slocal-re-cache 2\n" + std::string(checksum_line) + payload;
+  return frame_payload(kMagic, out.str());
 }
 
 bool RECache::save(const std::string& path, std::string* error) const {
@@ -130,35 +121,9 @@ bool RECache::save(const std::string& path, std::string* error) const {
 }
 
 bool RECache::load(const std::string& path, std::string* error) {
-  std::ifstream file(path, std::ios::binary);
-  if (!file) return fail(error, "re-cache: cannot open '" + path + "'");
-  std::string magic;
-  if (!std::getline(file, magic)) {
-    return fail(error, "re-cache: '" + path + "' is not a cache file");
-  }
-  if (magic != "slocal-re-cache 2") {
-    return fail(error, magic.rfind("slocal-re-cache", 0) == 0
-                           ? "re-cache: unsupported version ('" + magic + "')"
-                           : "re-cache: '" + path + "' is not a cache file");
-  }
-  std::string checksum_text;
-  if (!std::getline(file, checksum_text) ||
-      checksum_text.size() != 9 + 16 ||
-      checksum_text.compare(0, 9, "checksum ") != 0) {
-    return fail(error, "re-cache: malformed checksum line");
-  }
-  std::uint64_t stored_checksum = 0;
-  {
-    std::istringstream hex(checksum_text.substr(9));
-    if (!(hex >> std::hex >> stored_checksum)) {
-      return fail(error, "re-cache: malformed checksum line");
-    }
-  }
-  std::ostringstream raw;
-  raw << file.rdbuf();
-  const std::string payload = raw.str();
-  if (fnv1a_bytes(payload) != stored_checksum) {
-    return fail(error, "re-cache: payload checksum mismatch (corrupt file)");
+  std::string payload;
+  if (!read_framed_file(path, kMagic, "re-cache", &payload, error)) {
+    return false;
   }
 
   std::istringstream in(payload);
@@ -174,8 +139,8 @@ bool RECache::load(const std::string& path, std::string* error) {
   loaded.reserve(count);
   for (std::size_t i = 0; i < count; ++i) {
     std::uint64_t fingerprint = 0, checksum = 0;
-    if (!(in >> tag >> std::hex >> fingerprint >> checksum >> std::dec) ||
-        tag != "entry") {
+    if (!(in >> tag) || tag != "entry" || !read_hex16(in, &fingerprint) ||
+        !read_hex16(in, &checksum)) {
       return fail(error, "re-cache: malformed entry header");
     }
     Problem input, result;

@@ -3,6 +3,8 @@
 #include <cstdio>
 #include <sstream>
 
+#include "src/util/strings.hpp"
+
 namespace slocal::serve {
 
 namespace {
@@ -13,18 +15,6 @@ std::vector<std::string> tokenize(const std::string& line) {
   std::string token;
   while (in >> token) tokens.push_back(std::move(token));
   return tokens;
-}
-
-bool parse_u64(const std::string& text, std::uint64_t* out) {
-  if (text.empty()) return false;
-  std::uint64_t value = 0;
-  for (const char c : text) {
-    if (c < '0' || c > '9') return false;
-    if (value > (UINT64_MAX - 9) / 10) return false;
-    value = value * 10 + static_cast<std::uint64_t>(c - '0');
-  }
-  *out = value;
-  return true;
 }
 
 bool fail(std::string* error, const std::string& message) {

@@ -3,18 +3,9 @@
 #include <algorithm>
 #include <chrono>
 #include <cstdio>
-#include <cstdlib>
-#include <cstring>
-#include <fstream>
-#include <sstream>
 
-#include "src/cert/check.hpp"
-#include "src/cert/format.hpp"
-#include "src/discover/discover.hpp"
-#include "src/formalism/canonical.hpp"
-#include "src/formalism/parser.hpp"
-#include "src/lift/sweep.hpp"
-#include "src/re/sequence.hpp"
+#include "src/serve/command.hpp"
+#include "src/util/strings.hpp"
 
 namespace slocal::serve {
 
@@ -34,48 +25,9 @@ constexpr std::size_t kMaxDiscoverFamily = 16;
 constexpr std::size_t kMaxDiscoverTarget = 64;
 constexpr std::size_t kMaxDiscoverExpansions = 4096;
 
-std::optional<Problem> load_problem_file(const std::string& path, std::string* error) {
-  std::ifstream in(path);
-  if (!in) {
-    *error = "cannot open '" + path + "'";
-    return std::nullopt;
-  }
-  std::stringstream buffer;
-  buffer << in.rdbuf();
-  ParseError parse_error;
-  auto problem = parse_problem_text(path, buffer.str(), &parse_error);
-  if (!problem) *error = "parse error: " + parse_error.to_string();
-  return problem;
-}
-
 /// Sweep families larger than this are rejected as invalid: one request must
 /// not pin a worker on an unbounded support list.
 constexpr std::size_t kMaxSweepSupports = 257;
-
-/// parse_sweep_family_spec plus the service's support cap.
-std::optional<SweepFamilySpec> parse_capped_family(const std::string& spec,
-                                                   std::size_t big_delta,
-                                                   std::size_t big_r,
-                                                   std::string* error) {
-  auto parsed = parse_sweep_family_spec(spec, big_delta, big_r, error);
-  if (parsed && parsed->hi - parsed->lo >= kMaxSweepSupports) {
-    *error = "family too large (more than " + std::to_string(kMaxSweepSupports) +
-             " supports)";
-    return std::nullopt;
-  }
-  return parsed;
-}
-
-/// Parses a sweep family spec into laid-out-for-reuse supports.
-std::optional<std::vector<BipartiteGraph>> parse_family(const std::string& spec,
-                                                        std::size_t big_delta,
-                                                        std::size_t big_r,
-                                                        std::string* error) {
-  const auto parsed = parse_capped_family(spec, big_delta, big_r, error);
-  if (!parsed) return std::nullopt;
-  if (parsed->cycles) return make_cycle_supports(parsed->lo, parsed->hi);
-  return make_gadget_supports(big_delta, big_r, parsed->lo, parsed->hi);
-}
 
 /// Comma-joins step verdicts the way every sweep response spells them.
 std::string join_verdicts(const std::vector<Verdict>& verdicts) {
@@ -281,22 +233,10 @@ std::string Server::sweep_group_key(const Request& request) const {
   // in lo..hi, the group solve takes the union. Requests that would fail
   // validation get no key and bounce through the per-request path.
   std::string error;
-  const auto problem = load_problem_file(request.path, &error);
-  if (!problem) return {};
-  if (request.big_delta < problem->white_degree() ||
-      request.big_r < problem->black_degree()) {
-    return {};
-  }
-  const auto spec =
-      parse_capped_family(request.family, request.big_delta, request.big_r, &error);
-  if (!spec) return {};
-  char buf[96];
-  const CanonicalForm canonical = canonicalize(*problem);
-  std::snprintf(buf, sizeof(buf), "%016llx/%zu/%zu/%s",
-                static_cast<unsigned long long>(canonical.fingerprint),
-                request.big_delta, request.big_r,
-                spec->cycles ? "cycles" : "gadgets");
-  return buf;
+  const auto plan = command::plan_sweep(request.path, request.big_delta, request.big_r,
+                                        request.family, kMaxSweepSupports, &error);
+  if (!plan) return {};
+  return command::sweep_key(*plan) + (plan->family.cycles ? "cycles" : "gadgets");
 }
 
 void Server::submit_admitted_sweep(AdmittedSweep&& admitted) {
@@ -482,41 +422,35 @@ void Server::execute_sweep_group(std::vector<AdmittedSweep> group) {
   const Request& lead = group[executor].request;
   SearchBudget& budget = *budgets[executor];
   std::string error;
-  const auto problem = load_problem_file(lead.path, &error);
-  if (!problem) {
+  const auto plan = command::plan_sweep(lead.path, lead.big_delta, lead.big_r,
+                                        lead.family, kMaxSweepSupports, &error);
+  if (!plan) {
     invalid_all(error);
     return;
   }
   std::vector<SweepGroupMember> members;
   members.reserve(group.size());
-  bool cycles = false;
   for (const AdmittedSweep& a : group) {
-    const auto spec = parse_capped_family(a.request.family, a.request.big_delta,
-                                          a.request.big_r, &error);
+    const auto spec = parse_sweep_family_spec(a.request.family, lead.big_delta,
+                                              lead.big_r, &error);
     if (!spec) {
       invalid_all(error);  // unreachable: the group key already parsed it
       return;
     }
-    cycles = spec->cycles;
     members.push_back(SweepGroupMember{spec->lo, spec->hi});
   }
 
   LiftSweepOptions options;
-  options.incremental = true;
-  options.certify_cores = false;
   options.budget = &budget;
-  const SweepGroupResult result = run_lift_sweep_group(
-      *problem, lead.big_delta, lead.big_r, cycles, members, options);
+  const SweepGroupResult result =
+      run_lift_sweep_group(plan->problem, plan->big_delta, plan->big_r,
+                           plan->family.cycles, members, options);
   if (!result.lift_materialized) {
     invalid_all("lift too large to materialize");
     return;
   }
 
-  char key_buf[96];
-  const CanonicalForm canonical = canonicalize(*problem);
-  std::snprintf(key_buf, sizeof(key_buf), "%016llx/%zu/%zu/",
-                static_cast<unsigned long long>(canonical.fingerprint),
-                lead.big_delta, lead.big_r);
+  const std::string key_prefix = command::sweep_key(*plan);
   const std::string group_size = std::to_string(group.size());
   for (std::size_t i = 0; i < group.size(); ++i) {
     // Shed members whose own budget tripped while the executor solved
@@ -548,7 +482,7 @@ void Server::execute_sweep_group(std::vector<AdmittedSweep> group) {
       // Fully decided slices feed the memo exactly like budget-clean
       // per-request sweeps, so later singletons replay them for free.
       const std::lock_guard<std::mutex> lock(memo_mutex_);
-      sweep_memo_.emplace(std::string(key_buf) + group[i].request.family,
+      sweep_memo_.emplace(key_prefix + group[i].request.family,
                           SweepMemoEntry{joined, verdicts.size()});
     }
     finish_request(group[i].ticket,
@@ -560,71 +494,55 @@ void Server::execute_sweep_group(std::vector<AdmittedSweep> group) {
   }
 }
 
+std::optional<Response> Server::unless_ok(const std::string& id,
+                                          const command::Result& result) const {
+  switch (result.outcome) {
+    case command::Outcome::kInvalid:
+      return make_invalid(id, result.error);
+    case command::Outcome::kCorrupt:
+      // Fail-closed: a torn or tampered artifact yields no verdict at all.
+      return make_corrupt(id, result.error);
+    case command::Outcome::kExhausted:
+      return make_retryable(id, "", options_.retry_after_ms, result.consumed);
+    default:
+      return std::nullopt;
+  }
+}
+
 Response Server::run_sequence(const Request& request, SearchBudget& budget) {
-  std::string error;
-  const auto problem = load_problem_file(request.path, &error);
-  if (!problem) return make_invalid(request.id, error);
   if (request.repeat > kMaxRepeat) {
     return make_invalid(request.id, "repeat exceeds " + std::to_string(kMaxRepeat));
   }
-
   // Π_0 plus `repeat` copies: the fixed-point chain workload. Requests run
   // serially inside (threads = 1) so cross-request parallelism comes from
   // the worker pool, not from nested pools fighting over cores.
-  std::vector<Problem> problems(request.repeat + 1, *problem);
   REOptions options;
   options.threads = 1;
   options.max_nodes = budget.node_limit();
-  options.budget = &budget;
   options.cache = &cache_;
-  REStats stats;
-  options.stats = &stats;
-  const SequenceReport report = verify_lower_bound_sequence(problems, options);
-
-  BudgetConsumption consumed = budget.consumption();
-  std::uint64_t search_nodes = stats.dfs_nodes;
-  bool exhausted = budget.halted();
-  for (const SequenceStepReport& step : report.steps) {
-    search_nodes += step.relaxation_nodes;
-    exhausted = exhausted || step.re_budget_exhausted ||
-                step.relaxation_verdict == Verdict::kExhausted;
-  }
-  consumed.nodes = std::max(consumed.nodes, search_nodes);
-  if (exhausted) {
-    if (consumed.reason == ExhaustReason::kNone) consumed.reason = ExhaustReason::kNodes;
-    return make_retryable(request.id, "", options_.retry_after_ms, consumed);
-  }
+  const command::SequenceResult result = command::run_sequence(
+      {request.path}, request.repeat, options, /*emit_certificate=*/false, budget);
+  if (auto failed = unless_ok(request.id, result)) return *failed;
   char body[160];
   std::snprintf(body, sizeof(body),
                 "verdict=%s steps=%zu cache_hits=%llu cache_misses=%llu",
-                report.valid ? "valid" : "invalid", report.steps.size(),
-                static_cast<unsigned long long>(stats.cache_hits),
-                static_cast<unsigned long long>(stats.cache_misses));
-  return make_ok(request.id, body, consumed);
+                result.report.valid ? "valid" : "invalid", result.report.steps.size(),
+                static_cast<unsigned long long>(result.stats.cache_hits),
+                static_cast<unsigned long long>(result.stats.cache_misses));
+  return make_ok(request.id, body, result.consumed);
 }
 
 Response Server::run_sweep(const Request& request, SearchBudget& budget) {
   std::string error;
-  const auto problem = load_problem_file(request.path, &error);
-  if (!problem) return make_invalid(request.id, error);
-  if (request.big_delta < problem->white_degree() ||
-      request.big_r < problem->black_degree()) {
-    return make_invalid(request.id, "lift targets must dominate the problem degrees");
-  }
-  const auto supports =
-      parse_family(request.family, request.big_delta, request.big_r, &error);
-  if (!supports) return make_invalid(request.id, error);
+  const auto plan = command::plan_sweep(request.path, request.big_delta, request.big_r,
+                                        request.family, kMaxSweepSupports, &error);
+  if (!plan) return make_invalid(request.id, error);
 
   // The cross-request snapshot pool: completed sweeps are keyed by the
   // canonical fingerprint of the problem plus the lift targets and family,
   // so a repeat of an already-decided sweep replays its verdicts without
   // touching a solver. Only budget-clean runs enter the memo.
-  char key_buf[96];
-  const CanonicalForm canonical = canonicalize(*problem);
-  std::snprintf(key_buf, sizeof(key_buf), "%016llx/%zu/%zu/",
-                static_cast<unsigned long long>(canonical.fingerprint),
-                request.big_delta, request.big_r);
-  const std::string memo_key = std::string(key_buf) + request.family;
+  const std::string memo_key = command::sweep_key(*plan) + request.family;
   {
     const std::lock_guard<std::mutex> lock(memo_mutex_);
     const auto it = sweep_memo_.find(memo_key);
@@ -640,78 +558,46 @@ Response Server::run_sweep(const Request& request, SearchBudget& budget) {
     }
   }
 
-  LiftSweepOptions options;
-  options.incremental = true;
-  options.certify_cores = false;
-  options.budget = &budget;
-  const LiftSweepResult result =
-      run_lift_sweep(*problem, request.big_delta, request.big_r, *supports, options);
-  if (!result.lift_materialized) {
-    return make_invalid(request.id, "lift too large to materialize");
-  }
-
-  std::string verdicts;
-  bool exhausted = budget.halted();
-  for (const LiftSweepStep& step : result.steps) {
-    if (!verdicts.empty()) verdicts += ',';
-    verdicts += to_string(step.verdict);
-    exhausted = exhausted || step.verdict == Verdict::kExhausted;
-  }
-  BudgetConsumption consumed = budget.consumption();
-  consumed.conflicts = std::max(consumed.conflicts, result.total_conflicts);
-  if (exhausted) {
-    if (consumed.reason == ExhaustReason::kNone) {
-      consumed.reason = ExhaustReason::kConflicts;
-    }
-    return make_retryable(request.id, "", options_.retry_after_ms, consumed);
-  }
+  // Incremental, without core certification: the service answers verdicts.
+  const command::SweepResult result = command::run_sweep(*plan, {}, budget);
+  if (auto failed = unless_ok(request.id, result)) return *failed;
+  std::vector<Verdict> verdicts;
+  for (const LiftSweepStep& step : result.sweep.steps) verdicts.push_back(step.verdict);
+  const std::string joined = join_verdicts(verdicts);
   {
     const std::lock_guard<std::mutex> lock(memo_mutex_);
-    sweep_memo_.emplace(memo_key,
-                        SweepMemoEntry{verdicts, result.steps.size()});
+    sweep_memo_.emplace(memo_key, SweepMemoEntry{joined, verdicts.size()});
   }
   return make_ok(request.id,
-                 "verdicts=" + verdicts + " supports=" +
-                     std::to_string(result.steps.size()) + " clauses=" +
-                     std::to_string(result.total_clauses) + " memo=miss",
-                 consumed);
+                 "verdicts=" + joined + " supports=" + std::to_string(verdicts.size()) +
+                     " clauses=" + std::to_string(result.sweep.total_clauses) +
+                     " memo=miss",
+                 result.consumed);
 }
 
 Response Server::run_check_cert(const Request& request, SearchBudget& budget) {
-  cert::Certificate certificate;
-  std::string error;
-  if (!cert::load_certificate(request.path, &certificate, &error)) {
-    // Fail-closed: a torn or tampered certificate yields no verdict at all.
-    return make_corrupt(request.id, error);
-  }
-  const cert::CertCheckResult result = cert::check_certificate(certificate);
-  const char* verdict =
-      result.status == cert::CertStatus::kValid ? "valid" : "invalid";
-  return make_ok(request.id, std::string("verdict=") + verdict,
-                 budget.consumption());
+  command::CheckCertResult result = command::run_check_cert(request.path);
+  result.consumed = budget.consumption();
+  if (auto failed = unless_ok(request.id, result)) return *failed;
+  return make_ok(request.id,
+                 result.outcome == command::Outcome::kYes ? "verdict=valid"
+                                                          : "verdict=invalid",
+                 result.consumed);
 }
 
 Response Server::run_discover(const Request& request, SearchBudget& budget) {
   // request.path is a comma-joined family; the first file doubles as the
   // search root, exactly like the CLI's positional list.
-  std::vector<Problem> family;
-  std::string error;
-  std::size_t start = 0;
-  while (start <= request.path.size()) {
-    const std::size_t comma = request.path.find(',', start);
-    const std::string piece = request.path.substr(
-        start, comma == std::string::npos ? std::string::npos : comma - start);
-    if (piece.empty()) return make_invalid(request.id, "empty family member");
-    if (family.size() >= kMaxDiscoverFamily) {
-      return make_invalid(request.id, "family exceeds " +
-                                          std::to_string(kMaxDiscoverFamily) +
-                                          " problems");
-    }
-    const auto problem = load_problem_file(piece, &error);
-    if (!problem) return make_invalid(request.id, error);
-    family.push_back(*problem);
-    if (comma == std::string::npos) break;
-    start = comma + 1;
+  const std::string& joined = request.path;
+  if (joined.front() == ',' || joined.back() == ',' ||
+      joined.find(",,") != std::string::npos) {
+    return make_invalid(request.id, "empty family member");
+  }
+  const std::vector<std::string> paths = split(joined, ",");
+  if (paths.size() > kMaxDiscoverFamily) {
+    return make_invalid(request.id, "family exceeds " +
+                                        std::to_string(kMaxDiscoverFamily) +
+                                        " problems");
   }
   if (request.target > kMaxDiscoverTarget) {
     return make_invalid(request.id, "target exceeds " +
@@ -732,46 +618,27 @@ Response Server::run_discover(const Request& request, SearchBudget& budget) {
   options.max_expansions = request.max_expansions;
   options.threads = 1;
   options.total_nodes = budget.node_limit();
-  options.budget = &budget;
   options.cache = &cache_;
-  const discover::DiscoverResult result = discover::run_discovery(family, options);
-
-  BudgetConsumption consumed = budget.consumption();
-  consumed.nodes = std::max(consumed.nodes, result.stats.nodes_spent);
-  switch (result.status) {
-    case discover::DiscoverStatus::kFound: {
-      const discover::Discovery& find = result.found.front();
-      char body[192];
-      std::snprintf(body, sizeof(body),
-                    "status=found steps=%zu pumped=%d fp=%016llx "
-                    "expansions=%llu cache_hits=%llu cache_misses=%llu",
-                    find.chain.size() - 1, find.pumped ? 1 : 0,
-                    static_cast<unsigned long long>(find.fingerprints.front()),
-                    static_cast<unsigned long long>(result.stats.expansions),
-                    static_cast<unsigned long long>(result.stats.cache_hits),
-                    static_cast<unsigned long long>(result.stats.cache_misses));
-      return make_ok(request.id, body, consumed);
-    }
-    case discover::DiscoverStatus::kNone: {
-      char body[128];
-      std::snprintf(body, sizeof(body),
-                    "status=none expansions=%llu generated=%llu",
-                    static_cast<unsigned long long>(result.stats.expansions),
-                    static_cast<unsigned long long>(
-                        result.stats.candidates_generated));
-      return make_ok(request.id, body, consumed);
-    }
-    case discover::DiscoverStatus::kCorrupt:
-      // Unreachable today (requests never name a checkpoint file), but the
-      // fail-closed class is the right answer if that ever changes.
-      return make_corrupt(request.id, "discover checkpoint failed validation");
-    case discover::DiscoverStatus::kExhausted:
-      break;
+  const command::DiscoverResult result = command::run_discover(paths, options, budget);
+  if (auto failed = unless_ok(request.id, result)) return *failed;
+  const discover::DiscoverStats& stats = result.discovery.stats;
+  char body[192];
+  if (result.outcome == command::Outcome::kYes) {
+    const discover::Discovery& find = result.discovery.found.front();
+    std::snprintf(body, sizeof(body),
+                  "status=found steps=%zu pumped=%d fp=%016llx "
+                  "expansions=%llu cache_hits=%llu cache_misses=%llu",
+                  find.chain.size() - 1, find.pumped ? 1 : 0,
+                  static_cast<unsigned long long>(find.fingerprints.front()),
+                  static_cast<unsigned long long>(stats.expansions),
+                  static_cast<unsigned long long>(stats.cache_hits),
+                  static_cast<unsigned long long>(stats.cache_misses));
+  } else {
+    std::snprintf(body, sizeof(body), "status=none expansions=%llu generated=%llu",
+                  static_cast<unsigned long long>(stats.expansions),
+                  static_cast<unsigned long long>(stats.candidates_generated));
   }
-  if (consumed.reason == ExhaustReason::kNone) {
-    consumed.reason = ExhaustReason::kNodes;
-  }
-  return make_retryable(request.id, "", options_.retry_after_ms, consumed);
+  return make_ok(request.id, body, result.consumed);
 }
 
 void Server::finish_request(std::uint64_t ticket, const Response& response) {

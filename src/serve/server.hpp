@@ -66,6 +66,10 @@
 #include "src/util/budget.hpp"
 #include "src/util/thread_pool.hpp"
 
+namespace slocal::command {
+struct Result;
+}  // namespace slocal::command
+
 namespace slocal::serve {
 
 struct ServeOptions {
@@ -217,6 +221,10 @@ class Server {
   void execute(const Request& request, std::uint64_t ticket,
                FaultInjector::RequestFaults faults);
   void execute_sweep_group(std::vector<AdmittedSweep> group);
+  /// The response for a command-core result that is not a verdict
+  /// (invalid, corrupt, retryable); nullopt for a yes/no the caller renders.
+  std::optional<Response> unless_ok(const std::string& id,
+                                    const command::Result& result) const;
   Response run_sequence(const Request& request, SearchBudget& budget);
   Response run_sweep(const Request& request, SearchBudget& budget);
   Response run_check_cert(const Request& request, SearchBudget& budget);

@@ -1,8 +1,8 @@
 // Crash-safe whole-file writes: write-temp + fsync + atomic rename.
 //
-// Every persistent artifact in the repo (RE cache shards, serve
-// checkpoints) must satisfy one invariant: a reader never observes a
-// half-written file. POSIX rename(2) within one directory is atomic, so
+// Every persistent artifact in the repo (RE caches, serve checkpoints,
+// discover checkpoints, proof certificates) must satisfy one invariant: a
+// reader never observes a half-written file. POSIX rename(2) within one directory is atomic, so
 // the protocol is write the full payload to a unique temp file, fsync it,
 // rename it over the destination, and fsync the directory so the rename
 // itself survives a power cut. A process killed at any instant leaves

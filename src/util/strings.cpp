@@ -16,6 +16,18 @@ std::vector<std::string> split(std::string_view text, std::string_view delims) {
   return out;
 }
 
+bool parse_u64(std::string_view text, std::uint64_t* out) {
+  if (text.empty()) return false;
+  std::uint64_t value = 0;
+  for (const char c : text) {
+    if (c < '0' || c > '9') return false;
+    if (value > (UINT64_MAX - 9) / 10) return false;
+    value = value * 10 + static_cast<std::uint64_t>(c - '0');
+  }
+  *out = value;
+  return true;
+}
+
 std::vector<std::string> split_lines(std::string_view text) {
   std::vector<std::string> out;
   std::size_t start = 0;

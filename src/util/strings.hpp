@@ -1,7 +1,8 @@
-// Small string utilities shared by the problem parser/printer and report
-// formatting in benches.
+// Small string utilities shared by the problem parser/printer, report
+// formatting in benches, and the numeric flags of the command-line tools.
 #pragma once
 
+#include <cstdint>
 #include <string>
 #include <string_view>
 #include <vector>
@@ -13,6 +14,10 @@ std::vector<std::string> split(std::string_view text, std::string_view delims = 
 
 /// Split into lines (on '\n'), dropping empty/whitespace-only lines.
 std::vector<std::string> split_lines(std::string_view text);
+
+/// Strict unsigned decimal: one or more digits and nothing else — no sign,
+/// no whitespace, no overflow. False leaves *out untouched.
+bool parse_u64(std::string_view text, std::uint64_t* out);
 
 std::string trim(std::string_view text);
 

@@ -8,8 +8,9 @@
 //  * budgets: exhausted responses carry the request's consumption counters;
 //    injected exhaustion and watchdog cancels never flip a verdict;
 //  * checkpointing: a torn checkpoint is never served — recovery falls back
-//    to the previous good generation; RECache::save itself survives
-//    SIGKILL at arbitrary offsets (atomic rename, pinned here);
+//    to the previous good generation; every persisted format (RE cache,
+//    discover checkpoint, certificate) survives SIGKILL at arbitrary save
+//    offsets (atomic rename, pinned here);
 //  * the binary: ready banner, clean EOF shutdown, SIGTERM flushes the
 //    checkpoint and exits 0; slocal_tool exits 3 on SIGINT with the cache
 //    intact.
@@ -30,6 +31,7 @@
 #include <cstring>
 #include <filesystem>
 #include <fstream>
+#include <functional>
 #include <map>
 #include <mutex>
 #include <sstream>
@@ -38,9 +40,11 @@
 #include <vector>
 
 #include "gtest/gtest.h"
+#include "src/cert/emit.hpp"
 #include "src/discover/checkpoint.hpp"
 #include "src/formalism/canonical.hpp"
 #include "src/formalism/parser.hpp"
+#include "src/graph/generators.hpp"
 #include "src/net/batcher.hpp"
 #include "src/problems/matching_family.hpp"
 #include "src/re/re_cache.hpp"
@@ -570,11 +574,8 @@ void populate_cache(RECache* cache) {
   for (const char* name :
        {"two_coloring.txt", "maximal_matching_3.txt", "edge_parity_3.txt",
         "sinkless_orientation_3.txt", "weak_2_coloring_r3.txt"}) {
-    std::ifstream in(problem(name));
-    std::stringstream buffer;
-    buffer << in.rdbuf();
-    ParseError parse_error;
-    const auto pi = parse_problem_text(name, buffer.str(), &parse_error);
+    std::string error;
+    const auto pi = load_problem_file(problem(name), &error);
     if (!pi) continue;
     const CanonicalForm canonical = canonicalize(*pi);
     cache->insert(canonical, canonical.problem);
@@ -788,92 +789,100 @@ TEST(ServeSoak, FaultInjectionNeverFlipsVerdictsOrTearsServedState) {
   remove_checkpoint_files(path);
 }
 
-// ------------------------------------------------- RECache save atomicity
+// ------------------------------------------------------ save atomicity
+//
+// Every persisted format saves through write_file_atomic: a SIGKILL at any
+// moment leaves either the previous complete file or the new complete one
+// — never a torn file. One row per format; each child saves the same
+// object in a tight loop until the parent kills it mid-write.
 
-TEST(RECacheAtomicity, SaveSurvivesSigkillAtArbitraryOffsets) {
-  const std::string path = temp_path("kill_save");
-  std::error_code ec;
-  for (const useconds_t delay_us : {100u, 500u, 1200u, 2500u, 4000u}) {
-    std::filesystem::remove(path, ec);
-    const pid_t pid = fork();
-    ASSERT_GE(pid, 0);
-    if (pid == 0) {
-      // Child: save the same multi-entry cache in a tight loop until the
-      // parent kills us mid-write. Under the old truncate-in-place writer
-      // this leaves a torn file; under atomic rename it never can.
-      RECache cache;
-      populate_cache(&cache);
-      for (;;) {
-        std::string error;
-        if (!cache.save(path, &error)) _exit(2);
-      }
-    }
-    ::usleep(delay_us);
-    ASSERT_EQ(::kill(pid, SIGKILL), 0);
-    int status = 0;
-    ASSERT_EQ(::waitpid(pid, &status, 0), pid);
-    ASSERT_TRUE(WIFSIGNALED(status));
-    if (std::filesystem::exists(path, ec)) {
-      RECache loaded;
-      std::string error;
-      EXPECT_TRUE(loaded.load(path, &error))
-          << "torn cache after SIGKILL at " << delay_us << "us: " << error;
-    }
-  }
-  std::filesystem::remove(path, ec);
-  std::filesystem::remove(path + ".tmp." + std::to_string(::getpid()), ec);
-}
+struct AtomicSaveRow {
+  const char* name;
+  std::function<bool(const std::string& path)> save;
+  std::function<bool(const std::string& path, std::string* error)> load;
+};
 
-TEST(DiscoverCheckpointAtomicity, SaveSurvivesSigkillAtArbitraryOffsets) {
-  // Same contract as the RECache writer, for the "slocal-discover 1"
-  // frontier format: a SIGKILL at any moment leaves either the previous
-  // generation or a complete new one — never a torn file. This is what
-  // makes resuming a killed `slocal_tool discover --checkpoint=` run safe.
-  const std::string path = temp_path("kill_discover");
-  discover::FrontierCheckpoint cp;
-  cp.target_length = 2;
-  cp.next_seq = 4;
-  cp.expansions = 2;
-  cp.nodes_spent = 999;
+TEST(AtomicSave, SurvivesSigkillAtArbitraryOffsets) {
+  RECache cache;
+  populate_cache(&cache);
+
+  // The "slocal-discover 1" frontier: what makes resuming a killed
+  // `slocal_tool discover --checkpoint=` run safe.
+  discover::FrontierCheckpoint frontier;
+  frontier.target_length = 2;
+  frontier.next_seq = 4;
+  frontier.expansions = 2;
+  frontier.nodes_spent = 999;
   const Problem p0 = make_matching_problem(3, 0, 1);
   const Problem p1 = make_matching_problem(3, 1, 1);
-  cp.visited = {canonicalize(p0).fingerprint, canonicalize(p1).fingerprint};
-  std::sort(cp.visited.begin(), cp.visited.end());
+  frontier.visited = {canonicalize(p0).fingerprint, canonicalize(p1).fingerprint};
+  std::sort(frontier.visited.begin(), frontier.visited.end());
   discover::FrontierNode node;
   node.score = 7;
   node.seq = 3;
   node.chain = {p0, p1};
-  node.fingerprints = {canonicalize(p0).fingerprint,
-                       canonicalize(p1).fingerprint};
-  cp.frontier.push_back(node);
+  node.fingerprints = {canonicalize(p0).fingerprint, canonicalize(p1).fingerprint};
+  frontier.frontier.push_back(node);
+
+  // A lift-unsat certificate with a DRAT refutation: a multi-kilobyte file.
+  const auto certificate = cert::make_lift_unsat_certificate(
+      make_matching_problem(2, 0, 1), 5, 5, make_complete_bipartite(5, 5));
+  ASSERT_TRUE(certificate.has_value());
+
+  const std::vector<AtomicSaveRow> rows = {
+      {"re-cache", [&](const std::string& path) { return cache.save(path); },
+       [](const std::string& path, std::string* error) {
+         RECache loaded;
+         return loaded.load(path, error);
+       }},
+      {"discover-checkpoint",
+       [&](const std::string& path) {
+         return discover::save_frontier_checkpoint(frontier, path, nullptr);
+       },
+       [](const std::string& path, std::string* error) {
+         discover::FrontierCheckpoint loaded;
+         return discover::load_frontier_checkpoint(path, &loaded, error) &&
+                loaded.frontier.size() == 1;
+       }},
+      {"certificate",
+       [&](const std::string& path) {
+         return cert::save_certificate(*certificate, path, nullptr);
+       },
+       [](const std::string& path, std::string* error) {
+         cert::Certificate loaded;
+         return cert::load_certificate(path, &loaded, error);
+       }},
+  };
 
   std::error_code ec;
-  for (const useconds_t delay_us : {100u, 500u, 1200u, 2500u, 4000u}) {
-    std::filesystem::remove(path, ec);
-    const pid_t pid = fork();
-    ASSERT_GE(pid, 0);
-    if (pid == 0) {
-      for (;;) {
+  for (const AtomicSaveRow& row : rows) {
+    SCOPED_TRACE(row.name);
+    const std::string path = temp_path(row.name);
+    for (const useconds_t delay_us :
+         {100u, 300u, 500u, 800u, 1200u, 1700u, 2500u, 3200u, 4000u, 5000u}) {
+      std::filesystem::remove(path, ec);
+      const pid_t pid = fork();
+      ASSERT_GE(pid, 0);
+      if (pid == 0) {
+        for (;;) {
+          if (!row.save(path)) _exit(2);
+        }
+      }
+      ::usleep(delay_us);
+      ASSERT_EQ(::kill(pid, SIGKILL), 0);
+      int status = 0;
+      ASSERT_EQ(::waitpid(pid, &status, 0), pid);
+      ASSERT_TRUE(WIFSIGNALED(status));
+      if (std::filesystem::exists(path, ec)) {
         std::string error;
-        if (!discover::save_frontier_checkpoint(cp, path, &error)) _exit(2);
+        EXPECT_TRUE(row.load(path, &error))
+            << "torn " << row.name << " after SIGKILL at " << delay_us
+            << "us: " << error;
       }
     }
-    ::usleep(delay_us);
-    ASSERT_EQ(::kill(pid, SIGKILL), 0);
-    int status = 0;
-    ASSERT_EQ(::waitpid(pid, &status, 0), pid);
-    ASSERT_TRUE(WIFSIGNALED(status));
-    if (std::filesystem::exists(path, ec)) {
-      discover::FrontierCheckpoint loaded;
-      std::string error;
-      EXPECT_TRUE(discover::load_frontier_checkpoint(path, &loaded, &error))
-          << "torn discover checkpoint after SIGKILL at " << delay_us
-          << "us: " << error;
-      EXPECT_EQ(loaded.frontier.size(), 1u);
-    }
+    std::filesystem::remove(path, ec);
+    std::filesystem::remove(path + ".tmp." + std::to_string(::getpid()), ec);
   }
-  std::filesystem::remove(path, ec);
-  std::filesystem::remove(path + ".tmp." + std::to_string(::getpid()), ec);
 }
 
 // ------------------------------------------------------------- subprocess
@@ -1021,11 +1030,30 @@ TEST(ServeBinary, SigtermFlushesCheckpointAndExitsZero) {
 }
 
 TEST(ServeBinary, RejectsBadFlagsWithUsage) {
-  ServeProcess proc = spawn_serve({"--fault-plan=bogus=1"});
+  // A malformed numeric value is a usage error, never a silent default.
+  for (const char* flag : {"--fault-plan=bogus=1", "--workers=abc"}) {
+    ServeProcess proc = spawn_serve({flag});
+    ASSERT_GT(proc.pid, 0);
+    const int status = proc.close_stdin_and_wait();
+    EXPECT_TRUE(WIFEXITED(status)) << flag;
+    EXPECT_EQ(WEXITSTATUS(status), 64) << flag;
+  }
+}
+
+TEST(ServeBinary, EofDrainsInFlightRequestsBeforeShutdown) {
+  // A piped client closes stdin right after its last request: the request
+  // still runs to its verdict (drain first), it is not cancelled at EOF.
+  ServeProcess proc = spawn_serve({});
   ASSERT_GT(proc.pid, 0);
+  ASSERT_TRUE(proc.send("req e1 sequence " + problem("two_coloring.txt") +
+                        " repeat=4\n"));
   const int status = proc.close_stdin_and_wait();
   EXPECT_TRUE(WIFEXITED(status));
-  EXPECT_EQ(WEXITSTATUS(status), 64);
+  EXPECT_EQ(WEXITSTATUS(status), 0);
+  EXPECT_NE(proc.buffered.find("resp e1 ok"), std::string::npos) << proc.buffered;
+  EXPECT_NE(proc.buffered.find("verdict=valid"), std::string::npos) << proc.buffered;
+  EXPECT_NE(proc.buffered.find("bye checkpoint=flushed"), std::string::npos)
+      << proc.buffered;
 }
 
 TEST(ToolSignals, SigintExitsThreeAndLeavesCacheLoadable) {

@@ -108,6 +108,10 @@ std::vector<ExitRow> exit_rows() {
       {"SweepDecidesCyclesNoInprocessing",
        sweep_cycles + " --no-inprocessing", 64},
       {"SweepExhaustsUnderNodeCap", sweep_cycles + " --max-nodes=1", 3},
+      // A malformed numeric flag is a usage error, never an unbudgeted run.
+      {"SweepRejectsNonNumericNodeCap", sweep_cycles + " --max-nodes=abc", 64},
+      {"SweepRejectsEmptyNodeCap", sweep_cycles + " --max-nodes=", 64},
+      {"SweepRejectsNegativeTimeout", sweep_cycles + " --timeout-ms=-1", 64},
       {"SweepRejectsNonDominatingLift",
        "sweep " + problem("maximal_matching_3.txt") + "3 1 gadgets:1..3", 1},
       // sequence: two_coloring is an RE fixed point (repeat chains verify);
