@@ -793,19 +793,52 @@ TEST(ServeSoak, FaultInjectionNeverFlipsVerdictsOrTearsServedState) {
 //
 // Every persisted format saves through write_file_atomic: a SIGKILL at any
 // moment leaves either the previous complete file or the new complete one
-// — never a torn file. One row per format; each child saves the same
-// object in a tight loop until the parent kills it mid-write.
+// — never a torn file. One test per format; each forks a child that saves
+// the same object in a tight loop until the parent kills it mid-write.
 
-struct AtomicSaveRow {
-  const char* name;
-  std::function<bool(const std::string& path)> save;
-  std::function<bool(const std::string& path, std::string* error)> load;
-};
+void expect_save_survives_sigkill(
+    const char* name, const std::function<bool(const std::string&)>& save,
+    const std::function<bool(const std::string&, std::string*)>& load) {
+  const std::string path = temp_path(name);
+  std::error_code ec;
+  for (const useconds_t delay_us :
+       {100u, 300u, 500u, 800u, 1200u, 1700u, 2500u, 3200u, 4000u, 5000u}) {
+    std::filesystem::remove(path, ec);
+    const pid_t pid = fork();
+    ASSERT_GE(pid, 0);
+    if (pid == 0) {
+      for (;;) {
+        if (!save(path)) _exit(2);
+      }
+    }
+    ::usleep(delay_us);
+    ASSERT_EQ(::kill(pid, SIGKILL), 0);
+    int status = 0;
+    ASSERT_EQ(::waitpid(pid, &status, 0), pid);
+    ASSERT_TRUE(WIFSIGNALED(status));
+    if (std::filesystem::exists(path, ec)) {
+      std::string error;
+      EXPECT_TRUE(load(path, &error))
+          << "torn " << name << " after SIGKILL at " << delay_us
+          << "us: " << error;
+    }
+  }
+  std::filesystem::remove(path, ec);
+  std::filesystem::remove(path + ".tmp." + std::to_string(::getpid()), ec);
+}
 
-TEST(AtomicSave, SurvivesSigkillAtArbitraryOffsets) {
+TEST(RECacheAtomicity, SaveSurvivesSigkillAtArbitraryOffsets) {
   RECache cache;
   populate_cache(&cache);
+  expect_save_survives_sigkill(
+      "re-cache", [&](const std::string& path) { return cache.save(path); },
+      [](const std::string& path, std::string* error) {
+        RECache loaded;
+        return loaded.load(path, error);
+      });
+}
 
+TEST(DiscoverCheckpointAtomicity, SaveSurvivesSigkillAtArbitraryOffsets) {
   // The "slocal-discover 1" frontier: what makes resuming a killed
   // `slocal_tool discover --checkpoint=` run safe.
   discover::FrontierCheckpoint frontier;
@@ -823,66 +856,32 @@ TEST(AtomicSave, SurvivesSigkillAtArbitraryOffsets) {
   node.chain = {p0, p1};
   node.fingerprints = {canonicalize(p0).fingerprint, canonicalize(p1).fingerprint};
   frontier.frontier.push_back(node);
+  expect_save_survives_sigkill(
+      "discover-checkpoint",
+      [&](const std::string& path) {
+        return discover::save_frontier_checkpoint(frontier, path, nullptr);
+      },
+      [](const std::string& path, std::string* error) {
+        discover::FrontierCheckpoint loaded;
+        return discover::load_frontier_checkpoint(path, &loaded, error) &&
+               loaded.frontier.size() == 1;
+      });
+}
 
+TEST(CertificateAtomicity, SaveSurvivesSigkillAtArbitraryOffsets) {
   // A lift-unsat certificate with a DRAT refutation: a multi-kilobyte file.
   const auto certificate = cert::make_lift_unsat_certificate(
       make_matching_problem(2, 0, 1), 5, 5, make_complete_bipartite(5, 5));
   ASSERT_TRUE(certificate.has_value());
-
-  const std::vector<AtomicSaveRow> rows = {
-      {"re-cache", [&](const std::string& path) { return cache.save(path); },
-       [](const std::string& path, std::string* error) {
-         RECache loaded;
-         return loaded.load(path, error);
-       }},
-      {"discover-checkpoint",
-       [&](const std::string& path) {
-         return discover::save_frontier_checkpoint(frontier, path, nullptr);
-       },
-       [](const std::string& path, std::string* error) {
-         discover::FrontierCheckpoint loaded;
-         return discover::load_frontier_checkpoint(path, &loaded, error) &&
-                loaded.frontier.size() == 1;
-       }},
-      {"certificate",
-       [&](const std::string& path) {
-         return cert::save_certificate(*certificate, path, nullptr);
-       },
-       [](const std::string& path, std::string* error) {
-         cert::Certificate loaded;
-         return cert::load_certificate(path, &loaded, error);
-       }},
-  };
-
-  std::error_code ec;
-  for (const AtomicSaveRow& row : rows) {
-    SCOPED_TRACE(row.name);
-    const std::string path = temp_path(row.name);
-    for (const useconds_t delay_us :
-         {100u, 300u, 500u, 800u, 1200u, 1700u, 2500u, 3200u, 4000u, 5000u}) {
-      std::filesystem::remove(path, ec);
-      const pid_t pid = fork();
-      ASSERT_GE(pid, 0);
-      if (pid == 0) {
-        for (;;) {
-          if (!row.save(path)) _exit(2);
-        }
-      }
-      ::usleep(delay_us);
-      ASSERT_EQ(::kill(pid, SIGKILL), 0);
-      int status = 0;
-      ASSERT_EQ(::waitpid(pid, &status, 0), pid);
-      ASSERT_TRUE(WIFSIGNALED(status));
-      if (std::filesystem::exists(path, ec)) {
-        std::string error;
-        EXPECT_TRUE(row.load(path, &error))
-            << "torn " << row.name << " after SIGKILL at " << delay_us
-            << "us: " << error;
-      }
-    }
-    std::filesystem::remove(path, ec);
-    std::filesystem::remove(path + ".tmp." + std::to_string(::getpid()), ec);
-  }
+  expect_save_survives_sigkill(
+      "certificate",
+      [&](const std::string& path) {
+        return cert::save_certificate(*certificate, path, nullptr);
+      },
+      [](const std::string& path, std::string* error) {
+        cert::Certificate loaded;
+        return cert::load_certificate(path, &loaded, error);
+      });
 }
 
 // ------------------------------------------------------------- subprocess
