@@ -89,7 +89,7 @@ void print_stats_json(std::FILE* f, const REStats& s, const char* indent) {
                s.relax_ms, indent, s.total_ms);
 }
 
-/// E2d — a deliberately tiny node budget on the hardest E2 row: the engine
+/// E2d — a deliberately tiny node budget on the Δ=6 E2 row: the engine
 /// must abort quickly (well under the row's full runtime) with the perf
 /// counters intact at the point of exhaustion.
 struct BudgetDemo {
@@ -449,7 +449,8 @@ void print_table() {
       "%3s %3s %3s | %8s %6s %6s | %10s | %9s %9s\n",
       "Δ", "x", "y", "|Σ(RE)|", "|W|", "|B|", "relaxation", "par ms", "ser ms");
   const std::vector<std::tuple<std::size_t, std::size_t, std::size_t>> params{
-      {4, 0, 1}, {4, 1, 1}, {4, 2, 1}, {5, 0, 1}, {5, 1, 1}, {5, 1, 2}, {6, 1, 2}};
+      {4, 0, 1}, {4, 1, 1}, {4, 2, 1}, {5, 0, 1}, {5, 1, 1},
+      {5, 1, 2}, {6, 1, 2}, {8, 2, 3}, {10, 1, 2}};
   std::vector<E2Row> rows;
   REStats totals;
   double table_wall_ms = 0.0;

@@ -2,6 +2,7 @@
 
 #include <algorithm>
 #include <cassert>
+#include <unordered_map>
 
 namespace slocal {
 
@@ -62,63 +63,93 @@ std::size_t Constraint::add_condensed(const std::vector<std::vector<Label>>& alt
   return inserted;
 }
 
+SubmultisetAutomaton::State SubmultisetAutomaton::walk(std::span<const Label> labels) const {
+  State s = root_;
+  for (const Label l : labels) s = next(s, l);
+  return s;
+}
+
 bool Constraint::extendable(const Configuration& partial) const {
   if (partial.size() > degree_) return false;
-  if (extension_index_) return extension_index_->contains(partial);
+  if (extension_index_) {
+    return extension_index_->walk(partial.labels()) != SubmultisetAutomaton::kDead;
+  }
   return std::any_of(configs_.begin(), configs_.end(), [&](const Configuration& c) {
     return partial.submultiset_of(c);
   });
 }
 
 bool Constraint::build_extension_index(std::size_t max_entries) const {
+  using State = SubmultisetAutomaton::State;
   if (extension_index_) return true;
 
-  // Projected size (an upper bound: sub-multisets shared between members
-  // dedupe): for a member with label multiplicities m_1..m_k there are
-  // prod(m_i + 1) sub-multisets.
+  // Compress every member to (label, multiplicity) runs; labels are sorted,
+  // so a run-order emission of counts is canonical. The projected state
+  // count is an upper bound (sub-multisets shared between members dedupe):
+  // a member with multiplicities m_1..m_k has prod(m_i + 1) sub-multisets.
+  std::vector<std::vector<std::pair<Label, std::size_t>>> member_runs;
+  member_runs.reserve(configs_.size());
   std::uint64_t projected = 0;
+  std::size_t width = 0;
   for (const auto& c : configs_) {
-    std::uint64_t per_member = 1;
     const auto labels = c.labels();
+    auto& runs = member_runs.emplace_back();
+    std::uint64_t per_member = 1;
     for (std::size_t i = 0; i < labels.size();) {
       std::size_t j = i;
       while (j < labels.size() && labels[j] == labels[i]) ++j;
+      runs.emplace_back(labels[i], j - i);
       per_member *= static_cast<std::uint64_t>(j - i) + 1;
+      width = std::max<std::size_t>(width, labels[i] + std::size_t{1});
       i = j;
     }
     projected += per_member;
     if (projected > max_entries) return false;
   }
 
-  auto index = std::make_unique<std::unordered_set<Configuration>>();
-  index->reserve(static_cast<std::size_t>(projected));
+  // A member's sub-multisets form a lattice (one count 0..m_i per run),
+  // addressed here in mixed radix. Every transition s -> s ⊎ {l} of the
+  // automaton stays inside the lattice of any member containing s ⊎ {l}, so
+  // walking each lattice once numbers every state and fills every live
+  // transition; the rest of the table stays kDead.
+  auto index = std::make_shared<SubmultisetAutomaton>();
+  index->width_ = width;
+  index->next_.assign(width, SubmultisetAutomaton::kDead);  // the kDead row
+  std::unordered_map<Configuration, State> ids;
+  ids.reserve(static_cast<std::size_t>(projected));
+  std::vector<State> lattice;
+  std::vector<std::size_t> counts;
   std::vector<Label> chosen;
   chosen.reserve(degree_);
-  for (const auto& c : configs_) {
-    const auto labels = c.labels();
-    // Compress to (label, multiplicity) runs; labels are sorted, so
-    // emitting counts in run order keeps `chosen` canonical.
-    std::vector<std::pair<Label, std::size_t>> runs;
-    for (std::size_t i = 0; i < labels.size();) {
-      std::size_t j = i;
-      while (j < labels.size() && labels[j] == labels[i]) ++j;
-      runs.emplace_back(labels[i], j - i);
-      i = j;
+  for (const auto& runs : member_runs) {
+    std::size_t points = 1;
+    for (const auto& run : runs) points *= run.second + 1;
+    lattice.resize(points);
+    counts.assign(runs.size(), 0);
+    for (std::size_t point = 0; point < points; ++point) {
+      chosen.clear();
+      for (std::size_t r = 0; r < runs.size(); ++r) {
+        chosen.insert(chosen.end(), counts[r], runs[r].first);
+      }
+      const auto [it, fresh] =
+          ids.try_emplace(Configuration(chosen), static_cast<State>(ids.size() + 1));
+      if (fresh) index->next_.resize(index->next_.size() + width, SubmultisetAutomaton::kDead);
+      lattice[point] = it->second;
+      // Next point in mixed radix (run 0 is the least significant digit).
+      for (std::size_t r = 0; r < runs.size() && ++counts[r] > runs[r].second; ++r) counts[r] = 0;
     }
-    auto emit = [&](auto&& self, std::size_t run) -> void {
-      if (run == runs.size()) {
-        index->insert(Configuration(chosen));
-        return;
+    std::size_t stride = 1;
+    for (const auto& [label, multiplicity] : runs) {
+      for (std::size_t point = 0; point < points; ++point) {
+        if ((point / stride) % (multiplicity + 1) == multiplicity) continue;  // run full
+        index->next_[static_cast<std::size_t>(lattice[point]) * width + label] =
+            lattice[point + stride];
       }
-      self(self, run + 1);  // take 0 copies
-      for (std::size_t k = 1; k <= runs[run].second; ++k) {
-        chosen.push_back(runs[run].first);
-        self(self, run + 1);
-      }
-      chosen.resize(chosen.size() - runs[run].second);
-    };
-    emit(emit, 0);
+      stride *= multiplicity + 1;
+    }
   }
+  index->states_ = ids.size() + 1;
+  if (!configs_.empty()) index->root_ = ids.at(Configuration{});
   extension_index_ = std::move(index);
   return true;
 }

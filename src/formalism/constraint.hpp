@@ -3,12 +3,14 @@
 // Supports condensed configurations ([AB][CD]E regular-expression style):
 // a vector of per-position alternative sets expands to the product set.
 // Also provides the queries the solvers need: exact membership and
-// "is this partial multiset extendable to a member?".
+// "is this partial multiset extendable to a member?", the latter backed by
+// a sub-multiset automaton that the search engines walk directly.
 #pragma once
 
 #include <cstdint>
 #include <functional>
 #include <memory>
+#include <span>
 #include <string>
 #include <unordered_set>
 #include <vector>
@@ -17,6 +19,46 @@
 #include "src/formalism/label.hpp"
 
 namespace slocal {
+
+/// Every sub-multiset of every member of a constraint, as a deterministic
+/// automaton over labels. States are the distinct sub-multisets, numbered
+/// densely; next(s, l) is the state of s ⊎ {l}, or kDead when s ⊎ {l} lies
+/// inside no member. kDead is an absorbing sink, so a walk stays live
+/// exactly as long as the labels read so far extend to a member, and a live
+/// state reached after as many labels as the constraint's degree is a
+/// member. Search engines keep a
+/// set of partial multisets as a vector of state ids: extending a partial,
+/// testing it and deduplicating it are table lookups, with no Configuration
+/// allocated or hashed.
+class SubmultisetAutomaton {
+ public:
+  using State = std::uint32_t;
+  static constexpr State kDead = 0;
+
+  /// The empty multiset; kDead when the constraint has no members.
+  State root() const { return root_; }
+
+  State next(State s, Label l) const {
+    return l < width_ ? next_[static_cast<std::size_t>(s) * width_ + l] : kDead;
+  }
+
+  /// The state reached from root() by reading `labels` in any order.
+  State walk(std::span<const Label> labels) const;
+
+  /// Live states (sub-multisets, the empty one included).
+  std::size_t size() const { return states_ - 1; }
+
+  /// One past the largest state id: the length of a per-state scratch array.
+  std::size_t state_bound() const { return states_; }
+
+ private:
+  friend class Constraint;
+
+  State root_ = kDead;
+  std::size_t width_ = 0;    // one past the largest member label
+  std::size_t states_ = 1;   // kDead included
+  std::vector<State> next_;  // states_ x width_, row-major
+};
 
 class Constraint {
  public:
@@ -41,23 +83,27 @@ class Constraint {
 
   /// True if some member of the constraint has `partial` as a sub-multiset.
   /// This is the per-node pruning test used by the backtracking solver.
-  /// O(|members| * degree) by default; O(1) expected after
+  /// O(|members| * degree) by default; |partial| table lookups after
   /// build_extension_index().
   bool extendable(const Configuration& partial) const;
 
-  /// Builds (idempotently) a hashed set of every sub-multiset of every
-  /// member, so that extendable() becomes a single hash lookup. The round
-  /// elimination DFS re-tests the same canonical prefixes across branches,
-  /// which this memoizes wholesale. The index is dropped whenever the
-  /// constraint is mutated; building is skipped (returns false) when the
-  /// projected entry count exceeds `max_entries`, leaving the linear-scan
-  /// fallback in place. Reading the index from many threads is safe as
+  /// Builds (idempotently) the sub-multiset automaton of the members, so
+  /// that extendable() becomes a walk of |partial| table lookups. Round
+  /// elimination and both relaxation searches step through it directly
+  /// (extension_index()) and need it built. The index is dropped whenever
+  /// the constraint is mutated; building is skipped (returns false) when
+  /// the projected sub-multiset count exceeds `max_entries`, leaving
+  /// extendable() on its linear scan and the search engines at their
+  /// resource-cap outcome. Reading the index from many threads is safe as
   /// long as no thread mutates or (re)builds the constraint concurrently.
   bool build_extension_index(std::size_t max_entries = std::size_t{1} << 22) const;
 
   bool extension_index_built() const { return extension_index_ != nullptr; }
 
-  /// Number of memoized prefixes (0 when no index is built).
+  /// The automaton, or nullptr when no index is built.
+  const SubmultisetAutomaton* extension_index() const { return extension_index_.get(); }
+
+  /// Number of indexed sub-multisets (0 when no index is built).
   std::size_t extension_index_size() const {
     return extension_index_ ? extension_index_->size() : 0;
   }
@@ -82,7 +128,7 @@ class Constraint {
   std::unordered_set<Configuration> configs_;
   /// Memo for extendable(): every sub-multiset of every member. Mutable
   /// because it is a cache of configs_, rebuilt on demand after mutation.
-  mutable std::shared_ptr<const std::unordered_set<Configuration>> extension_index_;
+  mutable std::shared_ptr<const SubmultisetAutomaton> extension_index_;
 };
 
 }  // namespace slocal

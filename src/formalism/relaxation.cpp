@@ -2,6 +2,7 @@
 
 #include <algorithm>
 #include <atomic>
+#include <bit>
 #include <cassert>
 #include <functional>
 #include <mutex>
@@ -9,6 +10,7 @@
 
 #include "src/util/bitset.hpp"
 #include "src/util/combinatorics.hpp"
+#include "src/util/epoch_marks.hpp"
 #include "src/util/thread_pool.hpp"
 
 namespace slocal {
@@ -33,14 +35,24 @@ bool label_map_valid(const Problem& pi, const Problem& pi_prime,
   return ok(pi.white(), pi_prime.white()) && ok(pi.black(), pi_prime.black());
 }
 
+using State = SubmultisetAutomaton::State;
+
 /// Source configurations bucketed by their maximum label: a configuration in
 /// bucket k becomes fully mapped the moment m(k) is assigned, so the search
 /// can reject a prefix m(0..k) without ever extending it. The pruning is
 /// exact — a configuration that fails under the prefix fails under every
 /// extension — so the serial search visits the same valid leaves in the same
-/// order as a leaf-only check would, just without the dead subtrees.
+/// order as a leaf-only check would, just without the dead subtrees. The
+/// test walks the target constraint's automaton through m(·): no image
+/// configuration is built.
 struct MaxLabelBuckets {
-  std::vector<std::vector<std::pair<const Configuration*, const Constraint*>>> at;
+  struct Entry {
+    std::size_t offset;  // into `labels`
+    std::size_t size;
+    const SubmultisetAutomaton* target;
+  };
+  std::vector<Label> labels;  // every source configuration, concatenated
+  std::vector<std::vector<Entry>> at;
 
   MaxLabelBuckets(const Problem& pi, const Problem& pi_prime) {
     at.resize(pi.alphabet_size());
@@ -48,7 +60,8 @@ struct MaxLabelBuckets {
       for (const Configuration& c : from.members()) {
         Label mx = 0;
         for (const Label l : c.labels()) mx = std::max(mx, l);
-        at[mx].push_back({&c, &to});
+        at[mx].push_back({labels.size(), c.size(), to.extension_index()});
+        labels.insert(labels.end(), c.labels().begin(), c.labels().end());
       }
     };
     add(pi.white(), pi_prime.white());
@@ -58,8 +71,12 @@ struct MaxLabelBuckets {
   /// All configurations whose labels are <= level map inside Π' under `map`
   /// (only entries map[0..level] are read).
   bool ok_at(std::size_t level, const std::vector<Label>& map) const {
-    for (const auto& [config, target] : at[level]) {
-      if (!target->contains(remap(*config, map))) return false;
+    for (const Entry& e : at[level]) {
+      State s = e.target->root();
+      for (std::size_t k = 0; k < e.size && s != SubmultisetAutomaton::kDead; ++k) {
+        s = e.target->next(s, map[labels[e.offset + k]]);
+      }
+      if (s == SubmultisetAutomaton::kDead) return false;
     }
     return true;
   }
@@ -150,39 +167,145 @@ std::vector<std::vector<Label>> positional_images(const Configuration& target) {
   return out;
 }
 
+/// Read-only tables of one witness search, shared by every fan-out task.
+struct WitnessTables {
+  const SubmultisetAutomaton& black_prime;  // automaton of C_B(Π')
+  std::vector<Configuration> sources;       // white configurations of Π, sorted
+  std::vector<std::vector<Label>> images;   // every positional image
+  std::size_t black_degree = 0;
+  std::size_t black_count = 0;
+  std::vector<Label> black_labels;          // black configurations of Π, concatenated
+  std::vector<std::vector<std::size_t>> black_with;  // label -> configurations holding it
+  /// At black degree 0 no r(·) ever matters: the empty black configuration
+  /// of Π passes iff C_B(Π') holds it too.
+  bool unlabeled_black_ok;
+
+  WitnessTables(const Problem& pi, const Problem& pi_prime)
+      : black_prime(*pi_prime.black().extension_index()),
+        sources(pi.white().sorted_members()),
+        black_degree(pi.black_degree()),
+        black_count(pi.black().size()),
+        black_with(pi.alphabet_size()),
+        unlabeled_black_ok(black_degree > 0 || pi.black().empty() ||
+                           pi_prime.black().contains(Configuration{})) {
+    for (const auto& target : pi_prime.white().sorted_members()) {
+      const auto perms = positional_images(target);
+      images.insert(images.end(), perms.begin(), perms.end());
+    }
+    std::size_t index = 0;
+    for (const Configuration& black : pi.black().sorted_members()) {
+      const auto labels = black.labels();
+      black_labels.insert(black_labels.end(), labels.begin(), labels.end());
+      for (std::size_t i = 0; i < labels.size(); ++i) {
+        if (i == 0 || labels[i] != labels[i - 1]) black_with[labels[i]].push_back(index);
+      }
+      ++index;
+    }
+  }
+};
+
+/// Backtracking over one image per source. r(·) only grows along a branch,
+/// so a black configuration that fails is final, and one whose labels' r
+/// did not grow passes as it did at the parent: after each image only the
+/// black configurations holding a grown label are re-checked, each by
+/// stepping the set of all its choice prefixes through C_B(Π')'s automaton.
 struct RelaxSearch {
-  const Problem& pi;
-  const Problem& pi_prime;
-  std::vector<Configuration> sources;
-  std::vector<std::vector<std::vector<Label>>> candidates;  // per source
+  const WitnessTables& tables;
+  std::size_t first_lo, first_hi;  // images tried for source 0
   std::uint64_t budget;
-  SearchBudget* shared = nullptr;       // optional deadline/cancel token
+  SearchBudget* shared = nullptr;           // optional deadline/cancel token
   const std::atomic<bool>* stop = nullptr;  // parallel first-wins flag
   std::uint64_t visited = 0;
   bool exhausted = false;
-  ConfigMapping mapping;
+  std::vector<std::size_t> chosen;  // image index per source
+  std::vector<SmallBitset> r;
+  std::vector<std::pair<Label, SmallBitset>> undo;  // (label, r before growth)
+  // Scratch: dedup over automaton states and over black configurations,
+  // and the two partial-set buffers of a walk.
+  EpochMarks state_seen, config_seen;
+  std::vector<State> partials, extended;
 
-  bool recurse(std::size_t index, std::vector<SmallBitset>& r) {
+  RelaxSearch(const WitnessTables& t, std::size_t lo, std::size_t hi, std::uint64_t node_limit,
+              SearchBudget* shared_budget, const std::atomic<bool>* stop_flag,
+              std::size_t source_labels)
+      : tables(t), first_lo(lo), first_hi(hi), budget(node_limit), shared(shared_budget),
+        stop(stop_flag), chosen(t.sources.size()), r(source_labels),
+        state_seen(t.black_prime.state_bound()), config_seen(t.black_count) {}
+
+  /// Every choice over r(·) of black configuration `index` lies in C_B(Π')
+  /// (vacuously when some r is still empty).
+  bool black_ok(std::size_t index) {
+    const Label* labels = &tables.black_labels[index * tables.black_degree];
+    for (std::size_t k = 0; k < tables.black_degree; ++k) {
+      if (r[labels[k]].empty()) return true;
+    }
+    partials.assign(1, tables.black_prime.root());
+    for (std::size_t k = 0; k < tables.black_degree; ++k) {
+      state_seen.clear();
+      extended.clear();
+      for (const State p : partials) {
+        for (std::uint64_t bits = r[labels[k]].raw(); bits != 0; bits &= bits - 1) {
+          const State q = tables.black_prime.next(p, static_cast<Label>(std::countr_zero(bits)));
+          if (q == SubmultisetAutomaton::kDead) return false;
+          if (state_seen.insert(q)) extended.push_back(q);
+        }
+      }
+      partials.swap(extended);
+    }
+    return true;
+  }
+
+  /// Re-checks the black configurations holding a label grown since undo
+  /// position `mark`.
+  bool grown_black_ok(std::size_t mark) {
+    config_seen.clear();
+    for (std::size_t u = mark; u < undo.size(); ++u) {
+      for (const std::size_t index : tables.black_with[undo[u].first]) {
+        if (config_seen.insert(index) && !black_ok(index)) return false;
+      }
+    }
+    return true;
+  }
+
+  bool recurse(std::size_t index) {
     if (exhausted) return false;
     if (stop != nullptr && stop->load(std::memory_order_relaxed)) return false;
     if (++visited > budget || (shared != nullptr && !shared->charge())) {
       exhausted = true;
       return false;
     }
-    if (index == sources.size()) return true;
-    const auto& source = sources[index];
-    for (const auto& image : candidates[index]) {
-      // Apply: extend r positionally.
-      const std::vector<SmallBitset> saved = r;
-      for (std::size_t i = 0; i < source.size(); ++i) r[source[i]].set(image[i]);
-      if (black_side_ok(pi, pi_prime, r)) {
-        mapping[source] = image;
-        if (recurse(index + 1, r)) return true;
-        mapping.erase(source);
+    if (index == tables.sources.size()) return true;
+    const Configuration& source = tables.sources[index];
+    const std::size_t lo = index == 0 ? first_lo : 0;
+    const std::size_t hi = index == 0 ? first_hi : tables.images.size();
+    for (std::size_t i = lo; i < hi; ++i) {
+      // Apply: extend r positionally, remembering what grew.
+      const std::vector<Label>& image = tables.images[i];
+      const std::size_t mark = undo.size();
+      for (std::size_t k = 0; k < source.size(); ++k) {
+        SmallBitset& bits = r[source[k]];
+        if (bits.test(image[k])) continue;
+        undo.emplace_back(source[k], bits);
+        bits.set(image[k]);
       }
-      r = saved;
+      if (tables.unlabeled_black_ok && grown_black_ok(mark)) {
+        chosen[index] = i;
+        if (recurse(index + 1)) return true;
+      }
+      while (undo.size() > mark) {
+        r[undo.back().first] = undo.back().second;
+        undo.pop_back();
+      }
     }
     return false;
+  }
+
+  ConfigMapping mapping() const {
+    ConfigMapping out;
+    for (std::size_t s = 0; s < tables.sources.size(); ++s) {
+      out[tables.sources[s]] = tables.images[chosen[s]];
+    }
+    return out;
   }
 };
 
@@ -203,6 +326,12 @@ LabelMapResult find_relaxation_label_map(const Problem& pi, const Problem& pi_pr
       result.verdict = Verdict::kYes;
       result.map = std::move(empty);
     }
+    return result;
+  }
+  // The search walks both constraints of Π'; built here, before any fan-out.
+  // Past the index size cap the search stops at its resource cap.
+  if (!pi_prime.white().build_extension_index() || !pi_prime.black().build_extension_index()) {
+    result.verdict = Verdict::kExhausted;
     return result;
   }
   const MaxLabelBuckets buckets(pi, pi_prime);
@@ -281,30 +410,25 @@ WitnessResult find_relaxation_witness(const Problem& pi, const Problem& pi_prime
       pi.black_degree() != pi_prime.black_degree()) {
     return result;  // kNo
   }
-  std::vector<Configuration> sources = pi.white().sorted_members();
-  // Candidate positional images: all distinct orderings of all white
-  // configurations of Π'.
-  std::vector<std::vector<Label>> all_images;
-  for (const auto& target : pi_prime.white().sorted_members()) {
-    const auto perms = positional_images(target);
-    all_images.insert(all_images.end(), perms.begin(), perms.end());
+  if (!pi_prime.black().build_extension_index()) {
+    result.verdict = Verdict::kExhausted;  // resource cap, as in the map search
+    return result;
   }
+  const WitnessTables tables(pi, pi_prime);
   const std::uint64_t limit =
       options.node_budget == 0 ? kUnlimitedNodes : options.node_budget;
-  const std::size_t fan = sources.empty() ? 0 : all_images.size();
+  const std::size_t fan = tables.sources.empty() ? 0 : tables.images.size();
   const std::size_t threads =
       (options.node_budget == 0 && options.threads != 1 && fan > 1)
           ? std::min(ThreadPool::resolve_threads(options.threads), fan)
           : 1;
 
   if (threads <= 1) {
-    RelaxSearch search{pi,    pi_prime,       std::move(sources), {},
-                       limit, options.budget, nullptr};
-    search.candidates.assign(search.sources.size(), all_images);
-    std::vector<SmallBitset> r(pi.alphabet_size());
-    if (search.recurse(0, r)) {
+    RelaxSearch search(tables, 0, tables.images.size(), limit, options.budget, nullptr,
+                       pi.alphabet_size());
+    if (search.recurse(0)) {
       result.verdict = Verdict::kYes;
-      result.mapping = std::move(search.mapping);
+      result.mapping = search.mapping();
     } else {
       result.verdict = search.exhausted ? Verdict::kExhausted : Verdict::kNo;
     }
@@ -327,17 +451,14 @@ WitnessResult find_relaxation_witness(const Problem& pi, const Problem& pi_prime
           (options.budget != nullptr && options.budget->halted())) {
         return;
       }
-      RelaxSearch search{pi,              pi_prime,       sources, {},
-                         kUnlimitedNodes, options.budget, &found};
-      search.candidates.assign(sources.size(), all_images);
-      search.candidates[0] = {all_images[i]};
-      std::vector<SmallBitset> r(pi.alphabet_size());
-      const bool ok = search.recurse(0, r);
+      RelaxSearch search(tables, i, i + 1, kUnlimitedNodes, options.budget, &found,
+                         pi.alphabet_size());
+      const bool ok = search.recurse(0);
       total_nodes.fetch_add(search.visited, std::memory_order_relaxed);
       if (search.exhausted) any_exhausted.store(true, std::memory_order_relaxed);
       if (ok && !found.exchange(true, std::memory_order_acq_rel)) {
         const std::lock_guard<std::mutex> lock(claim);
-        winner = std::move(search.mapping);
+        winner = search.mapping();
       }
     });
   }

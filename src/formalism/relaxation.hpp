@@ -15,6 +15,16 @@
 // verdict: kYes (witness attached), kNo (definitive — the search space was
 // exhausted), or kExhausted (a budget/deadline/cancel tripped first).
 //
+// The searches step through the sub-multiset automata of Π''s constraints
+// (Constraint::extension_index, built on first use): the label-map search
+// walks C_W(Π') / C_B(Π') through m(·), and the witness search steps the
+// set of all choice prefixes of each affected black configuration through
+// C_B(Π'), re-checking only the black configurations that hold a label
+// whose r(·) grew. Past the index's size cap a search returns kExhausted.
+// The checkers (check_relaxation_label_map / check_relaxation_witness) do
+// not use the automata: they enumerate the definition with plain membership
+// tests and stay the independent oracle the certificate checker trusts.
+//
 // Parallelism fans the search out over the first assignment (the image of
 // label 0 for the label-map search, the image of the first white
 // configuration for the witness search); the first task to find a witness

@@ -2,6 +2,7 @@
 
 #include <algorithm>
 #include <atomic>
+#include <bit>
 #include <chrono>
 #include <cstdio>
 #include <functional>
@@ -14,6 +15,7 @@
 #include "src/formalism/diagram.hpp"
 #include "src/re/re_cache.hpp"
 #include "src/util/combinatorics.hpp"
+#include "src/util/epoch_marks.hpp"
 #include "src/util/thread_pool.hpp"
 
 namespace slocal {
@@ -70,32 +72,55 @@ bool superset_matching(const std::vector<SmallBitset>& a,
 /// A set-configuration: canonical (sorted by raw bits) multiset of subsets.
 using SetConfig = std::vector<SmallBitset>;
 
-/// Extends every choice-prefix in `partials` by every label of `next_set`,
-/// deduplicating; fails (returns false) as soon as a prefix stops being
-/// extendable inside `universal`.
-bool extend_partials(const Constraint& universal,
-                     const std::vector<Configuration>& partials, SmallBitset next_set,
-                     std::vector<Configuration>& out, REStats& stats) {
-  std::unordered_set<Configuration> seen;
+using State = SubmultisetAutomaton::State;
+
+/// Scratch of one hardened-DFS worker: the partial set of every DFS depth,
+/// as deduplicated state ids of the universal constraint's automaton.
+struct PartialSets {
+  PartialSets(const SubmultisetAutomaton& automaton, std::size_t degree)
+      : seen(automaton.state_bound()), at_depth(degree + 1) {
+    at_depth[0] = {automaton.root()};
+  }
+
+  EpochMarks seen;
+  std::vector<std::vector<State>> at_depth;
+};
+
+/// Extends every choice-prefix of depth `depth` by every label of
+/// `next_set` into depth + 1, deduplicating; fails (returns false) as soon
+/// as a prefix stops being extendable inside the universal constraint.
+bool extend_partials(const SubmultisetAutomaton& universal, PartialSets& sets,
+                     std::size_t depth, SmallBitset next_set, REStats& stats) {
+  const std::vector<State>& partials = sets.at_depth[depth];
+  std::vector<State>& out = sets.at_depth[depth + 1];
   out.clear();
-  for (const auto& p : partials) {
-    for (const std::size_t l : next_set.indices()) {
-      Configuration q = p.with_added(static_cast<Label>(l));
-      ++stats.extendable_calls;
-      if (!universal.extendable(q)) return false;
-      if (seen.insert(q).second) {
-        out.push_back(std::move(q));
+  sets.seen.clear();
+  std::uint64_t calls = 0;
+  std::uint64_t deduped = 0;
+  const auto done = [&](bool ok) {
+    stats.extendable_calls += calls;
+    stats.partials_deduped += deduped;
+    return ok;
+  };
+  for (const State p : partials) {
+    for (std::uint64_t bits = next_set.raw(); bits != 0; bits &= bits - 1) {
+      const State q = universal.next(p, static_cast<Label>(std::countr_zero(bits)));
+      ++calls;
+      if (q == SubmultisetAutomaton::kDead) return done(false);
+      if (sets.seen.insert(q)) {
+        out.push_back(q);
       } else {
-        ++stats.partials_deduped;
+        ++deduped;
       }
     }
   }
-  return true;
+  return done(true);
 }
 
 /// Shared state of the (possibly fanned-out) hardened-side DFS.
 struct DfsShared {
-  const Constraint& universal;
+  const SubmultisetAutomaton& universal;
+  std::size_t degree;
   const std::vector<SmallBitset>& candidates;
   std::uint64_t max_configurations;
   SearchBudget* budget;  // may be null; charged one node per extension
@@ -103,16 +128,15 @@ struct DfsShared {
   std::atomic<bool> overflow{false};
 };
 
-/// Serial DFS over non-decreasing candidate indices; `partials` is the set
-/// of all choice prefixes (canonical multisets), every one of which must
-/// extend to a member of `universal`. Appends completed configurations to
-/// `out` in canonical DFS order.
+/// Serial DFS over non-decreasing candidate indices; `sets.at_depth[d]`
+/// (d = chosen.size()) holds every choice prefix of `chosen`, each of which
+/// extends to a member of the universal constraint. Appends completed
+/// configurations to `out` in canonical DFS order.
 void dfs_branch(DfsShared& shared, std::size_t min_candidate,
-                std::vector<SmallBitset>& chosen,
-                const std::vector<Configuration>& partials,
+                std::vector<SmallBitset>& chosen, PartialSets& sets,
                 std::vector<SetConfig>& out, REStats& stats) {
   if (shared.overflow.load(std::memory_order_relaxed)) return;
-  if (chosen.size() == shared.universal.degree()) {
+  if (chosen.size() == shared.degree) {
     out.push_back(chosen);
     if (shared.total.fetch_add(1, std::memory_order_relaxed) + 1 >
         shared.max_configurations) {
@@ -120,15 +144,14 @@ void dfs_branch(DfsShared& shared, std::size_t min_candidate,
     }
     return;
   }
-  std::vector<Configuration> next;
   for (std::size_t c = min_candidate; c < shared.candidates.size(); ++c) {
     ++stats.dfs_nodes;
     if (shared.budget != nullptr && !shared.budget->charge()) return;
-    if (!extend_partials(shared.universal, partials, shared.candidates[c], next, stats)) {
+    if (!extend_partials(shared.universal, sets, chosen.size(), shared.candidates[c], stats)) {
       continue;
     }
     chosen.push_back(shared.candidates[c]);
-    dfs_branch(shared, c, chosen, next, out, stats);
+    dfs_branch(shared, c, chosen, sets, out, stats);
     chosen.pop_back();
     if (shared.overflow.load(std::memory_order_relaxed)) return;
   }
@@ -139,27 +162,27 @@ void dfs_branch(DfsShared& shared, std::size_t min_candidate,
 /// branches; branch outputs are concatenated in candidate order, which
 /// reproduces the serial DFS order exactly. Returns nullopt on cap overflow.
 std::optional<std::vector<SetConfig>> enumerate_valid_configs(
-    const Constraint& universal, const std::vector<SmallBitset>& candidates,
-    std::uint64_t max_configurations, ThreadPool* pool, SearchBudget* budget,
-    REStats& stats) {
-  DfsShared shared{universal, candidates, max_configurations, budget};
-  const std::vector<Configuration> root{Configuration{}};
+    const SubmultisetAutomaton& universal, std::size_t degree,
+    const std::vector<SmallBitset>& candidates, std::uint64_t max_configurations,
+    ThreadPool* pool, SearchBudget* budget, REStats& stats) {
+  DfsShared shared{universal, degree, candidates, max_configurations, budget};
   std::vector<SetConfig> valid;
 
-  if (universal.degree() == 0) {
+  if (degree == 0) {
     valid.push_back(SetConfig{});
     return valid;
   }
 
   if (pool == nullptr || candidates.size() < 2) {
+    PartialSets sets(universal, degree);
     std::vector<SmallBitset> chosen;
-    dfs_branch(shared, 0, chosen, root, valid, stats);
+    dfs_branch(shared, 0, chosen, sets, valid, stats);
     if (shared.overflow.load()) return std::nullopt;
     return valid;
   }
 
-  // One branch per top-level candidate; each task owns its output slot and
-  // stats slot, so the merge below is deterministic.
+  // One branch per top-level candidate; each task owns its output slot,
+  // stats slot and scratch, so the merge below is deterministic.
   std::vector<std::vector<SetConfig>> slots(candidates.size());
   std::vector<REStats> branch_stats(candidates.size());
   std::vector<std::function<void()>> tasks;
@@ -169,10 +192,10 @@ std::optional<std::vector<SetConfig>> enumerate_valid_configs(
       REStats& local = branch_stats[c];
       ++local.dfs_nodes;
       if (budget != nullptr && !budget->charge()) return;
-      std::vector<Configuration> next;
-      if (!extend_partials(universal, root, candidates[c], next, local)) return;
+      PartialSets sets(universal, degree);
+      if (!extend_partials(universal, sets, 0, candidates[c], local)) return;
       std::vector<SmallBitset> chosen{candidates[c]};
-      dfs_branch(shared, c, chosen, next, slots[c], local);
+      dfs_branch(shared, c, chosen, sets, slots[c], local);
     });
   }
   pool->run_batch(std::move(tasks));
@@ -354,30 +377,26 @@ std::vector<std::vector<std::size_t>> seed_witnesses(
 }
 
 /// Does the set-multiset `pick` (indices into `alphabet`) admit at least one
-/// choice inside `existential`? DFS with memoized extendability pruning; at
-/// full size extendability coincides with membership.
-bool admits_choice(const Constraint& existential, const std::vector<SmallBitset>& alphabet,
+/// choice inside the existential constraint? DFS over its automaton, pruned
+/// at dead states; a live state after every position is a member.
+bool admits_choice(const SubmultisetAutomaton& existential,
+                   const std::vector<SmallBitset>& alphabet,
                    const std::vector<std::size_t>& pick) {
-  Configuration partial;
-  auto dfs = [&](auto&& self, std::size_t pos) -> bool {
+  auto dfs = [&](auto&& self, std::size_t pos, State s) -> bool {
     if (pos == pick.size()) return true;
-    for (const std::size_t l : alphabet[pick[pos]].indices()) {
-      Configuration next = partial.with_added(static_cast<Label>(l));
-      if (!existential.extendable(next)) continue;
-      Configuration saved = std::move(partial);
-      partial = std::move(next);
-      const bool found = self(self, pos + 1);
-      partial = std::move(saved);
-      if (found) return true;
+    for (std::uint64_t bits = alphabet[pick[pos]].raw(); bits != 0; bits &= bits - 1) {
+      const State q = existential.next(s, static_cast<Label>(std::countr_zero(bits)));
+      if (q != SubmultisetAutomaton::kDead && self(self, pos + 1, q)) return true;
     }
     return false;
   };
-  return dfs(dfs, 0);
+  return dfs(dfs, 0, existential.root());
 }
 
 /// Relaxed side: all multisets over the new alphabet with >= 1 choice in
-/// the existential constraint. Witness seeding + memoized choice DFS; with
-/// a pool the scan is chunked, each chunk filling its own flag range.
+/// the existential constraint (its extension index must be built). Witness
+/// seeding + automaton choice DFS; with a pool the scan is chunked, each
+/// chunk filling its own flag range.
 Constraint build_relaxed(const Constraint& existential,
                          const std::vector<SmallBitset>& alphabet, ThreadPool* pool,
                          SearchBudget* budget, REStats& stats) {
@@ -413,7 +432,7 @@ Constraint build_relaxed(const Constraint& existential,
       }
       if (!some) {
         ++local.relaxed_dfs_tests;
-        some = admits_choice(existential, alphabet, picks[i]);
+        some = admits_choice(*existential.extension_index(), alphabet, picks[i]);
       }
       admits[i] = some ? 1 : 0;
     }
@@ -513,23 +532,26 @@ std::optional<REStep> re_core(const Problem& pi, bool universal_is_black,
     std::sort(candidates.begin(), candidates.end());
   }
 
-  // Hardened side. The extension index turns the per-prefix extendability
-  // probe from a scan over all members into one hash lookup; it is built
-  // before the fan-out so the parallel phase only ever reads it.
+  // Hardened side. The DFS steps through the universal constraint's
+  // sub-multiset automaton; it is built before the fan-out so the parallel
+  // phase only ever reads it. Past the index's size cap the application
+  // stops at its resource cap, like max_configurations.
+  const auto cap_bail = [&]() -> std::optional<REStep> {
+    if (options.stats) *options.stats += local;
+    return std::nullopt;
+  };
   const auto t_harden = Clock::now();
-  if (!universal.extension_index_built() && universal.build_extension_index()) {
+  if (!universal.extension_index_built()) {
+    if (!universal.build_extension_index()) return cap_bail();
     ++local.extension_index_builds;
   }
   local.extension_index_entries += universal.extension_index_size();
-  const auto valid = enumerate_valid_configs(universal, candidates,
-                                             options.max_configurations,
+  const auto valid = enumerate_valid_configs(*universal.extension_index(), universal.degree(),
+                                             candidates, options.max_configurations,
                                              candidates.size() >= 8 ? pool() : nullptr,
                                              budget, local);
   if (budget != nullptr && budget->halted()) return exhausted_bail();
-  if (!valid) {
-    if (options.stats) *options.stats += local;
-    return std::nullopt;
-  }
+  if (!valid) return cap_bail();
   local.configs_enumerated += valid->size();
   local.harden_ms += ms_since(t_harden);
 
@@ -548,8 +570,7 @@ std::optional<REStep> re_core(const Problem& pi, bool universal_is_black,
   std::sort(alphabet.begin(), alphabet.end());
   if (alphabet.size() > 255) {
     // Labels are uint8 indices; larger alphabets cannot be represented.
-    if (options.stats) *options.stats += local;
-    return std::nullopt;
+    return cap_bail();
   }
 
   LabelRegistry reg;
@@ -571,12 +592,10 @@ std::optional<REStep> re_core(const Problem& pi, bool universal_is_black,
   // Relaxed side.
   const std::uint64_t projected =
       multiset_count(alphabet.size(), existential.degree());
-  if (projected > options.max_configurations) {
-    if (options.stats) *options.stats += local;
-    return std::nullopt;
-  }
+  if (projected > options.max_configurations) return cap_bail();
   const auto t_relax = Clock::now();
-  if (!existential.extension_index_built() && existential.build_extension_index()) {
+  if (!existential.extension_index_built()) {
+    if (!existential.build_extension_index()) return cap_bail();
     ++local.extension_index_builds;
   }
   local.extension_index_entries += existential.extension_index_size();

@@ -22,7 +22,9 @@
 //    times are *added* onto it (zero-initialize to measure one call, keep
 //    accumulating across calls to profile a whole sequence).
 //  * `max_configurations` / `max_alphabet` are unchanged from the serial
-//    engine: hard resource caps, exceeded ⇒ nullopt.
+//    engine: hard resource caps, exceeded ⇒ nullopt. So is the size cap of
+//    a constraint's sub-multiset automaton (Constraint::
+//    build_extension_index), which both half-steps walk.
 #pragma once
 
 #include <cstdint>
@@ -45,8 +47,8 @@ struct REStats {
   // Hardened side: DFS over candidate label-sets.
   std::uint64_t dfs_nodes = 0;            ///< candidate extensions attempted
   std::uint64_t partials_deduped = 0;     ///< duplicate choice-prefixes merged
-  std::uint64_t extendable_calls = 0;     ///< prefix-extendability queries
-  std::uint64_t extension_index_entries = 0;  ///< memoized prefixes built
+  std::uint64_t extendable_calls = 0;     ///< automaton transitions taken
+  std::uint64_t extension_index_entries = 0;  ///< automaton states of the constraints used
   std::uint64_t configs_enumerated = 0;   ///< valid set-configs before maximality
   // Maximality (domination) filter.
   std::uint64_t domination_tests = 0;     ///< superset matchings actually run

@@ -157,7 +157,7 @@ std::optional<std::vector<Label>> solve_graph_halfedge_labeling_sat(
 
 IncrementalLabelingSweep::IncrementalLabelingSweep(Problem pi) : pi_(std::move(pi)) {
   // The bad-prefix DFS re-tests the same partial multisets across nodes and
-  // supports; the hashed extension index turns those into O(1) lookups.
+  // supports; the extension index turns each test into a short table walk.
   pi_.white().build_extension_index();
   pi_.black().build_extension_index();
 }

@@ -39,7 +39,6 @@ TEST(Configuration, Replacement) {
   const Configuration c{0, 0, 1};
   EXPECT_EQ(c.with_replaced(0, 2, 1), Configuration({0, 2, 1}));
   EXPECT_EQ(c.with_replaced(0, 2, 2), Configuration({2, 2, 1}));
-  EXPECT_EQ(c.with_added(3), Configuration({0, 0, 1, 3}));
 }
 
 TEST(Constraint, AddAndMembership) {
@@ -105,6 +104,34 @@ TEST(Constraint, ExtensionIndexMatchesLinearScan) {
     }
   };
   sweep(sweep, 0);
+}
+
+TEST(Constraint, ExtensionAutomatonStatesAreTheSubmultisets) {
+  Constraint c(3);
+  c.add(Configuration{0, 1, 2});  // 8 sub-multisets
+  c.add(Configuration{0, 0, 0});  // 4, sharing {} and {0}
+  ASSERT_TRUE(c.build_extension_index());
+  const SubmultisetAutomaton& a = *c.extension_index();
+  EXPECT_EQ(a.size(), 10u);
+  EXPECT_EQ(c.extension_index_size(), 10u);
+  using S = SubmultisetAutomaton::State;
+  constexpr S kDead = SubmultisetAutomaton::kDead;
+  // A state is a multiset: reading order does not matter.
+  EXPECT_EQ(a.next(a.next(a.root(), 2), 0), a.next(a.next(a.root(), 0), 2));
+  EXPECT_NE(a.walk(std::vector<Label>{2, 1, 0}), kDead);
+  EXPECT_EQ(a.walk(std::vector<Label>{1, 1}), kDead);
+  // Members are full: every transition out of one is dead, dead is a sink,
+  // and labels beyond the table are dead.
+  for (Label l = 0; l < 4; ++l) {
+    EXPECT_EQ(a.next(a.walk(std::vector<Label>{0, 0, 0}), l), kDead);
+    EXPECT_EQ(a.next(kDead, l), kDead);
+  }
+  EXPECT_EQ(a.next(a.root(), 200), kDead);
+
+  const Constraint empty(2);
+  ASSERT_TRUE(empty.build_extension_index());
+  EXPECT_EQ(empty.extension_index()->root(), kDead);
+  EXPECT_FALSE(empty.extendable(Configuration{}));
 }
 
 TEST(Constraint, ExtensionIndexInvalidatedByMutation) {

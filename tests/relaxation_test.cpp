@@ -1,9 +1,15 @@
 #include <gtest/gtest.h>
 
+#include <algorithm>
+#include <cmath>
+
 #include "src/formalism/parser.hpp"
 #include "src/formalism/relaxation.hpp"
 #include "src/problems/classic.hpp"
 #include "src/problems/matching_family.hpp"
+#include "src/re/round_elimination.hpp"
+#include "src/util/combinatorics.hpp"
+#include "src/util/rng.hpp"
 
 namespace slocal {
 namespace {
@@ -101,6 +107,186 @@ TEST(Relaxation, ExactSearchAgreesWithLabelMapOnCorpus) {
     if (relaxation_label_map(from, to).has_value()) {
       EXPECT_TRUE(find_relaxation(from, to).has_value())
           << from.name() << " -> " << to.name();
+    }
+  }
+}
+
+// ---------------------------------------------------------------------------
+// Definitional oracle: every label map and every configuration mapping is
+// enumerated outright, and each is checked against the paper's definition
+// with plain membership tests, so the searches' pruning and state tables
+// are cross-checked by code that shares none of them.
+
+/// Does `map` send every white and every black configuration of Π into Π'?
+bool map_is_relaxation(const Problem& pi, const Problem& pi_prime,
+                       const std::vector<Label>& map) {
+  const auto into = [&](const Constraint& from, const Constraint& to) {
+    for (const Configuration& c : from.members()) {
+      std::vector<Label> image;
+      for (const Label l : c.labels()) image.push_back(map[l]);
+      if (!to.contains(Configuration(std::move(image)))) return false;
+    }
+    return true;
+  };
+  return into(pi.white(), pi_prime.white()) && into(pi.black(), pi_prime.black());
+}
+
+bool oracle_label_map_exists(const Problem& pi, const Problem& pi_prime) {
+  std::vector<Label> map(pi.alphabet_size(), 0);
+  while (true) {
+    if (map_is_relaxation(pi, pi_prime, map)) return true;
+    std::size_t i = 0;
+    while (i < map.size() && ++map[i] == pi_prime.alphabet_size()) map[i++] = 0;
+    if (i == map.size()) return false;
+  }
+}
+
+/// Every ordered tuple whose multiset is a white configuration of Π'.
+std::vector<std::vector<Label>> ordered_white_images(const Problem& pi_prime) {
+  std::vector<std::vector<Label>> out;
+  for (const Configuration& c : pi_prime.white().sorted_members()) {
+    std::vector<Label> perm(c.labels().begin(), c.labels().end());
+    do {
+      out.push_back(perm);
+    } while (std::next_permutation(perm.begin(), perm.end()));
+  }
+  return out;
+}
+
+/// Under the relation r induced by `mapping`, does every choice over every
+/// black configuration of Π lie in C_B(Π')?
+bool black_side_holds(const Problem& pi, const Problem& pi_prime,
+                      const ConfigMapping& mapping) {
+  std::vector<std::vector<std::size_t>> r(pi.alphabet_size());
+  for (const auto& [source, image] : mapping) {
+    for (std::size_t i = 0; i < source.size(); ++i) r[source[i]].push_back(image[i]);
+  }
+  for (auto& images : r) {
+    std::sort(images.begin(), images.end());
+    images.erase(std::unique(images.begin(), images.end()), images.end());
+  }
+  for (const Configuration& black : pi.black().members()) {
+    std::vector<std::vector<std::size_t>> choices;
+    for (const Label l : black.labels()) choices.push_back(r[l]);
+    const bool all = for_each_choice(choices, [&](const std::vector<std::size_t>& pick) {
+      return pi_prime.black().contains(Configuration(std::vector<Label>(pick.begin(), pick.end())));
+    });
+    if (!all) return false;
+  }
+  return true;
+}
+
+/// Every configuration mapping: each sorted white configuration of Π takes
+/// each ordered white configuration of Π' in turn (mixed-radix counter).
+bool oracle_witness_exists(const Problem& pi, const Problem& pi_prime) {
+  const std::vector<Configuration> sources = pi.white().sorted_members();
+  const auto images = ordered_white_images(pi_prime);
+  if (images.empty()) return sources.empty();
+  std::vector<std::size_t> pick(sources.size(), 0);
+  while (true) {
+    ConfigMapping mapping;
+    for (std::size_t s = 0; s < sources.size(); ++s) mapping[sources[s]] = images[pick[s]];
+    if (black_side_holds(pi, pi_prime, mapping)) return true;
+    std::size_t i = 0;
+    while (i < pick.size() && ++pick[i] == images.size()) pick[i++] = 0;
+    if (i == pick.size()) return false;
+  }
+}
+
+Problem random_small_problem(std::size_t alphabet, std::size_t dw, std::size_t db,
+                             Rng& rng) {
+  LabelRegistry reg;
+  for (std::size_t l = 0; l < alphabet; ++l) reg.intern(std::string(1, char('A' + l)));
+  Constraint white(dw), black(db);
+  const auto fill = [&](Constraint& c, std::size_t d) {
+    const double p = 0.2 + 0.7 * rng.uniform();
+    for_each_multiset(alphabet, d, [&](const std::vector<std::size_t>& pick) {
+      if (rng.chance(p)) c.add(Configuration(std::vector<Label>(pick.begin(), pick.end())));
+      return true;
+    });
+  };
+  fill(white, dw);
+  fill(black, db);
+  return Problem("rand", std::move(reg), std::move(white), std::move(black));
+}
+
+TEST(RelaxationOracle, SearchesAgreeWithDefinitionalEnumeration) {
+  // The witness enumeration is |images|^|white(Π)|; pairs above this cap are
+  // redrawn so the oracle stays instant.
+  constexpr double kMaxMappings = 20'000;
+  int checked = 0, map_yes = 0, witness_yes = 0, witness_only = 0;
+  for (std::uint64_t seed = 1; checked < 300; ++seed) {
+    Rng rng(seed);
+    const std::size_t dw = 1 + static_cast<std::size_t>(rng.below(3));
+    const std::size_t db = 1 + static_cast<std::size_t>(rng.below(3));
+    const Problem pi = random_small_problem(1 + rng.below(3), dw, db, rng);
+    const Problem pi_prime = random_small_problem(1 + rng.below(3), dw, db, rng);
+    const double mappings =
+        std::pow(static_cast<double>(ordered_white_images(pi_prime).size()),
+                 static_cast<double>(pi.white().size()));
+    if (mappings > kMaxMappings) continue;
+    ++checked;
+
+    const bool want_map = oracle_label_map_exists(pi, pi_prime);
+    const bool want_witness = oracle_witness_exists(pi, pi_prime);
+    // A label map induces a configuration mapping.
+    if (want_map) EXPECT_TRUE(want_witness) << "seed " << seed;
+    map_yes += want_map;
+    witness_yes += want_witness;
+    witness_only += want_witness && !want_map;
+
+    for (const std::size_t threads : {1u, 4u}) {
+      RelaxationOptions options;
+      options.node_budget = 0;
+      options.threads = threads;
+      const LabelMapResult by_map = find_relaxation_label_map(pi, pi_prime, options);
+      EXPECT_EQ(by_map.verdict, want_map ? Verdict::kYes : Verdict::kNo)
+          << "label map, seed " << seed << " threads " << threads;
+      if (by_map.map) EXPECT_TRUE(check_relaxation_label_map(pi, pi_prime, *by_map.map));
+      const WitnessResult by_witness = find_relaxation_witness(pi, pi_prime, options);
+      EXPECT_EQ(by_witness.verdict, want_witness ? Verdict::kYes : Verdict::kNo)
+          << "witness, seed " << seed << " threads " << threads;
+      if (by_witness.mapping) {
+        EXPECT_TRUE(check_relaxation_witness(pi, pi_prime, *by_witness.mapping))
+            << "seed " << seed << " threads " << threads;
+      }
+    }
+    if (HasFailure()) return;
+  }
+  // Both verdicts, and witnesses that no label map explains, must occur.
+  EXPECT_GT(map_yes, 20);
+  EXPECT_GT(checked - witness_yes, 20);
+  EXPECT_GT(witness_only, 5);
+}
+
+// The serial searches' node counts on the Lemma 4.5 chains: any change to
+// the search kernels must visit exactly the same nodes in the same order.
+TEST(RelaxationSearchSpace, SerialNodeCountsOnMatchingChainsArePinned) {
+  RelaxationOptions serial;
+  serial.node_budget = 0;
+  serial.threads = 1;
+  const auto re_of = [](const Problem& p) {
+    auto re = round_eliminate(p);
+    EXPECT_TRUE(re.has_value());
+    return *re;
+  };
+
+  const Problem re7 = re_of(make_matching_problem(7, 1, 2));
+  const WitnessResult w7 = find_relaxation_witness(re7, make_matching_problem(7, 3, 2), serial);
+  EXPECT_EQ(w7.verdict, Verdict::kYes);
+  EXPECT_EQ(w7.nodes, 28u);
+
+  const std::vector<std::uint64_t> map_nodes = {175, 175, 8175};
+  const std::vector<std::uint64_t> witness_nodes = {14, 17};
+  for (std::size_t x = 0; x < map_nodes.size(); ++x) {
+    const Problem re8 = re_of(make_matching_problem(8, x, 1));
+    const Problem next = make_matching_problem(8, x + 1, 1);
+    const LabelMapResult by_map = find_relaxation_label_map(re8, next, serial);
+    EXPECT_EQ(by_map.nodes, map_nodes[x]) << "step " << x + 1;
+    if (x < witness_nodes.size()) {
+      const WitnessResult by_witness = find_relaxation_witness(re8, next, serial);
+      EXPECT_EQ(by_witness.verdict, Verdict::kYes) << "step " << x + 1;
+      EXPECT_EQ(by_witness.nodes, witness_nodes[x]) << "step " << x + 1;
     }
   }
 }
