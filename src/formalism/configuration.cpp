@@ -43,6 +43,12 @@ Configuration Configuration::with_replaced(Label from, Label to,
   return Configuration(std::move(out));
 }
 
+Configuration Configuration::with_added(Label l) const {
+  std::vector<Label> out = labels_;
+  out.push_back(l);
+  return Configuration(std::move(out));
+}
+
 std::string Configuration::to_string(const LabelRegistry& reg) const {
   std::string out;
   for (std::size_t i = 0; i < labels_.size(); ++i) {

@@ -37,6 +37,9 @@ class Configuration {
   /// (re-canonicalized). Precondition: count(from) >= how_many.
   Configuration with_replaced(Label from, Label to, std::size_t how_many) const;
 
+  /// Copy with one extra label.
+  Configuration with_added(Label l) const;
+
   /// Render using a registry ("X X M O").
   std::string to_string(const LabelRegistry& reg) const;
 

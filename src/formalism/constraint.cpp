@@ -106,6 +106,12 @@ bool Constraint::build_extension_index(std::size_t max_entries) const {
     projected += per_member;
     if (projected > max_entries) return false;
   }
+  // The table holds a row of `width` 4-byte cells per state. Each entry the
+  // cap allows pays for kCellsPerEntry cells, so the table stays within
+  // 16 * max_entries bytes however wide the alphabet, and the id map built
+  // next stays within max_entries entries, as the hashed set it replaced.
+  constexpr std::uint64_t kCellsPerEntry = 4;
+  if (projected * width / kCellsPerEntry > max_entries) return false;
 
   // A member's sub-multisets form a lattice (one count 0..m_i per run),
   // addressed here in mixed radix. Every transition s -> s ⊎ {l} of the

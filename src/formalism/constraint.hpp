@@ -92,7 +92,9 @@ class Constraint {
   /// elimination and both relaxation searches step through it directly
   /// (extension_index()) and need it built. The index is dropped whenever
   /// the constraint is mutated; building is skipped (returns false) when
-  /// the projected sub-multiset count exceeds `max_entries`, leaving
+  /// the projected sub-multiset count exceeds `max_entries`, or when the
+  /// projected transition table (sub-multisets x one past the largest
+  /// label) exceeds 4 cells per allowed entry, leaving
   /// extendable() on its linear scan and the search engines at their
   /// resource-cap outcome. Reading the index from many threads is safe as
   /// long as no thread mutates or (re)builds the constraint concurrently.

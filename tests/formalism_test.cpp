@@ -39,6 +39,7 @@ TEST(Configuration, Replacement) {
   const Configuration c{0, 0, 1};
   EXPECT_EQ(c.with_replaced(0, 2, 1), Configuration({0, 2, 1}));
   EXPECT_EQ(c.with_replaced(0, 2, 2), Configuration({2, 2, 1}));
+  EXPECT_EQ(c.with_added(3), Configuration({0, 0, 1, 3}));
 }
 
 TEST(Constraint, AddAndMembership) {
@@ -156,6 +157,29 @@ TEST(Constraint, ExtensionIndexRespectsEntryCap) {
   // The linear fallback still answers correctly.
   EXPECT_TRUE(c.extendable(Configuration{0, 2}));
   EXPECT_TRUE(c.build_extension_index(/*max_entries=*/8));
+}
+
+TEST(Constraint, ExtensionIndexChargesTableWidthAgainstEntryCap) {
+  // One member, 4 sub-multisets: its table fits a cap of 8 entries while
+  // the labels are small, but not once the largest label makes each row of
+  // the table 200 cells wide.
+  Constraint narrow(2);
+  narrow.add(Configuration{0, 1});
+  EXPECT_TRUE(narrow.build_extension_index(/*max_entries=*/8));
+  Constraint wide(2);
+  wide.add(Configuration{0, 199});
+  EXPECT_FALSE(wide.build_extension_index(/*max_entries=*/8));
+  EXPECT_FALSE(wide.extension_index_built());
+  EXPECT_TRUE(wide.extendable(Configuration{199}));
+
+  // Every triple over 140 labels: about 3.7M projected sub-multisets fit
+  // the default entry cap, a table 140 labels wide does not.
+  std::vector<Label> labels(140);
+  for (std::size_t l = 0; l < labels.size(); ++l) labels[l] = static_cast<Label>(l);
+  Constraint triples(3);
+  triples.add_condensed({labels, labels, labels});
+  EXPECT_FALSE(triples.build_extension_index());
+  EXPECT_FALSE(triples.extension_index_built());
 }
 
 TEST(Parser, ParsesMaximalMatchingNotation) {

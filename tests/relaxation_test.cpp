@@ -2,6 +2,7 @@
 
 #include <algorithm>
 #include <cmath>
+#include <string>
 
 #include "src/formalism/parser.hpp"
 #include "src/formalism/relaxation.hpp"
@@ -289,6 +290,30 @@ TEST(RelaxationSearchSpace, SerialNodeCountsOnMatchingChainsArePinned) {
       EXPECT_EQ(by_witness.nodes, witness_nodes[x]) << "step " << x + 1;
     }
   }
+}
+
+// A Π' whose black constraint is too wide for the sub-multiset automaton's
+// cap stops both searches at their resource-cap outcome.
+TEST(RelaxationSearchSpace, AutomatonPastItsCapExhaustsBothSearches) {
+  LabelRegistry one;
+  one.intern("A");
+  Constraint white(2);
+  white.add(Configuration{0, 0});
+  Constraint black(3);
+  black.add(Configuration{0, 0, 0});
+  const Problem pi("pi", one, white, black);
+
+  LabelRegistry many;
+  std::vector<Label> labels;
+  for (int l = 0; l < 140; ++l) labels.push_back(many.intern("L" + std::to_string(l)));
+  Constraint wide_white(2);
+  wide_white.add_condensed({labels, labels});
+  Constraint wide_black(3);
+  wide_black.add_condensed({labels, labels, labels});
+  const Problem pi_prime("pi-prime", many, wide_white, wide_black);
+
+  EXPECT_EQ(find_relaxation_label_map(pi, pi_prime).verdict, Verdict::kExhausted);
+  EXPECT_EQ(find_relaxation_witness(pi, pi_prime).verdict, Verdict::kExhausted);
 }
 
 }  // namespace
