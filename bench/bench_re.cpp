@@ -20,6 +20,7 @@
 #include <thread>
 #include <vector>
 
+#include "bench/json_writer.hpp"
 #include "src/cert/check.hpp"
 #include "src/cert/emit.hpp"
 #include "src/cert/format.hpp"
@@ -53,41 +54,6 @@ struct E2Row {
   double serial_wall_ms = 0.0;  // round_eliminate, threads = 1
   REStats stats;                // counters of the default run
 };
-
-void print_stats_json(std::FILE* f, const REStats& s, const char* indent) {
-  std::fprintf(f,
-               "%s\"dfs_nodes\": %llu,\n"
-               "%s\"partials_deduped\": %llu,\n"
-               "%s\"extendable_calls\": %llu,\n"
-               "%s\"extension_index_entries\": %llu,\n"
-               "%s\"configs_enumerated\": %llu,\n"
-               "%s\"domination_tests\": %llu,\n"
-               "%s\"domination_skipped\": %llu,\n"
-               "%s\"relaxed_multisets\": %llu,\n"
-               "%s\"relaxed_witness_hits\": %llu,\n"
-               "%s\"relaxed_dfs_tests\": %llu,\n"
-               "%s\"extension_index_builds\": %llu,\n"
-               "%s\"budget_exhausted\": %llu,\n"
-               "%s\"threads_used\": %zu,\n"
-               "%s\"harden_ms\": %.3f,\n"
-               "%s\"dominate_ms\": %.3f,\n"
-               "%s\"relax_ms\": %.3f,\n"
-               "%s\"total_ms\": %.3f\n",
-               indent, static_cast<unsigned long long>(s.dfs_nodes), indent,
-               static_cast<unsigned long long>(s.partials_deduped), indent,
-               static_cast<unsigned long long>(s.extendable_calls), indent,
-               static_cast<unsigned long long>(s.extension_index_entries), indent,
-               static_cast<unsigned long long>(s.configs_enumerated), indent,
-               static_cast<unsigned long long>(s.domination_tests), indent,
-               static_cast<unsigned long long>(s.domination_skipped), indent,
-               static_cast<unsigned long long>(s.relaxed_multisets), indent,
-               static_cast<unsigned long long>(s.relaxed_witness_hits), indent,
-               static_cast<unsigned long long>(s.relaxed_dfs_tests), indent,
-               static_cast<unsigned long long>(s.extension_index_builds), indent,
-               static_cast<unsigned long long>(s.budget_exhausted), indent,
-               s.threads_used, indent, s.harden_ms, indent, s.dominate_ms, indent,
-               s.relax_ms, indent, s.total_ms);
-}
 
 /// E2d — a deliberately tiny node budget on the Δ=6 E2 row: the engine
 /// must abort quickly (well under the row's full runtime) with the perf
@@ -238,207 +204,146 @@ void write_json(const std::vector<E2Row>& rows, const REStats& totals,
     std::fprintf(stderr, "warning: cannot write BENCH_RE.json\n");
     return;
   }
-  std::fprintf(f,
-               "{\n"
-               "  \"bench\": \"bench_re\",\n"
-               "  \"schema_version\": 10,\n"
-               "  \"hardware_threads\": %u,\n"
-               "  \"e2_table_wall_ms\": %.3f,\n"
-               "  \"e2_table_serial_wall_ms\": %.3f,\n"
-               "  \"e2_rows\": [\n",
-               std::thread::hardware_concurrency(), table_wall_ms,
-               serial_table_wall_ms);
-  for (std::size_t i = 0; i < rows.size(); ++i) {
-    const E2Row& r = rows[i];
-    std::fprintf(f,
-                 "    {\n"
-                 "      \"delta\": %zu, \"x\": %zu, \"y\": %zu,\n"
-                 "      \"computed\": %s,\n"
-                 "      \"sigma\": %zu, \"white\": %zu, \"black\": %zu,\n"
-                 "      \"relaxation_verified\": %s,\n"
-                 "      \"wall_ms\": %.3f,\n"
-                 "      \"serial_wall_ms\": %.3f,\n"
-                 "      \"stats\": {\n",
-                 r.delta, r.x, r.y, r.computed ? "true" : "false", r.sigma, r.white,
-                 r.black, r.relaxation_verified ? "true" : "false", r.wall_ms,
-                 r.serial_wall_ms);
-    print_stats_json(f, r.stats, "        ");
-    std::fprintf(f, "      }\n    }%s\n", i + 1 < rows.size() ? "," : "");
+  JsonWriter json(f);
+  json.field("bench", "bench_re");
+  json.field("schema_version", 10);
+  json.field("hardware_threads", std::thread::hardware_concurrency());
+  json.field("e2_table_wall_ms", table_wall_ms);
+  json.field("e2_table_serial_wall_ms", serial_table_wall_ms);
+  json.begin_array("e2_rows");
+  for (const E2Row& r : rows) {
+    json.begin_object();
+    json.field("delta", r.delta);
+    json.field("x", r.x);
+    json.field("y", r.y);
+    json.field("computed", r.computed);
+    json.field("sigma", r.sigma);
+    json.field("white", r.white);
+    json.field("black", r.black);
+    json.field("relaxation_verified", r.relaxation_verified);
+    json.field("wall_ms", r.wall_ms);
+    json.field("serial_wall_ms", r.serial_wall_ms);
+    json.begin_object("stats");
+    json.fields(r.stats);
+    json.end();
+    json.end();
   }
-  std::fprintf(f, "  ],\n  \"e2_totals\": {\n");
-  print_stats_json(f, totals, "    ");
-  std::fprintf(f,
-               "  },\n"
-               "  \"budget_demo\": {\n"
-               "    \"delta\": %zu, \"x\": %zu, \"y\": %zu,\n"
-               "    \"max_nodes\": %llu,\n"
-               "    \"exhausted\": %s,\n"
-               "    \"dfs_nodes_at_exhaustion\": %llu,\n"
-               "    \"wall_ms\": %.3f\n"
-               "  },\n",
-               budget_demo.delta, budget_demo.x, budget_demo.y,
-               static_cast<unsigned long long>(budget_demo.max_nodes),
-               budget_demo.exhausted ? "true" : "false",
-               static_cast<unsigned long long>(budget_demo.dfs_nodes_at_exhaustion),
-               budget_demo.wall_ms);
-  std::fprintf(f,
-               "  \"portfolio_demo\": {\n"
-               "    \"verdict\": \"%s\",\n"
-               "    \"winner\": \"%s\",\n"
-               "    \"nodes\": %llu,\n"
-               "    \"conflicts\": %llu,\n"
-               "    \"wall_ms\": %.3f\n"
-               "  },\n",
-               portfolio_demo.verdict.c_str(), portfolio_demo.winner.c_str(),
-               static_cast<unsigned long long>(portfolio_demo.nodes),
-               static_cast<unsigned long long>(portfolio_demo.conflicts),
-               portfolio_demo.wall_ms);
-  std::fprintf(f,
-               "  \"incremental_sweep_demo\": {\n"
-               "    \"big_delta\": %zu, \"big_r\": %zu,\n"
-               "    \"supports\": %zu,\n"
-               "    \"verdicts_match\": %s,\n"
-               "    \"incremental_clauses\": %zu,\n"
-               "    \"scratch_clauses\": %zu,\n"
-               "    \"incremental_conflicts\": %llu,\n"
-               "    \"scratch_conflicts\": %llu,\n"
-               "    \"incremental_wall_ms\": %.3f,\n"
-               "    \"scratch_wall_ms\": %.3f,\n"
-               "    \"cores_certified\": %zu\n"
-               "  },\n",
-               sweep_demo.big_delta, sweep_demo.big_r, sweep_demo.supports,
-               sweep_demo.verdicts_match ? "true" : "false",
-               sweep_demo.incremental_clauses, sweep_demo.scratch_clauses,
-               static_cast<unsigned long long>(sweep_demo.incremental_conflicts),
-               static_cast<unsigned long long>(sweep_demo.scratch_conflicts),
-               sweep_demo.incremental_wall_ms, sweep_demo.scratch_wall_ms,
-               sweep_demo.cores_certified);
-  std::fprintf(f,
-               "  \"re_cache_demo\": {\n"
-               "    \"steps\": %zu,\n"
-               "    \"verdicts_match\": %s,\n"
-               "    \"cold_hits\": %llu,\n"
-               "    \"cold_misses\": %llu,\n"
-               "    \"warm_hits\": %llu,\n"
-               "    \"warm_misses\": %llu,\n"
-               "    \"warm_dfs_nodes\": %llu,\n"
-               "    \"off_wall_ms\": %.3f,\n"
-               "    \"cold_wall_ms\": %.3f,\n"
-               "    \"warm_wall_ms\": %.3f,\n"
-               "    \"warm_canonical_ms\": %.3f,\n"
-               "    \"chain_steps\": %zu,\n"
-               "    \"chain_hits\": %llu,\n"
-               "    \"chain_dfs_nodes_after_first\": %llu\n"
-               "  },\n",
-               cache_demo.steps, cache_demo.verdicts_match ? "true" : "false",
-               static_cast<unsigned long long>(cache_demo.cold_hits),
-               static_cast<unsigned long long>(cache_demo.cold_misses),
-               static_cast<unsigned long long>(cache_demo.warm_hits),
-               static_cast<unsigned long long>(cache_demo.warm_misses),
-               static_cast<unsigned long long>(cache_demo.warm_dfs_nodes),
-               cache_demo.off_wall_ms, cache_demo.cold_wall_ms,
-               cache_demo.warm_wall_ms, cache_demo.warm_canonical_ms,
-               cache_demo.chain_steps,
-               static_cast<unsigned long long>(cache_demo.chain_hits),
-               static_cast<unsigned long long>(cache_demo.chain_dfs_nodes_after_first));
-  std::fprintf(f,
-               "  \"cert_demo\": {\n"
-               "    \"sequence_steps\": %zu,\n"
-               "    \"sequence_valid\": %s,\n"
-               "    \"sequence_emit_wall_ms\": %.3f,\n"
-               "    \"sequence_check_wall_ms\": %.3f,\n"
-               "    \"sequence_bytes\": %zu,\n"
-               "    \"lift_proof_steps\": %zu,\n"
-               "    \"lift_valid\": %s,\n"
-               "    \"lift_emit_wall_ms\": %.3f,\n"
-               "    \"lift_check_wall_ms\": %.3f,\n"
-               "    \"lift_bytes\": %zu,\n"
-               "    \"roundtrip_valid\": %s\n"
-               "  },\n",
-               cert_demo.sequence_steps, cert_demo.sequence_valid ? "true" : "false",
-               cert_demo.sequence_emit_wall_ms, cert_demo.sequence_check_wall_ms,
-               cert_demo.sequence_bytes, cert_demo.lift_proof_steps,
-               cert_demo.lift_valid ? "true" : "false", cert_demo.lift_emit_wall_ms,
-               cert_demo.lift_check_wall_ms, cert_demo.lift_bytes,
-               cert_demo.roundtrip_valid ? "true" : "false");
-  std::fprintf(f,
-               "  \"serve_demo\": {\n"
-               "    \"requests\": %zu,\n"
-               "    \"ok\": %llu,\n"
-               "    \"admission_rejects\": %llu,\n"
-               "    \"checkpoint_failures\": %llu,\n"
-               "    \"recovered_from\": \"%s\",\n"
-               "    \"checkpoint_recoveries\": %llu,\n"
-               "    \"verdicts_match\": %s,\n"
-               "    \"final_checkpoint_valid\": %s,\n"
-               "    \"warm_cache_hits\": %llu,\n"
-               "    \"requests_per_sec\": %.1f,\n"
-               "    \"wall_ms\": %.3f,\n"
-               "    \"socket\": {\n"
-               "      \"connections\": %zu,\n"
-               "      \"requests\": %zu,\n"
-               "      \"batch_groups\": %llu,\n"
-               "      \"batched_requests\": %llu,\n"
-               "      \"batch_peak\": %llu,\n"
-               "      \"single_dispatch\": %llu,\n"
-               "      \"unbatched_dispatches\": %llu,\n"
-               "      \"verdicts_match\": %s,\n"
-               "      \"requests_per_sec\": %.1f,\n"
-               "      \"wall_ms\": %.3f\n"
-               "    }\n"
-               "  },\n",
-               serve_demo.requests, static_cast<unsigned long long>(serve_demo.ok),
-               static_cast<unsigned long long>(serve_demo.admission_rejects),
-               static_cast<unsigned long long>(serve_demo.checkpoint_failures),
-               serve_demo.recovered_from.c_str(),
-               static_cast<unsigned long long>(serve_demo.checkpoint_recoveries),
-               serve_demo.verdicts_match ? "true" : "false",
-               serve_demo.final_checkpoint_valid ? "true" : "false",
-               static_cast<unsigned long long>(serve_demo.warm_cache_hits),
-               serve_demo.requests_per_sec, serve_demo.wall_ms,
-               serve_demo.socket_connections, serve_demo.socket_requests,
-               static_cast<unsigned long long>(serve_demo.socket_batch_groups),
-               static_cast<unsigned long long>(serve_demo.socket_batched_requests),
-               static_cast<unsigned long long>(serve_demo.socket_batch_peak),
-               static_cast<unsigned long long>(serve_demo.socket_single_dispatch),
-               static_cast<unsigned long long>(serve_demo.unbatched_dispatches),
-               serve_demo.socket_verdicts_match ? "true" : "false",
-               serve_demo.socket_requests_per_sec, serve_demo.socket_wall_ms);
-  std::fprintf(f, "  \"discover_demo\": {\n");
-  const std::pair<const char*, const DiscoverRun&> discover_runs[] = {
-      {"coloring", discover_demo.coloring}, {"matching", discover_demo.matching}};
-  for (std::size_t i = 0; i < 2; ++i) {
-    const auto& [tag, run] = discover_runs[i];
-    std::fprintf(f,
-                 "    \"%s\": {\n"
-                 "      \"target\": %zu,\n"
-                 "      \"status\": \"%s\",\n"
-                 "      \"pumped\": %s,\n"
-                 "      \"expansions\": %llu,\n"
-                 "      \"frontier_peak\": %llu,\n"
-                 "      \"nodes\": %llu,\n"
-                 "      \"cache_hits\": %llu,\n"
-                 "      \"cache_misses\": %llu,\n"
-                 "      \"certs_emitted\": %llu,\n"
-                 "      \"cert_bytes\": %zu,\n"
-                 "      \"wall_ms\": %.3f\n"
-                 "    },\n",
-                 tag, run.target, run.status.c_str(), run.pumped ? "true" : "false",
-                 static_cast<unsigned long long>(run.expansions),
-                 static_cast<unsigned long long>(run.frontier_peak),
-                 static_cast<unsigned long long>(run.nodes),
-                 static_cast<unsigned long long>(run.cache_hits),
-                 static_cast<unsigned long long>(run.cache_misses),
-                 static_cast<unsigned long long>(run.certs_emitted),
-                 run.cert_bytes, run.wall_ms);
+  json.end();
+  json.begin_object("e2_totals");
+  json.fields(totals);
+  json.end();
+
+  json.begin_object("budget_demo");
+  json.field("delta", budget_demo.delta);
+  json.field("x", budget_demo.x);
+  json.field("y", budget_demo.y);
+  json.field("max_nodes", budget_demo.max_nodes);
+  json.field("exhausted", budget_demo.exhausted);
+  json.field("dfs_nodes_at_exhaustion", budget_demo.dfs_nodes_at_exhaustion);
+  json.field("wall_ms", budget_demo.wall_ms);
+  json.end();
+
+  json.begin_object("portfolio_demo");
+  json.field("verdict", portfolio_demo.verdict);
+  json.field("winner", portfolio_demo.winner);
+  json.field("nodes", portfolio_demo.nodes);
+  json.field("conflicts", portfolio_demo.conflicts);
+  json.field("wall_ms", portfolio_demo.wall_ms);
+  json.end();
+
+  json.begin_object("incremental_sweep_demo");
+  json.field("big_delta", sweep_demo.big_delta);
+  json.field("big_r", sweep_demo.big_r);
+  json.field("supports", sweep_demo.supports);
+  json.field("verdicts_match", sweep_demo.verdicts_match);
+  json.field("incremental_clauses", sweep_demo.incremental_clauses);
+  json.field("scratch_clauses", sweep_demo.scratch_clauses);
+  json.field("incremental_conflicts", sweep_demo.incremental_conflicts);
+  json.field("scratch_conflicts", sweep_demo.scratch_conflicts);
+  json.field("incremental_wall_ms", sweep_demo.incremental_wall_ms);
+  json.field("scratch_wall_ms", sweep_demo.scratch_wall_ms);
+  json.field("cores_certified", sweep_demo.cores_certified);
+  json.end();
+
+  json.begin_object("re_cache_demo");
+  json.field("steps", cache_demo.steps);
+  json.field("verdicts_match", cache_demo.verdicts_match);
+  json.field("cold_hits", cache_demo.cold_hits);
+  json.field("cold_misses", cache_demo.cold_misses);
+  json.field("warm_hits", cache_demo.warm_hits);
+  json.field("warm_misses", cache_demo.warm_misses);
+  json.field("warm_dfs_nodes", cache_demo.warm_dfs_nodes);
+  json.field("off_wall_ms", cache_demo.off_wall_ms);
+  json.field("cold_wall_ms", cache_demo.cold_wall_ms);
+  json.field("warm_wall_ms", cache_demo.warm_wall_ms);
+  json.field("warm_canonical_ms", cache_demo.warm_canonical_ms);
+  json.field("chain_steps", cache_demo.chain_steps);
+  json.field("chain_hits", cache_demo.chain_hits);
+  json.field("chain_dfs_nodes_after_first", cache_demo.chain_dfs_nodes_after_first);
+  json.end();
+
+  json.begin_object("cert_demo");
+  json.field("sequence_steps", cert_demo.sequence_steps);
+  json.field("sequence_valid", cert_demo.sequence_valid);
+  json.field("sequence_emit_wall_ms", cert_demo.sequence_emit_wall_ms);
+  json.field("sequence_check_wall_ms", cert_demo.sequence_check_wall_ms);
+  json.field("sequence_bytes", cert_demo.sequence_bytes);
+  json.field("lift_proof_steps", cert_demo.lift_proof_steps);
+  json.field("lift_valid", cert_demo.lift_valid);
+  json.field("lift_emit_wall_ms", cert_demo.lift_emit_wall_ms);
+  json.field("lift_check_wall_ms", cert_demo.lift_check_wall_ms);
+  json.field("lift_bytes", cert_demo.lift_bytes);
+  json.field("roundtrip_valid", cert_demo.roundtrip_valid);
+  json.end();
+
+  json.begin_object("serve_demo");
+  json.field("requests", serve_demo.requests);
+  json.field("ok", serve_demo.ok);
+  json.field("admission_rejects", serve_demo.admission_rejects);
+  json.field("checkpoint_failures", serve_demo.checkpoint_failures);
+  json.field("recovered_from", serve_demo.recovered_from);
+  json.field("checkpoint_recoveries", serve_demo.checkpoint_recoveries);
+  json.field("verdicts_match", serve_demo.verdicts_match);
+  json.field("final_checkpoint_valid", serve_demo.final_checkpoint_valid);
+  json.field("warm_cache_hits", serve_demo.warm_cache_hits);
+  json.field("requests_per_sec", serve_demo.requests_per_sec, 1);
+  json.field("wall_ms", serve_demo.wall_ms);
+  json.begin_object("socket");
+  json.field("connections", serve_demo.socket_connections);
+  json.field("requests", serve_demo.socket_requests);
+  json.field("batch_groups", serve_demo.socket_batch_groups);
+  json.field("batched_requests", serve_demo.socket_batched_requests);
+  json.field("batch_peak", serve_demo.socket_batch_peak);
+  json.field("single_dispatch", serve_demo.socket_single_dispatch);
+  json.field("unbatched_dispatches", serve_demo.unbatched_dispatches);
+  json.field("verdicts_match", serve_demo.socket_verdicts_match);
+  json.field("requests_per_sec", serve_demo.socket_requests_per_sec, 1);
+  json.field("wall_ms", serve_demo.socket_wall_ms);
+  json.end();
+  json.end();
+
+  json.begin_object("discover_demo");
+  for (const auto& [tag, run] : {std::pair<const char*, const DiscoverRun&>{
+                                     "coloring", discover_demo.coloring},
+                                 {"matching", discover_demo.matching}}) {
+    json.begin_object(tag);
+    json.field("target", run.target);
+    json.field("status", run.status);
+    json.field("pumped", run.pumped);
+    json.field("expansions", run.expansions);
+    json.field("frontier_peak", run.frontier_peak);
+    json.field("nodes", run.nodes);
+    json.field("cache_hits", run.cache_hits);
+    json.field("cache_misses", run.cache_misses);
+    json.field("certs_emitted", run.certs_emitted);
+    json.field("cert_bytes", run.cert_bytes);
+    json.field("wall_ms", run.wall_ms);
+    json.end();
   }
-  std::fprintf(f,
-               "    \"certs_valid\": %s,\n"
-               "    \"thread_invariance\": %s\n"
-               "  }\n",
-               discover_demo.certs_valid ? "true" : "false",
-               discover_demo.thread_invariance ? "true" : "false");
-  std::fprintf(f, "}\n");
+  json.field("certs_valid", discover_demo.certs_valid);
+  json.field("thread_invariance", discover_demo.thread_invariance);
+  json.end();
+  json.finish();
   std::fclose(f);
   std::printf("wrote BENCH_RE.json\n\n");
 }
@@ -493,8 +398,10 @@ void print_table() {
     row.white = re->white().size();
     row.black = re->black().size();
     const Problem relaxed = make_matching_problem(delta, x + y, y);
-    row.relaxation_verified = relaxation_label_map(*re, relaxed).has_value() ||
-                              find_relaxation(*re, relaxed, 20'000'000).has_value();
+    row.relaxation_verified =
+        find_relaxation_label_map(*re, relaxed, {.node_budget = 0, .threads = 1}).map ||
+        find_relaxation_witness(*re, relaxed, {.node_budget = 20'000'000, .threads = 1})
+            .mapping;
     std::printf("%3zu %3zu %3zu | %8zu %6zu %6zu | %10s | %9.2f %9.2f\n", delta, x, y,
                 row.sigma, row.white, row.black,
                 row.relaxation_verified ? "verified" : "MISSING", row.wall_ms,

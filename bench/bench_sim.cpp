@@ -14,6 +14,7 @@
 #include <thread>
 #include <vector>
 
+#include "bench/json_writer.hpp"
 #include "src/graph/generators.hpp"
 #include "src/graph/metrics.hpp"
 #include "src/graph/transforms.hpp"
@@ -290,6 +291,12 @@ ReferenceDiff run_reference_diff() {
   return d;
 }
 
+std::string hex64(std::uint64_t value) {
+  char buf[17];
+  std::snprintf(buf, sizeof(buf), "%016llx", static_cast<unsigned long long>(value));
+  return buf;
+}
+
 void write_sim_json(const std::vector<SimCase>& cases,
                     const ThreadInvariance& invariance,
                     const ReferenceDiff& diff) {
@@ -298,59 +305,48 @@ void write_sim_json(const std::vector<SimCase>& cases,
     std::fprintf(stderr, "warning: cannot write BENCH_SIM.json\n");
     return;
   }
-  std::fprintf(f,
-               "{\n"
-               "  \"bench\": \"bench_sim\",\n"
-               "  \"schema_version\": 1,\n"
-               "  \"hardware_threads\": %u,\n"
-               "  \"cases\": [\n",
-               std::thread::hardware_concurrency());
-  for (std::size_t i = 0; i < cases.size(); ++i) {
-    const SimCase& c = cases[i];
-    std::fprintf(f,
-                 "    {\n"
-                 "      \"name\": \"%s\",\n"
-                 "      \"algorithm\": \"%s\",\n"
-                 "      \"n\": %zu, \"delta\": %zu, \"edges\": %zu,\n"
-                 "      \"threads\": %zu,\n"
-                 "      \"rounds\": %zu,\n"
-                 "      \"completed\": %s,\n"
-                 "      \"messages\": %llu,\n"
-                 "      \"fingerprint\": \"%016llx\",\n"
-                 "      \"wall_ms\": %.3f,\n"
-                 "      \"gen_wall_ms\": %.3f,\n"
-                 "      \"per_round_wall_ms\": %.3f,\n"
-                 "      \"half_edge_rounds_per_sec\": %.0f\n"
-                 "    }%s\n",
-                 c.name.c_str(), c.algorithm.c_str(), c.n, c.delta, c.edges,
-                 c.threads, c.rounds, c.completed ? "true" : "false",
-                 static_cast<unsigned long long>(c.messages),
-                 static_cast<unsigned long long>(c.fingerprint), c.wall_ms,
-                 c.gen_wall_ms, c.per_round_wall_ms, c.half_edge_rounds_per_sec,
-                 i + 1 < cases.size() ? "," : "");
+  JsonWriter json(f);
+  json.field("bench", "bench_sim");
+  json.field("schema_version", 1);
+  json.field("hardware_threads", std::thread::hardware_concurrency());
+  json.begin_array("cases");
+  for (const SimCase& c : cases) {
+    json.begin_object();
+    json.field("name", c.name);
+    json.field("algorithm", c.algorithm);
+    json.field("n", c.n);
+    json.field("delta", c.delta);
+    json.field("edges", c.edges);
+    json.field("threads", c.threads);
+    json.field("rounds", c.rounds);
+    json.field("completed", c.completed);
+    json.field("messages", c.messages);
+    json.field("fingerprint", hex64(c.fingerprint));
+    json.field("wall_ms", c.wall_ms);
+    json.field("gen_wall_ms", c.gen_wall_ms);
+    json.field("per_round_wall_ms", c.per_round_wall_ms);
+    json.field("half_edge_rounds_per_sec", c.half_edge_rounds_per_sec, 0);
+    json.end();
   }
-  std::fprintf(f,
-               "  ],\n"
-               "  \"thread_invariance\": {\n"
-               "    \"case\": \"%s\",\n"
-               "    \"n\": %zu,\n"
-               "    \"threads_compared\": [1, 0],\n"
-               "    \"identical\": %s,\n"
-               "    \"fingerprint\": \"%016llx\"\n"
-               "  },\n"
-               "  \"reference_diff\": {\n"
-               "    \"case\": \"%s\",\n"
-               "    \"n\": %zu,\n"
-               "    \"rounds\": %zu,\n"
-               "    \"identical\": %s\n"
-               "  },\n"
-               "  \"peak_rss_mb\": %.1f\n"
-               "}\n",
-               invariance.case_name.c_str(), invariance.n,
-               invariance.identical ? "true" : "false",
-               static_cast<unsigned long long>(invariance.fingerprint),
-               diff.case_name.c_str(), diff.n, diff.rounds,
-               diff.identical ? "true" : "false", peak_rss_mb());
+  json.end();
+  json.begin_object("thread_invariance");
+  json.field("case", invariance.case_name);
+  json.field("n", invariance.n);
+  json.begin_array("threads_compared");
+  json.field("", 1);
+  json.field("", 0);
+  json.end();
+  json.field("identical", invariance.identical);
+  json.field("fingerprint", hex64(invariance.fingerprint));
+  json.end();
+  json.begin_object("reference_diff");
+  json.field("case", diff.case_name);
+  json.field("n", diff.n);
+  json.field("rounds", diff.rounds);
+  json.field("identical", diff.identical);
+  json.end();
+  json.field("peak_rss_mb", peak_rss_mb(), 1);
+  json.finish();
   std::fclose(f);
 }
 

@@ -444,10 +444,7 @@ int cmd_sequence(const std::vector<std::string>& files, const Flags& flags) {
   }
   std::printf("%s", result.report.to_string().c_str());
   if (use_cache) {
-    const RECacheCounters c = cache.counters();
-    std::printf("re-cache: entries=%zu hits=%llu misses=%llu\n", c.entries,
-                static_cast<unsigned long long>(c.hits),
-                static_cast<unsigned long long>(c.misses));
+    std::printf("re-cache: %s\n", render_fields(cache.counters()).c_str());
     if (!save_cache(cache, flags.re_cache_path)) return 1;
   }
   std::printf("stats: %s\n", result.stats.to_string().c_str());

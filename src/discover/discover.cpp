@@ -1,7 +1,6 @@
 #include "src/discover/discover.hpp"
 
 #include <algorithm>
-#include <cstdio>
 #include <fstream>
 #include <set>
 #include <sstream>
@@ -119,31 +118,7 @@ const char* to_string(DiscoverStatus s) {
   return "?";
 }
 
-std::string DiscoverStats::to_string() const {
-  char buf[512];
-  std::snprintf(
-      buf, sizeof(buf),
-      "expansions=%llu frontier_peak=%llu generated=%llu deduped=%llu "
-      "trivial=%llu accepted=%llu evicted=%llu pool_rejected=%llu pumps=%llu "
-      "re_failures=%llu nodes=%llu cache_hits=%llu cache_misses=%llu "
-      "certs=%llu checkpoints=%llu resumed=%d",
-      static_cast<unsigned long long>(expansions),
-      static_cast<unsigned long long>(frontier_peak),
-      static_cast<unsigned long long>(candidates_generated),
-      static_cast<unsigned long long>(candidates_deduped),
-      static_cast<unsigned long long>(candidates_trivial),
-      static_cast<unsigned long long>(candidates_accepted),
-      static_cast<unsigned long long>(beam_evictions),
-      static_cast<unsigned long long>(pool_rejections),
-      static_cast<unsigned long long>(pumps_found),
-      static_cast<unsigned long long>(re_failures),
-      static_cast<unsigned long long>(nodes_spent),
-      static_cast<unsigned long long>(cache_hits),
-      static_cast<unsigned long long>(cache_misses),
-      static_cast<unsigned long long>(certs_emitted),
-      static_cast<unsigned long long>(checkpoints_written), resumed ? 1 : 0);
-  return buf;
-}
+std::string DiscoverStats::to_string() const { return render_fields(*this); }
 
 namespace {
 

@@ -54,6 +54,7 @@
 #include "src/formalism/problem.hpp"
 #include "src/re/re_cache.hpp"
 #include "src/util/budget.hpp"
+#include "src/util/fields.hpp"
 
 namespace slocal::discover {
 
@@ -139,7 +140,30 @@ struct DiscoverStats {
   std::uint64_t certs_emitted = 0;       ///< certificates packaged
   std::uint64_t checkpoints_written = 0;
   bool resumed = false;                  ///< search started from a checkpoint
-  std::string to_string() const;         ///< one line, deterministic
+
+  /// The field list (src/util/fields.hpp), in declaration order.
+  template <typename F>
+  static constexpr void for_each_field(F&& f) {
+    f("expansions", &DiscoverStats::expansions, Merge::kSum);
+    f("frontier_peak", &DiscoverStats::frontier_peak, Merge::kMax);
+    f("candidates_generated", &DiscoverStats::candidates_generated, Merge::kSum);
+    f("candidates_deduped", &DiscoverStats::candidates_deduped, Merge::kSum);
+    f("candidates_trivial", &DiscoverStats::candidates_trivial, Merge::kSum);
+    f("candidates_accepted", &DiscoverStats::candidates_accepted, Merge::kSum);
+    f("beam_evictions", &DiscoverStats::beam_evictions, Merge::kSum);
+    f("pool_rejections", &DiscoverStats::pool_rejections, Merge::kSum);
+    f("pumps_found", &DiscoverStats::pumps_found, Merge::kSum);
+    f("re_failures", &DiscoverStats::re_failures, Merge::kSum);
+    f("nodes_spent", &DiscoverStats::nodes_spent, Merge::kSum);
+    f("cache_hits", &DiscoverStats::cache_hits, Merge::kSum);
+    f("cache_misses", &DiscoverStats::cache_misses, Merge::kSum);
+    f("certs_emitted", &DiscoverStats::certs_emitted, Merge::kSum);
+    f("checkpoints_written", &DiscoverStats::checkpoints_written, Merge::kSum);
+    f("resumed", &DiscoverStats::resumed, Merge::kMax);
+  }
+
+  /// One `name=value` line over the field list; deterministic.
+  std::string to_string() const;
 };
 
 enum class DiscoverStatus {

@@ -86,6 +86,7 @@ struct LabelMapSearch {
   const MaxLabelBuckets& buckets;
   std::size_t source_labels;
   std::size_t target_labels;
+  std::size_t first_lo, first_hi;       // images tried for label 0
   std::uint64_t node_limit;             // kUnlimitedNodes when uncapped
   SearchBudget* shared = nullptr;       // optional deadline/cancel token
   const std::atomic<bool>* stop = nullptr;  // parallel first-wins flag
@@ -96,7 +97,8 @@ struct LabelMapSearch {
   /// completed map is the lexicographically smallest valid one.
   bool recurse(std::size_t level, std::vector<Label>& map) {
     if (level == source_labels) return true;
-    for (std::size_t t = 0; t < target_labels; ++t) {
+    const std::size_t hi = level == 0 ? first_hi : target_labels;
+    for (std::size_t t = level == 0 ? first_lo : 0; t < hi; ++t) {
       if (exhausted) return false;
       if (stop != nullptr && stop->load(std::memory_order_relaxed)) return false;
       if (++visited > node_limit ||
@@ -309,6 +311,67 @@ struct RelaxSearch {
   }
 };
 
+/// One search: the witness it found (if any), the nodes it visited, and
+/// whether a budget stopped it first.
+template <typename Witness>
+struct Attempt {
+  std::optional<Witness> witness;
+  std::uint64_t nodes = 0;
+  bool exhausted = false;
+
+  Verdict verdict() const {
+    return witness ? Verdict::kYes : exhausted ? Verdict::kExhausted : Verdict::kNo;
+  }
+};
+
+/// Runs attempt(lo, hi, node_limit, stop), which searches with the first
+/// assignment restricted to candidates [lo, hi) of [0, fan). Serially that
+/// is one call over all of them. In parallel (node_budget == 0 only, see the
+/// header comment) it is one task per candidate; the first task to find a
+/// witness raises `stop`, which the others poll at every node. The flag is
+/// deliberately separate from options.budget — a caller's shared budget must
+/// not be cancelled by our own success. Nodes add up over all tasks, and the
+/// result is exhausted if any task was.
+template <typename Run>
+auto run_search(std::size_t fan, const RelaxationOptions& options, const Run& attempt) {
+  using Outcome = decltype(attempt(0, 0, 0, nullptr));
+  const std::size_t threads =
+      (options.node_budget == 0 && options.threads != 1 && fan > 1)
+          ? std::min(ThreadPool::resolve_threads(options.threads), fan)
+          : 1;
+  if (threads <= 1) {
+    return attempt(0, fan, options.node_budget == 0 ? kUnlimitedNodes : options.node_budget,
+                   nullptr);
+  }
+  std::atomic<bool> found{false};
+  std::atomic<bool> any_exhausted{false};
+  std::atomic<std::uint64_t> total_nodes{0};
+  std::mutex claim;
+  Outcome outcome;
+  std::vector<std::function<void()>> tasks;
+  tasks.reserve(fan);
+  for (std::size_t i = 0; i < fan; ++i) {
+    tasks.push_back([&, i] {
+      if (found.load(std::memory_order_relaxed) ||
+          (options.budget != nullptr && options.budget->halted())) {
+        return;
+      }
+      Outcome a = attempt(i, i + 1, kUnlimitedNodes, &found);
+      total_nodes.fetch_add(a.nodes, std::memory_order_relaxed);
+      if (a.exhausted) any_exhausted.store(true, std::memory_order_relaxed);
+      if (a.witness && !found.exchange(true, std::memory_order_acq_rel)) {
+        const std::lock_guard<std::mutex> lock(claim);
+        outcome.witness = std::move(a.witness);
+      }
+    });
+  }
+  ThreadPool pool(threads - 1);
+  pool.run_batch(std::move(tasks));
+  outcome.nodes = total_nodes.load();
+  outcome.exhausted = any_exhausted.load();
+  return outcome;
+}
+
 }  // namespace
 
 LabelMapResult find_relaxation_label_map(const Problem& pi, const Problem& pi_prime,
@@ -335,71 +398,20 @@ LabelMapResult find_relaxation_label_map(const Problem& pi, const Problem& pi_pr
     return result;
   }
   const MaxLabelBuckets buckets(pi, pi_prime);
-  const std::uint64_t limit =
-      options.node_budget == 0 ? kUnlimitedNodes : options.node_budget;
-  const std::size_t threads =
-      (options.node_budget == 0 && options.threads != 1 && targets > 1)
-          ? std::min(ThreadPool::resolve_threads(options.threads), targets)
-          : 1;
-
-  if (threads <= 1) {
-    LabelMapSearch search{buckets, n, targets, limit, options.budget, nullptr};
+  auto outcome = run_search(targets, options, [&](std::size_t lo, std::size_t hi,
+                                                  std::uint64_t node_limit,
+                                                  const std::atomic<bool>* stop) {
+    LabelMapSearch search{buckets, n, targets, lo, hi, node_limit, options.budget, stop};
     std::vector<Label> map(n, 0);
-    if (search.recurse(0, map)) {
-      result.verdict = Verdict::kYes;
-      result.map = std::move(map);
-    } else {
-      result.verdict = search.exhausted ? Verdict::kExhausted : Verdict::kNo;
-    }
-    result.nodes = search.visited;
-    return result;
-  }
-
-  // Parallel: one task per image of label 0. The first task to complete a
-  // map raises `found`, which the others poll at every node. The internal
-  // flag is deliberately separate from options.budget — a caller's shared
-  // budget must not be cancelled by our own success.
-  std::atomic<bool> found{false};
-  std::atomic<bool> any_exhausted{false};
-  std::atomic<std::uint64_t> total_nodes{0};
-  std::mutex claim;
-  std::optional<std::vector<Label>> winner;
-  std::vector<std::function<void()>> tasks;
-  tasks.reserve(targets);
-  for (std::size_t t0 = 0; t0 < targets; ++t0) {
-    tasks.push_back([&, t0] {
-      if (found.load(std::memory_order_relaxed) ||
-          (options.budget != nullptr && options.budget->halted())) {
-        return;
-      }
-      LabelMapSearch search{buckets, n, targets, kUnlimitedNodes,
-                            options.budget, &found};
-      std::vector<Label> map(n, 0);
-      map[0] = static_cast<Label>(t0);
-      bool ok = false;
-      ++search.visited;  // the root assignment m(0) = t0
-      if (options.budget != nullptr && !options.budget->charge()) {
-        search.exhausted = true;
-      } else if (buckets.ok_at(0, map)) {
-        ok = search.recurse(1, map);
-      }
-      total_nodes.fetch_add(search.visited, std::memory_order_relaxed);
-      if (search.exhausted) any_exhausted.store(true, std::memory_order_relaxed);
-      if (ok && !found.exchange(true, std::memory_order_acq_rel)) {
-        const std::lock_guard<std::mutex> lock(claim);
-        winner = std::move(map);
-      }
-    });
-  }
-  ThreadPool pool(threads - 1);
-  pool.run_batch(std::move(tasks));
-  result.nodes = total_nodes.load();
-  if (winner.has_value()) {
-    result.verdict = Verdict::kYes;
-    result.map = std::move(winner);
-  } else {
-    result.verdict = any_exhausted.load() ? Verdict::kExhausted : Verdict::kNo;
-  }
+    Attempt<std::vector<Label>> a;
+    if (search.recurse(0, map)) a.witness = std::move(map);
+    a.nodes = search.visited;
+    a.exhausted = search.exhausted;
+    return a;
+  });
+  result.verdict = outcome.verdict();
+  result.map = std::move(outcome.witness);
+  result.nodes = outcome.nodes;
   return result;
 }
 
@@ -415,71 +427,21 @@ WitnessResult find_relaxation_witness(const Problem& pi, const Problem& pi_prime
     return result;
   }
   const WitnessTables tables(pi, pi_prime);
-  const std::uint64_t limit =
-      options.node_budget == 0 ? kUnlimitedNodes : options.node_budget;
   const std::size_t fan = tables.sources.empty() ? 0 : tables.images.size();
-  const std::size_t threads =
-      (options.node_budget == 0 && options.threads != 1 && fan > 1)
-          ? std::min(ThreadPool::resolve_threads(options.threads), fan)
-          : 1;
-
-  if (threads <= 1) {
-    RelaxSearch search(tables, 0, tables.images.size(), limit, options.budget, nullptr,
-                       pi.alphabet_size());
-    if (search.recurse(0)) {
-      result.verdict = Verdict::kYes;
-      result.mapping = search.mapping();
-    } else {
-      result.verdict = search.exhausted ? Verdict::kExhausted : Verdict::kNo;
-    }
-    result.nodes = search.visited;
-    return result;
-  }
-
-  // Parallel: one task per candidate image of the first white configuration;
-  // first completed mapping wins and cancels the rest via the internal flag.
-  std::atomic<bool> found{false};
-  std::atomic<bool> any_exhausted{false};
-  std::atomic<std::uint64_t> total_nodes{0};
-  std::mutex claim;
-  std::optional<ConfigMapping> winner;
-  std::vector<std::function<void()>> tasks;
-  tasks.reserve(fan);
-  for (std::size_t i = 0; i < fan; ++i) {
-    tasks.push_back([&, i] {
-      if (found.load(std::memory_order_relaxed) ||
-          (options.budget != nullptr && options.budget->halted())) {
-        return;
-      }
-      RelaxSearch search(tables, i, i + 1, kUnlimitedNodes, options.budget, &found,
-                         pi.alphabet_size());
-      const bool ok = search.recurse(0);
-      total_nodes.fetch_add(search.visited, std::memory_order_relaxed);
-      if (search.exhausted) any_exhausted.store(true, std::memory_order_relaxed);
-      if (ok && !found.exchange(true, std::memory_order_acq_rel)) {
-        const std::lock_guard<std::mutex> lock(claim);
-        winner = search.mapping();
-      }
-    });
-  }
-  ThreadPool pool(threads - 1);
-  pool.run_batch(std::move(tasks));
-  result.nodes = total_nodes.load();
-  if (winner.has_value()) {
-    result.verdict = Verdict::kYes;
-    result.mapping = std::move(winner);
-  } else {
-    result.verdict = any_exhausted.load() ? Verdict::kExhausted : Verdict::kNo;
-  }
+  auto outcome = run_search(fan, options, [&](std::size_t lo, std::size_t hi,
+                                              std::uint64_t node_limit,
+                                              const std::atomic<bool>* stop) {
+    RelaxSearch search(tables, lo, hi, node_limit, options.budget, stop, pi.alphabet_size());
+    Attempt<ConfigMapping> a;
+    if (search.recurse(0)) a.witness = search.mapping();
+    a.nodes = search.visited;
+    a.exhausted = search.exhausted;
+    return a;
+  });
+  result.verdict = outcome.verdict();
+  result.mapping = std::move(outcome.witness);
+  result.nodes = outcome.nodes;
   return result;
-}
-
-std::optional<std::vector<Label>> relaxation_label_map(const Problem& pi,
-                                                       const Problem& pi_prime) {
-  RelaxationOptions options;
-  options.node_budget = 0;  // exhaustive
-  options.threads = 1;
-  return find_relaxation_label_map(pi, pi_prime, options).map;
 }
 
 bool check_relaxation_label_map(const Problem& pi, const Problem& pi_prime,
@@ -510,18 +472,6 @@ bool check_relaxation_witness(const Problem& pi, const Problem& pi_prime,
     if (!pi_prime.white().contains(Configuration(it->second))) return false;
   }
   return black_side_ok(pi, pi_prime, relation_of(pi, mapping));
-}
-
-std::optional<ConfigMapping> find_relaxation(const Problem& pi,
-                                             const Problem& pi_prime,
-                                             std::uint64_t node_budget,
-                                             bool* exhausted) {
-  RelaxationOptions options;
-  options.node_budget = node_budget;
-  options.threads = 1;
-  WitnessResult result = find_relaxation_witness(pi, pi_prime, options);
-  if (exhausted != nullptr) *exhausted = result.verdict == Verdict::kExhausted;
-  return std::move(result.mapping);
 }
 
 }  // namespace slocal

@@ -89,11 +89,6 @@ LabelMapResult find_relaxation_label_map(const Problem& pi, const Problem& pi_pr
 WitnessResult find_relaxation_witness(const Problem& pi, const Problem& pi_prime,
                                       const RelaxationOptions& options = {});
 
-/// Legacy form of find_relaxation_label_map: exhaustive (no budget),
-/// serial. Returns the witness (indexed by Π labels) or nullopt.
-std::optional<std::vector<Label>> relaxation_label_map(const Problem& pi,
-                                                       const Problem& pi_prime);
-
 /// Verifies an explicit per-label map m: Σ(Π) -> Σ(Π') by direct definition
 /// checking (no search): m must cover Σ(Π), stay within Σ(Π'), and remap
 /// every white and black configuration of Π into the corresponding
@@ -109,14 +104,5 @@ bool check_relaxation_label_map(const Problem& pi, const Problem& pi_prime,
 /// mapping.
 bool check_relaxation_witness(const Problem& pi, const Problem& pi_prime,
                               const ConfigMapping& mapping);
-
-/// Legacy form of find_relaxation_witness: serial, node budget only.
-/// nullopt means "no witness found within budget" when the budget was
-/// exhausted, and a definitive "no" otherwise (distinguished by
-/// `*exhausted`).
-std::optional<ConfigMapping> find_relaxation(const Problem& pi,
-                                             const Problem& pi_prime,
-                                             std::uint64_t node_budget = 5'000'000,
-                                             bool* exhausted = nullptr);
 
 }  // namespace slocal

@@ -24,18 +24,32 @@
 
 #include "src/formalism/canonical.hpp"
 #include "src/formalism/problem.hpp"
+#include "src/util/fields.hpp"
 
 namespace slocal {
 
 /// Snapshot of the cache's cumulative counters.
 struct RECacheCounters {
+  std::size_t entries = 0;
   std::uint64_t hits = 0;
   std::uint64_t misses = 0;
   std::uint64_t insertions = 0;
   /// Fingerprint matched but the canonical constraints did not (2^-64-ish;
   /// counted so a collision is observable rather than silent).
   std::uint64_t collisions = 0;
-  std::size_t entries = 0;
+
+  /// The field list (src/util/fields.hpp), in declaration order. The first
+  /// kSummaryFields (entries, hits, misses) are what the server's one-line
+  /// `stats` reply shows.
+  static constexpr std::size_t kSummaryFields = 3;
+  template <typename F>
+  static constexpr void for_each_field(F&& f) {
+    f("entries", &RECacheCounters::entries, Merge::kSum);
+    f("hits", &RECacheCounters::hits, Merge::kSum);
+    f("misses", &RECacheCounters::misses, Merge::kSum);
+    f("insertions", &RECacheCounters::insertions, Merge::kSum);
+    f("collisions", &RECacheCounters::collisions, Merge::kSum);
+  }
 };
 
 class RECache {

@@ -4,7 +4,6 @@
 #include <atomic>
 #include <bit>
 #include <chrono>
-#include <cstdio>
 #include <functional>
 #include <map>
 #include <set>
@@ -212,6 +211,28 @@ std::optional<std::vector<SetConfig>> enumerate_valid_configs(
   return valid;
 }
 
+/// Runs scan(lo, hi, local) over [0, n): in one piece into `stats` without a
+/// pool or below `serial_below` items, else in (workers + 1) * 8 chunks,
+/// each counting into its own REStats, merged into `stats` afterwards.
+template <typename Scan>
+void chunked_scan(std::size_t n, std::size_t serial_below, ThreadPool* pool,
+                  REStats& stats, const Scan& scan) {
+  if (pool == nullptr || n < serial_below) {
+    scan(0, n, stats);
+    return;
+  }
+  const std::size_t chunks = (pool->workers() + 1) * 8;
+  std::vector<REStats> chunk_stats(chunks);
+  std::vector<std::function<void()>> tasks;
+  for (std::size_t k = 0; k < chunks; ++k) {
+    const std::size_t lo = n * k / chunks;
+    const std::size_t hi = n * (k + 1) / chunks;
+    if (lo < hi) tasks.push_back([&, lo, hi, k] { scan(lo, hi, chunk_stats[k]); });
+  }
+  pool->run_batch(std::move(tasks));
+  for (const REStats& s : chunk_stats) stats += s;
+}
+
 /// Maximality filter: drops configurations dominated by a different one.
 /// Configurations are bucketed by signature (sorted multiset of set sizes):
 /// a config can only be dominated by one whose signature is coordinatewise
@@ -272,23 +293,7 @@ std::vector<SetConfig> maximality_filter(const std::vector<SetConfig>& valid,
     }
   };
 
-  if (pool == nullptr || n < 64) {
-    scan(0, n, stats);
-  } else {
-    const std::size_t chunks = (pool->workers() + 1) * 8;
-    std::vector<REStats> chunk_stats(chunks);
-    std::vector<std::function<void()>> tasks;
-    std::size_t index = 0;
-    for (std::size_t k = 0; k < chunks; ++k) {
-      const std::size_t lo = n * k / chunks;
-      const std::size_t hi = n * (k + 1) / chunks;
-      if (lo == hi) continue;
-      const std::size_t slot = index++;
-      tasks.push_back([&, lo, hi, slot] { scan(lo, hi, chunk_stats[slot]); });
-    }
-    pool->run_batch(std::move(tasks));
-    for (const REStats& s : chunk_stats) stats += s;
-  }
+  chunked_scan(n, 64, pool, stats, scan);
 
   std::vector<SetConfig> maximal;
   for (std::size_t i = 0; i < n; ++i) {
@@ -438,23 +443,7 @@ Constraint build_relaxed(const Constraint& existential,
     }
   };
 
-  if (pool == nullptr || picks.size() < 256) {
-    scan(0, picks.size(), stats);
-  } else {
-    const std::size_t chunks = (pool->workers() + 1) * 8;
-    std::vector<REStats> chunk_stats(chunks);
-    std::vector<std::function<void()>> tasks;
-    std::size_t index = 0;
-    for (std::size_t k = 0; k < chunks; ++k) {
-      const std::size_t lo = picks.size() * k / chunks;
-      const std::size_t hi = picks.size() * (k + 1) / chunks;
-      if (lo == hi) continue;
-      const std::size_t slot = index++;
-      tasks.push_back([&, lo, hi, slot] { scan(lo, hi, chunk_stats[slot]); });
-    }
-    pool->run_batch(std::move(tasks));
-    for (const REStats& s : chunk_stats) stats += s;
-  }
+  chunked_scan(picks.size(), 256, pool, stats, scan);
 
   Constraint relaxed(degree);
   for (std::size_t i = 0; i < picks.size(); ++i) {
@@ -617,53 +606,11 @@ std::optional<REStep> re_core(const Problem& pi, bool universal_is_black,
 }  // namespace
 
 REStats& REStats::operator+=(const REStats& other) {
-  dfs_nodes += other.dfs_nodes;
-  partials_deduped += other.partials_deduped;
-  extendable_calls += other.extendable_calls;
-  extension_index_entries += other.extension_index_entries;
-  configs_enumerated += other.configs_enumerated;
-  domination_tests += other.domination_tests;
-  domination_skipped += other.domination_skipped;
-  relaxed_multisets += other.relaxed_multisets;
-  relaxed_witness_hits += other.relaxed_witness_hits;
-  relaxed_dfs_tests += other.relaxed_dfs_tests;
-  extension_index_builds += other.extension_index_builds;
-  budget_exhausted += other.budget_exhausted;
-  cache_hits += other.cache_hits;
-  cache_misses += other.cache_misses;
-  canonical_ms += other.canonical_ms;
-  threads_used = std::max(threads_used, other.threads_used);
-  harden_ms += other.harden_ms;
-  dominate_ms += other.dominate_ms;
-  relax_ms += other.relax_ms;
-  total_ms += other.total_ms;
+  merge_fields(*this, other);
   return *this;
 }
 
-std::string REStats::to_string() const {
-  char buf[512];
-  std::snprintf(
-      buf, sizeof(buf),
-      "threads=%zu | harden %.2f ms (dfs_nodes=%llu dedup=%llu extendable=%llu "
-      "memo=%llu builds=%llu configs=%llu) | dominate %.2f ms (tests=%llu "
-      "skipped=%llu) | relax %.2f ms (multisets=%llu witness=%llu dfs=%llu) | "
-      "exhausted=%llu | cache hit=%llu miss=%llu canon %.2f ms | total %.2f ms",
-      threads_used, harden_ms, static_cast<unsigned long long>(dfs_nodes),
-      static_cast<unsigned long long>(partials_deduped),
-      static_cast<unsigned long long>(extendable_calls),
-      static_cast<unsigned long long>(extension_index_entries),
-      static_cast<unsigned long long>(extension_index_builds),
-      static_cast<unsigned long long>(configs_enumerated), dominate_ms,
-      static_cast<unsigned long long>(domination_tests),
-      static_cast<unsigned long long>(domination_skipped), relax_ms,
-      static_cast<unsigned long long>(relaxed_multisets),
-      static_cast<unsigned long long>(relaxed_witness_hits),
-      static_cast<unsigned long long>(relaxed_dfs_tests),
-      static_cast<unsigned long long>(budget_exhausted),
-      static_cast<unsigned long long>(cache_hits),
-      static_cast<unsigned long long>(cache_misses), canonical_ms, total_ms);
-  return std::string(buf);
-}
+std::string REStats::to_string() const { return render_fields(*this); }
 
 std::optional<REStep> apply_R(const Problem& pi, const REOptions& options) {
   return re_core(pi, /*universal_is_black=*/true, options);

@@ -35,6 +35,7 @@
 #include "src/formalism/problem.hpp"
 #include "src/util/bitset.hpp"
 #include "src/util/budget.hpp"
+#include "src/util/fields.hpp"
 
 namespace slocal {
 
@@ -71,8 +72,34 @@ struct REStats {
   double relax_ms = 0.0;
   double total_ms = 0.0;
 
+  /// The field list (src/util/fields.hpp): every counter once, in
+  /// declaration order. All sum on merge except threads_used (max).
+  template <typename F>
+  static constexpr void for_each_field(F&& f) {
+    f("dfs_nodes", &REStats::dfs_nodes, Merge::kSum);
+    f("partials_deduped", &REStats::partials_deduped, Merge::kSum);
+    f("extendable_calls", &REStats::extendable_calls, Merge::kSum);
+    f("extension_index_entries", &REStats::extension_index_entries, Merge::kSum);
+    f("configs_enumerated", &REStats::configs_enumerated, Merge::kSum);
+    f("domination_tests", &REStats::domination_tests, Merge::kSum);
+    f("domination_skipped", &REStats::domination_skipped, Merge::kSum);
+    f("relaxed_multisets", &REStats::relaxed_multisets, Merge::kSum);
+    f("relaxed_witness_hits", &REStats::relaxed_witness_hits, Merge::kSum);
+    f("relaxed_dfs_tests", &REStats::relaxed_dfs_tests, Merge::kSum);
+    f("extension_index_builds", &REStats::extension_index_builds, Merge::kSum);
+    f("budget_exhausted", &REStats::budget_exhausted, Merge::kSum);
+    f("cache_hits", &REStats::cache_hits, Merge::kSum);
+    f("cache_misses", &REStats::cache_misses, Merge::kSum);
+    f("canonical_ms", &REStats::canonical_ms, Merge::kSum);
+    f("threads_used", &REStats::threads_used, Merge::kMax);
+    f("harden_ms", &REStats::harden_ms, Merge::kSum);
+    f("dominate_ms", &REStats::dominate_ms, Merge::kSum);
+    f("relax_ms", &REStats::relax_ms, Merge::kSum);
+    f("total_ms", &REStats::total_ms, Merge::kSum);
+  }
+
   REStats& operator+=(const REStats& other);
-  /// One-line human-readable rendering.
+  /// One `name=value` line over the field list.
   std::string to_string() const;
 };
 

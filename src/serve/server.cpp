@@ -707,37 +707,10 @@ std::string Server::stats_line() const {
     const std::lock_guard<std::mutex> lock(registry_mutex_);
     in_flight = in_flight_;
   }
-  char buf[768];
-  std::snprintf(
-      buf, sizeof(buf),
-      "stats received=%llu admitted=%llu admission_rejects=%llu completed=%llu "
-      "ok=%llu invalid=%llu retryable=%llu corrupt=%llu budget_exhausted=%llu "
-      "watchdog_cancels=%llu wedged_peak=%llu checkpoints_written=%llu "
-      "checkpoint_failures=%llu sweep_memo_hits=%llu sweep_batch_groups=%llu "
-      "sweep_batch_requests=%llu sweep_batch_peak=%llu "
-      "sweep_single_dispatch=%llu cache_entries=%zu "
-      "cache_hits=%llu cache_misses=%llu in_flight=%zu",
-      static_cast<unsigned long long>(c.received),
-      static_cast<unsigned long long>(c.admitted),
-      static_cast<unsigned long long>(c.admission_rejects),
-      static_cast<unsigned long long>(c.completed),
-      static_cast<unsigned long long>(c.ok),
-      static_cast<unsigned long long>(c.invalid),
-      static_cast<unsigned long long>(c.retryable),
-      static_cast<unsigned long long>(c.corrupt),
-      static_cast<unsigned long long>(c.budget_exhausted),
-      static_cast<unsigned long long>(c.watchdog_cancels),
-      static_cast<unsigned long long>(c.wedged_peak),
-      static_cast<unsigned long long>(c.checkpoints_written),
-      static_cast<unsigned long long>(c.checkpoint_failures),
-      static_cast<unsigned long long>(c.sweep_memo_hits),
-      static_cast<unsigned long long>(c.sweep_batch_groups),
-      static_cast<unsigned long long>(c.sweep_batch_requests),
-      static_cast<unsigned long long>(c.sweep_batch_peak),
-      static_cast<unsigned long long>(c.sweep_single_dispatch), cache.entries,
-      static_cast<unsigned long long>(cache.hits),
-      static_cast<unsigned long long>(cache.misses), in_flight);
-  return buf;
+  std::string line = "stats";
+  append_fields(line, c);
+  append_fields(line, cache, "cache_", RECacheCounters::kSummaryFields);
+  return line + " in_flight=" + std::to_string(in_flight);
 }
 
 }  // namespace slocal::serve

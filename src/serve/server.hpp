@@ -119,6 +119,30 @@ struct ServeCounters {
   std::uint64_t sweep_batch_requests = 0;
   std::uint64_t sweep_batch_peak = 0;
   std::uint64_t sweep_single_dispatch = 0;
+
+  /// The field list (src/util/fields.hpp), in declaration order: the
+  /// `stats` reply prints exactly these keys in exactly this order.
+  template <typename F>
+  static constexpr void for_each_field(F&& f) {
+    f("received", &ServeCounters::received, Merge::kSum);
+    f("admitted", &ServeCounters::admitted, Merge::kSum);
+    f("admission_rejects", &ServeCounters::admission_rejects, Merge::kSum);
+    f("completed", &ServeCounters::completed, Merge::kSum);
+    f("ok", &ServeCounters::ok, Merge::kSum);
+    f("invalid", &ServeCounters::invalid, Merge::kSum);
+    f("retryable", &ServeCounters::retryable, Merge::kSum);
+    f("corrupt", &ServeCounters::corrupt, Merge::kSum);
+    f("budget_exhausted", &ServeCounters::budget_exhausted, Merge::kSum);
+    f("watchdog_cancels", &ServeCounters::watchdog_cancels, Merge::kSum);
+    f("wedged_peak", &ServeCounters::wedged_peak, Merge::kMax);
+    f("checkpoints_written", &ServeCounters::checkpoints_written, Merge::kSum);
+    f("checkpoint_failures", &ServeCounters::checkpoint_failures, Merge::kSum);
+    f("sweep_memo_hits", &ServeCounters::sweep_memo_hits, Merge::kSum);
+    f("sweep_batch_groups", &ServeCounters::sweep_batch_groups, Merge::kSum);
+    f("sweep_batch_requests", &ServeCounters::sweep_batch_requests, Merge::kSum);
+    f("sweep_batch_peak", &ServeCounters::sweep_batch_peak, Merge::kMax);
+    f("sweep_single_dispatch", &ServeCounters::sweep_single_dispatch, Merge::kSum);
+  }
 };
 
 class Server {

@@ -23,9 +23,12 @@
 #include "src/problems/classic.hpp"
 #include "src/problems/matching_family.hpp"
 #include "src/re/sequence.hpp"
+#include "tests/temp_file.hpp"
 
 namespace slocal {
 namespace {
+
+using testing_support::temp_file;
 
 using cert::Certificate;
 using cert::CertStatus;
@@ -185,15 +188,11 @@ TEST(Cert, EmitterRefusesSolvableLift) {
           .has_value());
 }
 
-std::string temp_path(const char* name) {
-  return (std::filesystem::path(testing::TempDir()) / name).string();
-}
-
 TEST(Cert, SaveLoadRoundTripPreservesValidity) {
   for (const Certificate& cert :
        {matching_sequence_cert(), fixed_point_chain_cert(3),
         odd_cycle_lift_cert()}) {
-    const std::string path = temp_path("roundtrip.cert");
+    const std::string path = temp_file("roundtrip.cert");
     std::string error;
     ASSERT_TRUE(cert::save_certificate(cert, path, &error)) << error;
     Certificate loaded;
@@ -377,7 +376,7 @@ int run_cert_check(const std::string& path) {
 }
 
 TEST(CertCheckBinary, ValidCertificateExitsZero) {
-  const std::string path = temp_path("binary_valid.cert");
+  const std::string path = temp_file("binary_valid.cert");
   std::string error;
   ASSERT_TRUE(cert::save_certificate(odd_cycle_lift_cert(), path, &error)) << error;
   EXPECT_EQ(run_cert_check(path), 0);
@@ -387,14 +386,14 @@ TEST(CertCheckBinary, InvalidCertificateExitsOne) {
   // Well-formed container, failing claim: perturb a fingerprint and re-save.
   Certificate cert = fixed_point_chain_cert(3);
   cert.sequence.steps[0].next_fingerprint ^= 1;
-  const std::string path = temp_path("binary_invalid.cert");
+  const std::string path = temp_file("binary_invalid.cert");
   std::string error;
   ASSERT_TRUE(cert::save_certificate(cert, path, &error)) << error;
   EXPECT_EQ(run_cert_check(path), 1);
 }
 
 TEST(CertCheckBinary, CorruptCertificateExitsTwo) {
-  const std::string path = temp_path("binary_corrupt.cert");
+  const std::string path = temp_file("binary_corrupt.cert");
   std::string error;
   ASSERT_TRUE(cert::save_certificate(matching_sequence_cert(), path, &error))
       << error;
@@ -408,7 +407,7 @@ TEST(CertCheckBinary, CorruptCertificateExitsTwo) {
 }
 
 TEST(CertCheckBinary, MissingFileExitsTwoAndBadUsageExitsSixtyFour) {
-  EXPECT_EQ(run_cert_check(temp_path("does_not_exist.cert")), 2);
+  EXPECT_EQ(run_cert_check(temp_file("does_not_exist.cert")), 2);
   const std::string cmd = std::string("'") + SLOCAL_CERT_CHECK_PATH +
                           "' >/dev/null 2>&1";
   const int status = std::system(cmd.c_str());

@@ -22,9 +22,12 @@
 #include "src/problems/matching_family.hpp"
 #include "src/re/re_cache.hpp"
 #include "src/re/round_elimination.hpp"
+#include "tests/temp_file.hpp"
 
 namespace slocal {
 namespace {
+
+using testing_support::temp_file;
 
 TEST(DiffOracle, TwoHundredSeededInstancesAgreeAcrossAllEngines) {
   DiffOracleOptions options;  // 200 instances, seed 1, serial portfolio
@@ -126,11 +129,6 @@ TEST(DiffOracle, LiftSweepCertifiesCoresOnMixedVerdictFamily) {
   EXPECT_EQ(no_steps, 3);
 }
 
-std::string cache_file_for(const std::string& tag) {
-  return (std::filesystem::path(testing::TempDir()) / ("re_cache_" + tag + ".txt"))
-      .string();
-}
-
 /// A fixed-point-style chain: the problem repeated under fresh random
 /// renamings, the workload the RE cache exists for.
 std::vector<Problem> renamed_chain(const Problem& p, std::size_t length, Rng& rng) {
@@ -158,7 +156,7 @@ TEST(DiffOracle, SequenceCacheModesAgreeOnEveryExampleProblem) {
     const std::string tag = entry.path().stem().string();
     Rng rng(1);
     diff_check_sequence_cache(tag, renamed_chain(*p, 4, rng),
-                              cache_file_for(tag), &report);
+                              temp_file("re_cache_" + tag + ".txt"), &report);
   }
   EXPECT_TRUE(report.ok()) << report.summary();
   EXPECT_GE(report.sequences, 8);  // 4 example problems x 2 thread counts
@@ -176,7 +174,7 @@ TEST(DiffOracle, SequenceCacheModesAgreeOnMatchingAndColoringFamilies) {
       make_coloring_problem(4, 3)};
   for (const Problem& p : family) {
     diff_check_sequence_cache(p.name(), renamed_chain(p, 4, rng),
-                              cache_file_for(p.name()), &report);
+                              temp_file("re_cache_" + p.name() + ".txt"), &report);
   }
   EXPECT_TRUE(report.ok()) << report.summary();
   EXPECT_EQ(report.sequences, 10);
@@ -212,7 +210,7 @@ TEST(DiffOracle, CorruptPersistedCacheIsRejectedWholesale) {
   REOptions options;
   options.cache = &cache;
   ASSERT_TRUE(round_eliminate(p, options).has_value());
-  const std::string path = cache_file_for("corrupt");
+  const std::string path = temp_file("re_cache_corrupt.txt");
   ASSERT_TRUE(cache.save(path));
 
   std::ifstream in(path);

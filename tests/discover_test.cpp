@@ -33,9 +33,12 @@
 #include "src/formalism/canonical.hpp"
 #include "src/formalism/parser.hpp"
 #include "src/problems/matching_family.hpp"
+#include "tests/temp_file.hpp"
 
 namespace slocal::discover {
 namespace {
+
+using testing_support::temp_file;
 
 Problem load_example(const char* name) {
   const std::string path = std::string(SLOCAL_PROBLEM_DIR "/") + name;
@@ -49,12 +52,6 @@ Problem load_example(const char* name) {
   return *p;
 }
 
-std::string temp_path(const char* tag) {
-  return (std::filesystem::path(testing::TempDir()) /
-          (std::string("discover_test_") + tag))
-      .string();
-}
-
 std::string slurp(const std::string& path) {
   std::ifstream in(path, std::ios::binary);
   std::stringstream buffer;
@@ -65,7 +62,7 @@ std::string slurp(const std::string& path) {
 /// Saves `cert` and returns its exact on-disk bytes (the unit the
 /// thread-invariance and resume-equivalence contracts are stated in).
 std::string cert_bytes(const cert::Certificate& cert, const char* tag) {
-  const std::string path = temp_path(tag);
+  const std::string path = temp_file(tag);
   std::string error;
   EXPECT_TRUE(cert::save_certificate(cert, path, &error)) << error;
   return slurp(path);
@@ -74,7 +71,7 @@ std::string cert_bytes(const cert::Certificate& cert, const char* tag) {
 /// Runs the standalone cert_check binary (zero shared code with discover/)
 /// on a saved certificate and returns its exit code.
 int run_standalone_cert_check(const cert::Certificate& cert, const char* tag) {
-  const std::string path = temp_path(tag);
+  const std::string path = temp_file(tag);
   std::string error;
   EXPECT_TRUE(cert::save_certificate(cert, path, &error)) << error;
   const std::string cmd = std::string("'") + SLOCAL_CERT_CHECK_PATH + "' '" +
@@ -275,7 +272,7 @@ TEST(DiscoverMetamorphic, ResumeFromCheckpointMatchesUninterruptedRun) {
       cert_bytes(uninterrupted.found.front().certificate, "resume_full.cert");
 
   // Interrupted after expansion 1: the exhausted run persists its frontier.
-  const std::string checkpoint = temp_path("resume.ckpt");
+  const std::string checkpoint = temp_file("resume.ckpt");
   std::filesystem::remove(checkpoint);
   DiscoverOptions interrupted = base;
   interrupted.max_expansions = 1;
@@ -340,7 +337,7 @@ FrontierCheckpoint sample_checkpoint() {
 
 TEST(DiscoverCheckpoint, RoundTripsThroughDisk) {
   const FrontierCheckpoint cp = sample_checkpoint();
-  const std::string path = temp_path("roundtrip.ckpt");
+  const std::string path = temp_file("roundtrip.ckpt");
   std::string error;
   ASSERT_TRUE(save_frontier_checkpoint(cp, path, &error)) << error;
 
@@ -367,7 +364,7 @@ TEST(DiscoverCheckpoint, RoundTripsThroughDisk) {
 }
 
 TEST(DiscoverCheckpoint, CorruptFileYieldsKCorruptWithoutSearching) {
-  const std::string path = temp_path("corrupt.ckpt");
+  const std::string path = temp_file("corrupt.ckpt");
   std::string error;
   ASSERT_TRUE(save_frontier_checkpoint(sample_checkpoint(), path, &error));
   std::string text = slurp(path);
@@ -394,7 +391,7 @@ TEST(DiscoverCheckpoint, RejectsFingerprintMismatchInsideValidChecksum) {
   // must still be rejected (load re-derives every fingerprint).
   FrontierCheckpoint cp = sample_checkpoint();
   cp.frontier[0].fingerprints[0] ^= 1;  // lie about the chain head
-  const std::string path = temp_path("fp_mismatch.ckpt");
+  const std::string path = temp_file("fp_mismatch.ckpt");
   std::string error;
   ASSERT_TRUE(save_frontier_checkpoint(cp, path, &error));
   FrontierCheckpoint loaded;

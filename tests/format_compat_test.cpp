@@ -9,8 +9,6 @@
 // Every file must still load. Certificates and discover checkpoints are
 // deterministic, so saving the loaded object must reproduce the file byte
 // for byte; the RE cache iterates a hash map, so only its content is pinned.
-#include <unistd.h>
-
 #include <filesystem>
 #include <fstream>
 #include <sstream>
@@ -21,9 +19,12 @@
 #include "src/cert/format.hpp"
 #include "src/discover/checkpoint.hpp"
 #include "src/re/re_cache.hpp"
+#include "tests/temp_file.hpp"
 
 namespace slocal {
 namespace {
+
+using testing_support::temp_file;
 
 std::string fixture(const char* name) {
   return std::string(SLOCAL_TEST_DATA_DIR "/") + name;
@@ -36,19 +37,13 @@ std::string read_bytes(const std::string& path) {
   return buffer.str();
 }
 
-std::string temp_path(const char* tag) {
-  return (std::filesystem::path(testing::TempDir()) /
-          (std::string("format_compat_") + tag + "_" + std::to_string(::getpid())))
-      .string();
-}
-
 TEST(FormatCompat, ReCacheV2Loads) {
   RECache cache;
   std::string error;
   ASSERT_TRUE(cache.load(fixture("re_cache_v2.txt"), &error)) << error;
   EXPECT_EQ(cache.size(), 1u);
   // A re-save loads back to the same content.
-  const std::string path = temp_path("re_cache");
+  const std::string path = temp_file("re_cache");
   ASSERT_TRUE(cache.save(path, &error)) << error;
   RECache reloaded;
   ASSERT_TRUE(reloaded.load(path, &error)) << error;
@@ -63,7 +58,7 @@ TEST(FormatCompat, CertificatesLoadCheckAndResaveByteForByte) {
     std::string error;
     ASSERT_TRUE(cert::load_certificate(fixture(name), &certificate, &error)) << error;
     EXPECT_EQ(cert::check_certificate(certificate).status, cert::CertStatus::kValid);
-    const std::string path = temp_path("cert");
+    const std::string path = temp_file("cert");
     ASSERT_TRUE(cert::save_certificate(certificate, path, &error)) << error;
     EXPECT_EQ(read_bytes(path), read_bytes(fixture(name)));
     std::filesystem::remove(path);
@@ -77,7 +72,7 @@ TEST(FormatCompat, DiscoverCheckpointLoadsAndResavesByteForByte) {
                                                  &checkpoint, &error))
       << error;
   EXPECT_FALSE(checkpoint.frontier.empty());
-  const std::string path = temp_path("discover");
+  const std::string path = temp_file("discover");
   ASSERT_TRUE(discover::save_frontier_checkpoint(checkpoint, path, &error)) << error;
   EXPECT_EQ(read_bytes(path), read_bytes(fixture("discover_v1.ckpt")));
   std::filesystem::remove(path);

@@ -27,9 +27,12 @@
 #include "src/solver/edge_labeling.hpp"
 #include "src/util/combinatorics.hpp"
 #include "src/util/rng.hpp"
+#include "tests/temp_file.hpp"
 
 namespace slocal {
 namespace {
+
+using testing_support::temp_file;
 
 TEST(Fuzz, ParserSurvivesRandomJunk) {
   Rng rng(13371337);
@@ -162,10 +165,6 @@ TEST(Fuzz, CnfEncoderRoundTripAgreesWithBacktrackingSolver) {
 // The CI sanitize job runs this suite under ASan/UBSan.
 // ---------------------------------------------------------------------------
 
-std::string fuzz_temp(const char* name) {
-  return (std::filesystem::path(testing::TempDir()) / name).string();
-}
-
 std::string slurp(const std::string& path) {
   std::ifstream in(path, std::ios::binary);
   std::stringstream buffer;
@@ -181,7 +180,7 @@ void expect_every_byte_flip_rejected(
     const std::function<bool(const std::string&, std::string*)>& load) {
   const std::string text = slurp(path);
   ASSERT_FALSE(text.empty());
-  const std::string mutant_path = fuzz_temp("byte_flip_mutant.bin");
+  const std::string mutant_path = temp_file("byte_flip_mutant.bin");
   // Sample for large files: cap the number of probed offsets at ~768.
   const std::size_t stride = std::max<std::size_t>(1, text.size() / 768);
   std::size_t rejected = 0;
@@ -216,7 +215,7 @@ TEST(Fuzz, ReCacheRejectsEveryByteFlip) {
   ASSERT_TRUE(verify_lower_bound_sequence(chain, options).valid);
   ASSERT_GT(cache.size(), 0u);
 
-  const std::string path = fuzz_temp("fuzz_re_cache.txt");
+  const std::string path = temp_file("fuzz_re_cache.txt");
   std::string error;
   ASSERT_TRUE(cache.save(path, &error)) << error;
 
@@ -236,7 +235,7 @@ TEST(Fuzz, SequenceCertificateRejectsEveryByteFlip) {
   const auto cert = cert::make_sequence_certificate(chain);
   ASSERT_TRUE(cert.has_value());
 
-  const std::string path = fuzz_temp("fuzz_seq.cert");
+  const std::string path = temp_file("fuzz_seq.cert");
   std::string error;
   ASSERT_TRUE(cert::save_certificate(*cert, path, &error)) << error;
 
@@ -257,7 +256,7 @@ TEST(Fuzz, LiftCertificateRejectsEveryByteFlip) {
       cert::make_lift_unsat_certificate(*p, 2, 2, make_bipartite_cycle(3));
   ASSERT_TRUE(cert.has_value());
 
-  const std::string path = fuzz_temp("fuzz_lift.cert");
+  const std::string path = temp_file("fuzz_lift.cert");
   std::string error;
   ASSERT_TRUE(cert::save_certificate(*cert, path, &error)) << error;
 
@@ -279,7 +278,7 @@ TEST(Fuzz, DiscoverCheckpointRejectsEveryByteFlip) {
   // corrupted frontier masquerade as legitimate resume material.
   const std::vector<Problem> family{make_matching_problem(3, 0, 1),
                                     make_matching_problem(3, 1, 1)};
-  const std::string path = fuzz_temp("fuzz_discover.ckpt");
+  const std::string path = temp_file("fuzz_discover.ckpt");
   std::filesystem::remove(path);
 
   discover::DiscoverOptions options;

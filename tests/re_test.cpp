@@ -31,7 +31,9 @@ TEST(RoundElimination, SinklessOrientationFixedPointChain) {
     EXPECT_FALSE(equivalent_up_to_renaming(*so_prime, so).has_value());
     // RE(SO) is a relaxation of SO (the conversion: designate one outgoing
     // edge); required for chaining the sequence onto Π_0 = SO.
-    EXPECT_TRUE(find_relaxation(so, *so_prime).has_value()) << "Δ=" << delta;
+    EXPECT_TRUE(find_relaxation_witness(so, *so_prime, {.node_budget = 5'000'000, .threads = 1})
+                    .mapping.has_value())
+        << "Δ=" << delta;
   }
 }
 
@@ -83,8 +85,10 @@ TEST(RoundElimination, Lemma45MatchingStep) {
     const auto re = round_eliminate(pi, options);
     ASSERT_TRUE(re.has_value()) << "Δ=" << delta << " x=" << x << " y=" << y;
     const Problem relaxed = make_matching_problem(delta, x + y, y);
-    EXPECT_TRUE(relaxation_label_map(*re, relaxed).has_value() ||
-                find_relaxation(*re, relaxed, 20'000'000).has_value())
+    EXPECT_TRUE(
+        find_relaxation_label_map(*re, relaxed, {.node_budget = 0, .threads = 1}).map ||
+        find_relaxation_witness(*re, relaxed, {.node_budget = 20'000'000, .threads = 1})
+            .mapping)
         << "Δ=" << delta << " x=" << x << " y=" << y
         << " |Σ(RE)|=" << re->alphabet_size();
   }

@@ -15,9 +15,13 @@
 namespace slocal {
 namespace {
 
+/// Serial searches: exhaustive, and with the witness search's default cap.
+constexpr RelaxationOptions kExhaustive{.node_budget = 0, .threads = 1};
+constexpr RelaxationOptions kSerial{.node_budget = 5'000'000, .threads = 1};
+
 TEST(Relaxation, IdentityIsARelaxation) {
   const Problem p = make_matching_problem(4, 1, 1);
-  const auto map = relaxation_label_map(p, p);
+  const auto map = find_relaxation_label_map(p, p, kExhaustive).map;
   ASSERT_TRUE(map.has_value());
   for (std::size_t l = 0; l < p.alphabet_size(); ++l) {
     EXPECT_LT((*map)[l], p.alphabet_size());
@@ -35,8 +39,8 @@ TEST(Relaxation, Observation43MatchingParameters) {
                               {2, 1},
                               {2, 2}}) {
     const Problem relaxed = make_matching_problem(delta, x2, y2);
-    EXPECT_TRUE(relaxation_label_map(base, relaxed).has_value() ||
-                find_relaxation(base, relaxed).has_value())
+    EXPECT_TRUE(find_relaxation_label_map(base, relaxed, kExhaustive).map.has_value() ||
+                find_relaxation_witness(base, relaxed, kSerial).mapping.has_value())
         << "x'=" << x2 << " y'=" << y2;
   }
 }
@@ -46,27 +50,29 @@ TEST(Relaxation, TighterParametersAreNotARelaxation) {
   const std::size_t delta = 4;
   const Problem tight = make_matching_problem(delta, 0, 1);
   const Problem loose = make_matching_problem(delta, 2, 1);
-  bool exhausted = false;
-  EXPECT_FALSE(find_relaxation(loose, tight, 2'000'000, &exhausted).has_value());
-  EXPECT_FALSE(exhausted);
+  const WitnessResult result =
+      find_relaxation_witness(loose, tight, {.node_budget = 2'000'000, .threads = 1});
+  EXPECT_FALSE(result.mapping.has_value());
+  EXPECT_NE(result.verdict, Verdict::kExhausted);
 }
 
 TEST(Relaxation, DegreeMismatchRejected) {
   const Problem a = make_matching_problem(4, 0, 1);
   const Problem b = make_matching_problem(5, 0, 1);
-  EXPECT_FALSE(relaxation_label_map(a, b).has_value());
-  EXPECT_FALSE(find_relaxation(a, b).has_value());
+  EXPECT_FALSE(find_relaxation_label_map(a, b, kExhaustive).map.has_value());
+  EXPECT_FALSE(find_relaxation_witness(a, b, kSerial).mapping.has_value());
 }
 
 TEST(Relaxation, ColoringRelaxesToMoreColors) {
   // c-coloring relaxes to (c+1)-coloring (embed the palette).
   const Problem c3 = make_proper_coloring_problem(3, 3);
   const Problem c4 = make_proper_coloring_problem(3, 4);
-  EXPECT_TRUE(relaxation_label_map(c3, c4).has_value());
-  EXPECT_FALSE(relaxation_label_map(c4, c3).has_value());
-  bool exhausted = false;
-  EXPECT_FALSE(find_relaxation(c4, c3, 2'000'000, &exhausted).has_value());
-  EXPECT_FALSE(exhausted);
+  EXPECT_TRUE(find_relaxation_label_map(c3, c4, kExhaustive).map.has_value());
+  EXPECT_FALSE(find_relaxation_label_map(c4, c3, kExhaustive).map.has_value());
+  const WitnessResult result =
+      find_relaxation_witness(c4, c3, {.node_budget = 2'000'000, .threads = 1});
+  EXPECT_FALSE(result.mapping.has_value());
+  EXPECT_NE(result.verdict, Verdict::kExhausted);
 }
 
 TEST(Relaxation, WitnessCheckerAcceptsHandBuiltWitness) {
@@ -105,8 +111,8 @@ TEST(Relaxation, ExactSearchAgreesWithLabelMapOnCorpus) {
       {make_maximal_matching_problem(3), make_maximal_matching_problem(3)},
   };
   for (const auto& [from, to] : corpus) {
-    if (relaxation_label_map(from, to).has_value()) {
-      EXPECT_TRUE(find_relaxation(from, to).has_value())
+    if (find_relaxation_label_map(from, to, kExhaustive).map.has_value()) {
+      EXPECT_TRUE(find_relaxation_witness(from, to, kSerial).mapping.has_value())
           << from.name() << " -> " << to.name();
     }
   }

@@ -52,6 +52,7 @@
 #include "src/serve/fault_plan.hpp"
 #include "src/serve/protocol.hpp"
 #include "src/serve/server.hpp"
+#include "src/util/strings.hpp"
 
 namespace slocal::serve {
 namespace {
@@ -326,6 +327,33 @@ TEST(ServeServer, AnswersControlAndVerdictRequests) {
   EXPECT_EQ(counters.ok, 1u);
   EXPECT_EQ(counters.invalid, 1u);
   EXPECT_EQ(counters.corrupt, 1u);
+  server.request_shutdown();
+}
+
+TEST(ServeServer, StatsReplyKeepsItsKeysInOrder) {
+  // Operators parse this line: its keys and their order are a contract.
+  ServeOptions options;
+  options.workers = 1;
+  Server server(options);
+  const std::string line = server.stats_line();
+  std::vector<std::string> keys;
+  for (const std::string& token : split(line.substr(line.find(' ') + 1), " ")) {
+    keys.push_back(token.substr(0, token.find('=')));
+  }
+  EXPECT_EQ(line.rfind("stats ", 0), 0u) << line;
+  const std::vector<std::string> expected = {
+      "received",           "admitted",
+      "admission_rejects",  "completed",
+      "ok",                 "invalid",
+      "retryable",          "corrupt",
+      "budget_exhausted",   "watchdog_cancels",
+      "wedged_peak",        "checkpoints_written",
+      "checkpoint_failures", "sweep_memo_hits",
+      "sweep_batch_groups", "sweep_batch_requests",
+      "sweep_batch_peak",   "sweep_single_dispatch",
+      "cache_entries",      "cache_hits",
+      "cache_misses",       "in_flight"};
+  EXPECT_EQ(keys, expected) << line;
   server.request_shutdown();
 }
 

@@ -15,7 +15,11 @@
 
 #include <gtest/gtest.h>
 
+#include "tests/temp_file.hpp"
+
 namespace {
+
+using slocal::testing_support::temp_file;
 
 /// Runs `slocal_tool <args>` with stdout/stderr discarded; returns the
 /// process exit code (-1 if the tool did not exit normally).
@@ -27,10 +31,9 @@ int run_tool(const std::string& args) {
   return WEXITSTATUS(status);
 }
 
-/// Same, but captures stdout into *out.
+/// Same as run_tool, but captures stdout into *out.
 int run_tool_capture(const std::string& args, std::string* out) {
-  const std::string capture =
-      (std::filesystem::path(testing::TempDir()) / "tool_stdout.txt").string();
+  const std::string capture = temp_file("stdout.txt");
   const std::string cmd = std::string("'") + SLOCAL_TOOL_PATH + "' " + args +
                           " >'" + capture + "' 2>/dev/null";
   const int status = std::system(cmd.c_str());
@@ -181,8 +184,7 @@ INSTANTIATE_TEST_SUITE_P(ToolCli, ExitContract, testing::ValuesIn(exit_rows()),
                          });
 
 TEST(ToolCli, SequenceCacheColdRunWritesWarmRunHits) {
-  const std::string cache =
-      (std::filesystem::path(testing::TempDir()) / "cli_re_cache.txt").string();
+  const std::string cache = temp_file("cli_re_cache.txt");
   std::filesystem::remove(cache);
   const std::string args = "sequence " + problem("two_coloring.txt") +
                            "--repeat=3 --re-cache='" + cache + "'";
@@ -202,8 +204,7 @@ TEST(ToolCli, SequenceCacheColdRunWritesWarmRunHits) {
 }
 
 TEST(ToolCli, SequenceRejectsCorruptCacheWithExitTwo) {
-  const std::string cache =
-      (std::filesystem::path(testing::TempDir()) / "cli_corrupt_cache.txt").string();
+  const std::string cache = temp_file("cli_corrupt_cache.txt");
   const std::string args = "sequence " + problem("two_coloring.txt") +
                            "--repeat=3 --re-cache='" + cache + "'";
   std::filesystem::remove(cache);
@@ -238,8 +239,7 @@ TEST(ToolCli, HelpExitsZeroAndMentionsEveryCommand) {
 }
 
 TEST(ToolCli, UnknownFlagIsNamedOnStderr) {
-  const std::string capture =
-      (std::filesystem::path(testing::TempDir()) / "tool_stderr.txt").string();
+  const std::string capture = temp_file("tool_stderr.txt");
   const std::string cmd = std::string("'") + SLOCAL_TOOL_PATH + "' portfolio " +
                           problem("two_coloring.txt") +
                           "cycle:4 --no-inprocessing >/dev/null 2>'" + capture + "'";
@@ -294,8 +294,7 @@ int run_cert_check(const std::string& path) {
 }
 
 TEST(ToolCli, SequenceEmitsCertificateBothCheckersAccept) {
-  const std::string cert =
-      (std::filesystem::path(testing::TempDir()) / "cli_seq.cert").string();
+  const std::string cert = temp_file("cli_seq.cert");
   std::filesystem::remove(cert);
   EXPECT_EQ(run_tool("sequence " + problem("two_coloring.txt") +
                      "--repeat=3 --emit-cert='" + cert + "'"),
@@ -310,8 +309,7 @@ TEST(ToolCli, SequenceEmitsCertificateBothCheckersAccept) {
 TEST(ToolCli, SweepEmitsLiftUnsatCertificateBothCheckersAccept) {
   // cycles:2..6 contains the odd cycles C_3 and C_5; the first unsolvable
   // support (C_3) gets a from-scratch DRAT refutation.
-  const std::string cert =
-      (std::filesystem::path(testing::TempDir()) / "cli_lift.cert").string();
+  const std::string cert = temp_file("cli_lift.cert");
   std::filesystem::remove(cert);
   EXPECT_EQ(run_tool("sweep " + problem("two_coloring.txt") +
                      "2 2 cycles:2..6 --emit-cert='" + cert + "'"),
@@ -322,8 +320,7 @@ TEST(ToolCli, SweepEmitsLiftUnsatCertificateBothCheckersAccept) {
 }
 
 TEST(ToolCli, SweepEmitCertFailsWhenNothingIsUnsolvable) {
-  const std::string cert =
-      (std::filesystem::path(testing::TempDir()) / "cli_none.cert").string();
+  const std::string cert = temp_file("cli_none.cert");
   std::filesystem::remove(cert);
   EXPECT_EQ(run_tool("sweep " + problem("two_coloring.txt") +
                      "2 2 cycles:2..2 --emit-cert='" + cert + "'"),
@@ -335,8 +332,7 @@ TEST(ToolCli, DiscoverEmitsCertificateBothCheckersAccept) {
   // The rediscovered matching chain's certificate must satisfy both the
   // tool's own checker and the standalone cert_check binary — the driver is
   // untrusted, the certificate is the deliverable.
-  const std::string cert =
-      (std::filesystem::path(testing::TempDir()) / "cli_discover.cert").string();
+  const std::string cert = temp_file("cli_discover.cert");
   std::filesystem::remove(cert);
   EXPECT_EQ(run_tool("discover " + problem("matching_3_0_1.txt") +
                      problem("matching_3_1_1.txt") +
@@ -353,8 +349,7 @@ TEST(ToolCli, DiscoverRejectsCorruptCheckpointWithExitTwo) {
   // Exhaust once to produce a real "slocal-discover 1" checkpoint, flip one
   // byte, and resume: the tool must fail closed with exit 2 before any
   // search runs — never resume from damaged frontier state.
-  const std::string ckpt =
-      (std::filesystem::path(testing::TempDir()) / "cli_discover.ckpt").string();
+  const std::string ckpt = temp_file("cli_discover.ckpt");
   std::filesystem::remove(ckpt);
   const std::string family =
       problem("matching_3_0_1.txt") + problem("matching_3_1_1.txt");
@@ -377,8 +372,7 @@ TEST(ToolCli, DiscoverRejectsCorruptCheckpointWithExitTwo) {
 }
 
 TEST(ToolCli, CheckCertRejectsCorruptFileWithExitTwo) {
-  const std::string cert =
-      (std::filesystem::path(testing::TempDir()) / "cli_corrupt.cert").string();
+  const std::string cert = temp_file("cli_corrupt.cert");
   std::filesystem::remove(cert);
   ASSERT_EQ(run_tool("sequence " + problem("two_coloring.txt") +
                      "--repeat=3 --emit-cert='" + cert + "'"),
