@@ -167,17 +167,21 @@ bool save_certificate(const cert::Certificate& certificate, const std::string& p
   return false;
 }
 
+/// "<a>x<b>" with both numbers strict (parse_u64): no sign, no junk.
+bool parse_dims(std::string_view body, std::uint64_t* a, std::uint64_t* b) {
+  const std::size_t x = body.find('x');
+  return x != std::string_view::npos && parse_u64(body.substr(0, x), a) &&
+         parse_u64(body.substr(x + 1), b);
+}
+
 std::optional<BipartiteGraph> load_support(const std::string& spec) {
-  if (spec.rfind("cycle:", 0) == 0) {
-    const std::size_t half = std::strtoul(spec.c_str() + 6, nullptr, 10);
-    if (half >= 2) return make_bipartite_cycle(half);
-  } else if (spec.rfind("complete:", 0) == 0) {
-    const char* body = spec.c_str() + 9;
-    char* end = nullptr;
-    const std::size_t a = std::strtoul(body, &end, 10);
-    if (end != nullptr && *end == 'x') {
-      const std::size_t b = std::strtoul(end + 1, nullptr, 10);
-      if (a >= 1 && b >= 1) return make_complete_bipartite(a, b);
+  const std::string_view view = spec;
+  std::uint64_t a = 0, b = 0;
+  if (view.rfind("cycle:", 0) == 0) {
+    if (parse_u64(view.substr(6), &a) && a >= 2) return make_bipartite_cycle(a);
+  } else if (view.rfind("complete:", 0) == 0) {
+    if (parse_dims(view.substr(9), &a, &b) && a >= 1 && b >= 1) {
+      return make_complete_bipartite(a, b);
     }
   }
   if (spec == "petersen" || spec == "heawood" || spec == "mcgee" || spec == "fano") {
@@ -527,43 +531,37 @@ std::optional<CsrGraph> load_instance(const std::string& spec, std::uint64_t see
     result = builder.finish(&error);
     if (!result) std::fprintf(stderr, "%s\n", error.message.c_str());
   };
-  const auto parse_pair = [](const char* body, std::size_t* a, std::size_t* b) {
-    char* end = nullptr;
-    *a = std::strtoul(body, &end, 10);
-    if (end == nullptr || *end != 'x') return false;
-    *b = std::strtoul(end + 1, nullptr, 10);
-    return true;
-  };
-  if (spec.rfind("cycle:", 0) == 0) {
-    const std::size_t n = std::strtoul(spec.c_str() + 6, nullptr, 10);
-    if (n < 3) {
-      std::fprintf(stderr, "cycle:<n> needs n >= 3\n");
+  const std::string_view view = spec;
+  if (view.rfind("cycle:", 0) == 0) {
+    std::uint64_t n = 0;
+    if (!parse_u64(view.substr(6), &n) || n < 3) {
+      std::fprintf(stderr, "cycle:<n> needs an integer n >= 3\n");
       return std::nullopt;
     }
     CsrStreamBuilder builder(n);
     stream_cycle(n, [&](NodeId u, NodeId v) { builder.add_edge(u, v); });
     finish(builder);
-  } else if (spec.rfind("path:", 0) == 0) {
-    const std::size_t n = std::strtoul(spec.c_str() + 5, nullptr, 10);
-    if (n < 2) {
-      std::fprintf(stderr, "path:<n> needs n >= 2\n");
+  } else if (view.rfind("path:", 0) == 0) {
+    std::uint64_t n = 0;
+    if (!parse_u64(view.substr(5), &n) || n < 2) {
+      std::fprintf(stderr, "path:<n> needs an integer n >= 2\n");
       return std::nullopt;
     }
     CsrStreamBuilder builder(n);
     stream_path(n, [&](NodeId u, NodeId v) { builder.add_edge(u, v); });
     finish(builder);
-  } else if (spec.rfind("torus:", 0) == 0) {
-    std::size_t w = 0, h = 0;
-    if (!parse_pair(spec.c_str() + 6, &w, &h) || w < 3 || h < 3) {
-      std::fprintf(stderr, "torus:<w>x<h> needs w, h >= 3\n");
+  } else if (view.rfind("torus:", 0) == 0) {
+    std::uint64_t w = 0, h = 0;
+    if (!parse_dims(view.substr(6), &w, &h) || w < 3 || h < 3) {
+      std::fprintf(stderr, "torus:<w>x<h> needs integers w, h >= 3\n");
       return std::nullopt;
     }
     CsrStreamBuilder builder(w * h);
     stream_torus(w, h, [&](NodeId u, NodeId v) { builder.add_edge(u, v); });
     finish(builder);
-  } else if (spec.rfind("regular:", 0) == 0) {
-    std::size_t n = 0, d = 0;
-    if (!parse_pair(spec.c_str() + 8, &n, &d)) {
+  } else if (view.rfind("regular:", 0) == 0) {
+    std::uint64_t n = 0, d = 0;
+    if (!parse_dims(view.substr(8), &n, &d)) {
       std::fprintf(stderr, "regular:<n>x<d> is malformed\n");
       return std::nullopt;
     }

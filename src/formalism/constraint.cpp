@@ -80,8 +80,14 @@ bool Constraint::extendable(const Configuration& partial) const {
 }
 
 bool Constraint::build_extension_index(std::size_t max_entries) const {
+  if (!extension_index_) extension_index_ = automaton(max_entries);
+  return extension_index_ != nullptr;
+}
+
+std::shared_ptr<const SubmultisetAutomaton> Constraint::automaton(
+    std::size_t max_entries) const {
   using State = SubmultisetAutomaton::State;
-  if (extension_index_) return true;
+  if (extension_index_) return extension_index_;
 
   // Compress every member to (label, multiplicity) runs; labels are sorted,
   // so a run-order emission of counts is canonical. The projected state
@@ -104,14 +110,14 @@ bool Constraint::build_extension_index(std::size_t max_entries) const {
       i = j;
     }
     projected += per_member;
-    if (projected > max_entries) return false;
+    if (projected > max_entries) return nullptr;
   }
   // The table holds a row of `width` 4-byte cells per state. Each entry the
   // cap allows pays for kCellsPerEntry cells, so the table stays within
   // 16 * max_entries bytes however wide the alphabet, and the id map built
   // next stays within max_entries entries, as the hashed set it replaced.
   constexpr std::uint64_t kCellsPerEntry = 4;
-  if (projected * width / kCellsPerEntry > max_entries) return false;
+  if (projected * width / kCellsPerEntry > max_entries) return nullptr;
 
   // A member's sub-multisets form a lattice (one count 0..m_i per run),
   // addressed here in mixed radix. Every transition s -> s ⊎ {l} of the
@@ -156,8 +162,7 @@ bool Constraint::build_extension_index(std::size_t max_entries) const {
   }
   index->states_ = ids.size() + 1;
   if (!configs_.empty()) index->root_ = ids.at(Configuration{});
-  extension_index_ = std::move(index);
-  return true;
+  return index;
 }
 
 std::vector<Configuration> Constraint::sorted_members() const {

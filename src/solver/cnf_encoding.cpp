@@ -15,50 +15,10 @@ namespace {
 /// worth pursuing.
 constexpr std::uint64_t kCoreProbeConflicts = 512;
 
-/// Emits blocking clauses for a constrained node: for each minimal bad
-/// prefix over the node's incident edges (in order), the clause saying
-/// "not all of these selections together". `incident_vars[i]` is the
-/// per-label variable block of the node's i-th incident edge. When `guard`
-/// is given, it is appended to every clause (the selector-literal idiom:
-/// pass the negation of an activation variable, assume the variable to
-/// activate the constraint). Charges `budget` per DFS node and stops early
-/// once it trips (the caller discards the encoding).
-void block_bad_prefixes(SatSolver& solver, const Constraint& constraint,
-                        const std::vector<const std::vector<Var>*>& incident_vars,
-                        std::size_t alphabet, std::size_t& clause_count,
-                        SearchBudget* budget, const Lit* guard = nullptr) {
-  std::vector<Label> prefix;
-  prefix.reserve(incident_vars.size());
-  auto dfs = [&](auto&& self, std::size_t depth) -> void {
-    if (budget != nullptr && !budget->charge()) return;
-    const Configuration partial{std::vector<Label>(prefix)};
-    const bool ok = depth == incident_vars.size() ? constraint.contains(partial)
-                                                  : constraint.extendable(partial);
-    if (!ok) {
-      std::vector<Lit> clause;
-      clause.reserve(depth + (guard != nullptr ? 1 : 0));
-      for (std::size_t i = 0; i < depth; ++i) {
-        clause.push_back(Lit::negative((*incident_vars[i])[prefix[i]]));
-      }
-      if (guard != nullptr) clause.push_back(*guard);
-      solver.add_clause(std::move(clause));
-      ++clause_count;
-      return;  // minimal prefix blocked; no need to extend
-    }
-    if (depth == incident_vars.size()) return;
-    for (std::size_t l = 0; l < alphabet; ++l) {
-      prefix.push_back(static_cast<Label>(l));
-      self(self, depth + 1);
-      prefix.pop_back();
-    }
-  };
-  dfs(dfs, 0);
-}
+}  // namespace
 
-/// Creates the per-label variable block and exactly-one clauses for one
-/// edge (at least one + pairwise at-most-one).
-std::vector<Var> make_edge_vars(SatSolver& solver, std::size_t alphabet,
-                                std::size_t& clause_count) {
+std::vector<Var> add_exactly_one(SatSolver& solver, std::size_t alphabet,
+                                 std::size_t& clause_count) {
   std::vector<Var> vars(alphabet);
   for (std::size_t l = 0; l < alphabet; ++l) vars[l] = solver.new_var();
   std::vector<Lit> at_least;
@@ -75,13 +35,46 @@ std::vector<Var> make_edge_vars(SatSolver& solver, std::size_t alphabet,
   return vars;
 }
 
-}  // namespace
+void block_bad_prefixes(SatSolver& solver, const SubmultisetAutomaton& automaton,
+                        std::span<const std::vector<Var>* const> slots,
+                        std::size_t alphabet, std::size_t& clause_count,
+                        SearchBudget* budget, const Lit* guard) {
+  // A live state after all slots is a full-size sub-multiset of a member,
+  // i.e. a member: the walk tests extension and membership alike.
+  std::vector<Label> prefix;
+  prefix.reserve(slots.size());
+  auto dfs = [&](auto&& self, SubmultisetAutomaton::State state) -> void {
+    if (budget != nullptr && !budget->charge()) return;
+    const std::size_t depth = prefix.size();
+    if (state == SubmultisetAutomaton::kDead) {
+      std::vector<Lit> clause;
+      clause.reserve(depth + (guard != nullptr ? 1 : 0));
+      for (std::size_t i = 0; i < depth; ++i) {
+        clause.push_back(Lit::negative((*slots[i])[prefix[i]]));
+      }
+      if (guard != nullptr) clause.push_back(*guard);
+      solver.add_clause(std::move(clause));
+      ++clause_count;
+      return;  // minimal prefix blocked; no need to extend
+    }
+    if (depth == slots.size()) return;
+    for (std::size_t l = 0; l < alphabet; ++l) {
+      prefix.push_back(static_cast<Label>(l));
+      self(self, automaton.next(state, prefix.back()));
+      prefix.pop_back();
+    }
+  };
+  dfs(dfs, automaton.root());
+}
 
 std::optional<LabelingCnf> encode_bipartite_labeling(const BipartiteGraph& g,
                                                      const Problem& pi,
                                                      SearchBudget* budget,
                                                      bool log_proof,
                                                      bool /*unused*/) {
+  const auto white = pi.white().automaton();
+  const auto black = pi.black().automaton();
+  if (!white || !black) return std::nullopt;  // past the index cap
   LabelingCnf cnf;
   SatSolver& solver = cnf.solver;
   // Proof logging has to be armed before the first clause goes in: the
@@ -91,23 +84,23 @@ std::optional<LabelingCnf> encode_bipartite_labeling(const BipartiteGraph& g,
   std::vector<std::vector<Var>>& x = cnf.edge_label_vars;
   x.resize(g.edge_count());
   for (EdgeId e = 0; e < g.edge_count(); ++e) {
-    x[e] = make_edge_vars(solver, alphabet, cnf.clause_count);
+    x[e] = add_exactly_one(solver, alphabet, cnf.clause_count);
   }
-  const auto block_node = [&](const Constraint& constraint,
+  const auto block_node = [&](const SubmultisetAutomaton& automaton,
                               std::span<const EdgeId> incident) {
     std::vector<const std::vector<Var>*> incident_vars;
     incident_vars.reserve(incident.size());
     for (const EdgeId e : incident) incident_vars.push_back(&x[e]);
-    block_bad_prefixes(solver, constraint, incident_vars, alphabet,
+    block_bad_prefixes(solver, automaton, incident_vars, alphabet,
                        cnf.clause_count, budget);
   };
   for (NodeId w = 0; w < g.white_count(); ++w) {
     if (g.white_degree(w) != pi.white_degree()) continue;
-    block_node(pi.white(), g.white_incident(w));
+    block_node(*white, g.white_incident(w));
   }
   for (NodeId b = 0; b < g.black_count(); ++b) {
     if (g.black_degree(b) != pi.black_degree()) continue;
-    block_node(pi.black(), g.black_incident(b));
+    block_node(*black, g.black_incident(b));
   }
   // A budget tripped mid-encoding leaves blocking clauses missing; the
   // formula is an under-constraint and must not be solved.
@@ -155,19 +148,17 @@ std::optional<std::vector<Label>> solve_graph_halfedge_labeling_sat(
                                       conflict_budget, stats, budget);
 }
 
-IncrementalLabelingSweep::IncrementalLabelingSweep(Problem pi) : pi_(std::move(pi)) {
-  // The bad-prefix DFS re-tests the same partial multisets across nodes and
-  // supports; the extension index turns each test into a short table walk.
-  pi_.white().build_extension_index();
-  pi_.black().build_extension_index();
-}
+IncrementalLabelingSweep::IncrementalLabelingSweep(Problem pi)
+    : pi_(std::move(pi)),
+      white_automaton_(pi_.white().automaton()),
+      black_automaton_(pi_.black().automaton()) {}
 
 const std::vector<Var>& IncrementalLabelingSweep::edge_vars(NodeId w, NodeId b) {
   const EdgeKey key = edge_key(w, b);
   const auto it = edge_vars_.find(key);
   if (it != edge_vars_.end()) return it->second;
   return edge_vars_
-      .emplace(key, make_edge_vars(solver_, pi_.alphabet_size(), clause_count_))
+      .emplace(key, add_exactly_one(solver_, pi_.alphabet_size(), clause_count_))
       .first->second;
 }
 
@@ -175,6 +166,7 @@ bool IncrementalLabelingSweep::encode_support(const BipartiteGraph& g,
                                               std::vector<Lit>* assumptions,
                                               std::vector<NodeRef>* owners,
                                               Step* step, SearchBudget* budget) {
+  if (!white_automaton_ || !black_automaton_) return false;  // past the index cap
   const std::size_t alphabet = pi_.alphabet_size();
   // Edge structure first, so node encodings below can take stable pointers
   // into edge_vars_ (unordered_map never invalidates element references).
@@ -182,7 +174,6 @@ bool IncrementalLabelingSweep::encode_support(const BipartiteGraph& g,
 
   const auto encode_node = [&](bool white, NodeId node,
                                std::span<const EdgeId> incident) -> bool {
-    const Constraint& constraint = white ? pi_.white() : pi_.black();
     std::pair<bool, std::vector<EdgeKey>> key;
     key.first = white;
     key.second.reserve(incident.size());
@@ -201,8 +192,8 @@ bool IncrementalLabelingSweep::encode_support(const BipartiteGraph& g,
       incident_vars.reserve(incident.size());
       for (const EdgeKey k : key.second) incident_vars.push_back(&edge_vars_.at(k));
       const Lit deactivate = Lit::negative(guard);
-      block_bad_prefixes(solver_, constraint, incident_vars, alphabet, clause_count_,
-                         budget, &deactivate);
+      block_bad_prefixes(solver_, white ? *white_automaton_ : *black_automaton_,
+                         incident_vars, alphabet, clause_count_, budget, &deactivate);
       // A tripped budget aborted the DFS mid-instance: abandon this guard
       // (its partial clauses stay vacuous — the guard is never assumed and
       // never registered, so a later retry re-encodes under a fresh one).

@@ -7,7 +7,14 @@
 // extend to a configuration of the node's constraint. Any total assignment
 // avoiding all blocked prefixes therefore satisfies every constrained node.
 //
-// Two modes share that core:
+// Those two clause primitives — an exactly-one block per slot and the
+// bad-prefix DFS, which walks the constraint's sub-multiset automaton —
+// are shared by every SAT encoding in the repo: the lift CNF here and the
+// direct 0-round and T-round deciders (zero_round.hpp, one_round.hpp).
+// The backtracking solver (edge_labeling.hpp) keeps the definitional
+// extendable() scan and stays their independent oracle.
+//
+// Two modes share the lift CNF:
 //  * encode_bipartite_labeling — one graph, one CNF, solved from scratch;
 //  * IncrementalLabelingSweep — a family of supports encoded into ONE
 //    solver. Edge variables are keyed by endpoint ids and node blocking
@@ -18,7 +25,9 @@
 
 #include <cstdint>
 #include <map>
+#include <memory>
 #include <optional>
+#include <span>
 #include <unordered_map>
 #include <utility>
 #include <vector>
@@ -30,6 +39,27 @@
 #include "src/util/budget.hpp"
 
 namespace slocal {
+
+/// Creates one slot's block of per-label variables and its exactly-one
+/// clauses (at least one + pairwise at most one), counted in clause_count.
+std::vector<Var> add_exactly_one(SatSolver& solver, std::size_t alphabet,
+                                 std::size_t& clause_count);
+
+/// Emits the blocking clauses of one constrained node: for each minimal bad
+/// prefix over `slots` (in order), the clause saying "not all of these
+/// selections together". `slots[i]` is the per-label variable block of the
+/// node's i-th slot, and there are exactly as many slots as the
+/// constraint's degree. The DFS carries the state of `automaton` (the
+/// constraint's, see Constraint::automaton) and blocks a prefix exactly
+/// when the state is kDead. When `guard` is given, it is appended to every
+/// clause (the selector-literal idiom: pass the negation of an activation
+/// variable, assume the variable to activate the constraint). Charges
+/// `budget` per DFS node and stops early once it trips (the caller
+/// discards the encoding).
+void block_bad_prefixes(SatSolver& solver, const SubmultisetAutomaton& automaton,
+                        std::span<const std::vector<Var>* const> slots,
+                        std::size_t alphabet, std::size_t& clause_count,
+                        SearchBudget* budget = nullptr, const Lit* guard = nullptr);
 
 struct SatLabelingStats {
   std::size_t variables = 0;
@@ -49,8 +79,10 @@ struct LabelingCnf {
 /// Builds the CNF for "pi is solvable on g". The bad-prefix DFS charges
 /// `budget` (if given) per node; a tripped budget aborts the encoding and
 /// returns nullopt — a partial encoding must never be solved, since missing
-/// blocking clauses would make kSat unsound. log_proof arms the solver's
-/// DRAT trace before the first clause is added (certificate emission).
+/// blocking clauses would make kSat unsound. nullopt too when either
+/// constraint's automaton is past Constraint::automaton's cap: nothing is
+/// encoded then. log_proof arms the solver's DRAT trace before the first
+/// clause is added (certificate emission).
 /// The trailing bool is ignored: it is kept only because perfbench/ passes
 /// it, and the next benchmark change removes it.
 std::optional<LabelingCnf> encode_bipartite_labeling(const BipartiteGraph& g,
@@ -109,7 +141,8 @@ class IncrementalLabelingSweep {
 
   struct Step {
     /// kYes (labels attached) / kNo (core attached) are definitive;
-    /// kExhausted means the budget tripped during encoding or solving.
+    /// kExhausted means the budget tripped during encoding or solving, or
+    /// a constraint's automaton is past the index cap.
     Verdict verdict = Verdict::kExhausted;
     std::optional<std::vector<Label>> labels;  // per edge of the step graph
     std::vector<NodeRef> core;  // on kNo: nodes of the failed-assumption core
@@ -141,7 +174,8 @@ class IncrementalLabelingSweep {
   /// a LabelingCnf whose edge_label_vars are indexed by g's edge ids, and
   /// fills `assumptions` with the guard literals activating g's
   /// constraints (pass them to solve_under_assumptions on each copy).
-  /// nullopt if `budget` tripped while completing the encoding.
+  /// nullopt if `budget` tripped while completing the encoding, or past
+  /// the index cap.
   std::optional<LabelingCnf> snapshot(const BipartiteGraph& g,
                                       std::vector<Lit>* assumptions,
                                       SearchBudget* budget = nullptr);
@@ -166,6 +200,9 @@ class IncrementalLabelingSweep {
                       SearchBudget* budget);
 
   Problem pi_;
+  /// pi_'s automata; nullptr past the index cap (every step is exhausted).
+  std::shared_ptr<const SubmultisetAutomaton> white_automaton_;
+  std::shared_ptr<const SubmultisetAutomaton> black_automaton_;
   SatSolver solver_;
   std::size_t clause_count_ = 0;
   std::unordered_map<EdgeKey, std::vector<Var>> edge_vars_;

@@ -6,7 +6,7 @@
 #include <map>
 #include <vector>
 
-#include "src/sat/solver.hpp"
+#include "src/solver/cnf_encoding.hpp"
 #include "src/solver/zero_round.hpp"
 
 namespace slocal {
@@ -107,6 +107,10 @@ std::optional<bool> t_round_white_algorithm_exists(const BipartiteGraph& g,
   std::vector<std::vector<EdgeId>> scopes(g.white_count());
   std::vector<std::map<std::uint32_t, std::vector<std::vector<Var>>>> y(g.white_count());
   SatSolver solver;
+  std::size_t clause_count = 0;  // required by the clause primitives, unreported
+  const auto white = pi.white().automaton();
+  const auto black = pi.black().automaton();
+  if (!white || !black) return std::nullopt;  // past the index cap
 
   for (NodeId v = 0; v < g.white_count(); ++v) {
     scopes[v] = white_scope(g, v, t);
@@ -135,44 +139,14 @@ std::optional<bool> t_round_white_algorithm_exists(const BipartiteGraph& g,
       }
       if (t_v.empty()) continue;
       auto& slots = y[v][view];
-      slots.resize(t_v.size());
-      for (auto& slot : slots) {
-        slot.resize(alphabet);
-        for (std::size_t l = 0; l < alphabet; ++l) slot[l] = solver.new_var();
-        std::vector<Lit> at_least;
-        for (std::size_t l = 0; l < alphabet; ++l) {
-          at_least.push_back(Lit::positive(slot[l]));
-        }
-        solver.add_clause(std::move(at_least));
-        for (std::size_t a = 0; a < alphabet; ++a) {
-          for (std::size_t b = a + 1; b < alphabet; ++b) {
-            solver.add_clause({Lit::negative(slot[a]), Lit::negative(slot[b])});
-          }
-        }
+      for (std::size_t i = 0; i < t_v.size(); ++i) {
+        slots.push_back(add_exactly_one(solver, alphabet, clause_count));
       }
       // White constraint when the view gives v exactly Δ' input edges.
       if (t_v.size() == delta_prime) {
-        std::vector<Label> prefix;
-        auto dfs = [&](auto&& self, std::size_t depth) -> void {
-          const Configuration partial{std::vector<Label>(prefix)};
-          const bool ok = depth == delta_prime ? pi.white().contains(partial)
-                                               : pi.white().extendable(partial);
-          if (!ok) {
-            std::vector<Lit> clause;
-            for (std::size_t i = 0; i < depth; ++i) {
-              clause.push_back(Lit::negative(slots[i][prefix[i]]));
-            }
-            solver.add_clause(std::move(clause));
-            return;
-          }
-          if (depth == delta_prime) return;
-          for (std::size_t l = 0; l < alphabet; ++l) {
-            prefix.push_back(static_cast<Label>(l));
-            self(self, depth + 1);
-            prefix.pop_back();
-          }
-        };
-        dfs(dfs, 0);
+        std::vector<const std::vector<Var>*> slot_vars;
+        for (const auto& slot : slots) slot_vars.push_back(&slot);
+        block_bad_prefixes(solver, *white, slot_vars, alphabet, clause_count);
       }
     }
   }
@@ -239,27 +213,7 @@ std::optional<bool> t_round_white_algorithm_exists(const BipartiteGraph& g,
       }
       if (!all_found) continue;
       // Block label tuples outside C_B.
-      std::vector<Label> prefix;
-      auto dfs = [&](auto&& self, std::size_t depth) -> void {
-        const Configuration partial{std::vector<Label>(prefix)};
-        const bool ok = depth == r_prime ? pi.black().contains(partial)
-                                         : pi.black().extendable(partial);
-        if (!ok) {
-          std::vector<Lit> clause;
-          for (std::size_t i = 0; i < depth; ++i) {
-            clause.push_back(Lit::negative((*slots[i])[prefix[i]]));
-          }
-          solver.add_clause(std::move(clause));
-          return;
-        }
-        if (depth == r_prime) return;
-        for (std::size_t l = 0; l < alphabet; ++l) {
-          prefix.push_back(static_cast<Label>(l));
-          self(self, depth + 1);
-          prefix.pop_back();
-        }
-      };
-      dfs(dfs, 0);
+      block_bad_prefixes(solver, *black, slots, alphabet, clause_count);
     }
   }
 

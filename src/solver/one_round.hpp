@@ -7,7 +7,8 @@
 // Existence is decided by CNF: one output table per realizable view, white
 // configurations enforced per full-degree view, black configurations
 // quantified over every realizable radius-2 flag assignment around each
-// black node.
+// black node. The clauses come from the lift CNF's primitives
+// (cnf_encoding.hpp).
 //
 // Lemma B.1 (executable form): if Π has a 1-round white algorithm on a
 // support of girth >= 6, then R(Π) has a 0-round black algorithm there.
@@ -34,7 +35,7 @@ struct OneRoundOptions {
 /// view of a white node covers the input flags of every edge incident to a
 /// node within distance T; T = 0 reproduces the zero_round decider (tested
 /// against it), T = 1 is Lemma B.1's premise. nullopt = instance too large
-/// under `options`.
+/// under `options`, or a constraint's automaton past the index cap.
 std::optional<bool> t_round_white_algorithm_exists(
     const BipartiteGraph& g, const Problem& pi, std::size_t t,
     const OneRoundOptions& options = {});

@@ -60,7 +60,8 @@ struct PortfolioOptions {
 
 struct PortfolioResult {
   /// kYes (labels attached) / kNo are definitive; kExhausted means no
-  /// engine finished inside its budget.
+  /// engine finished inside its budget, or the CNF could not be encoded
+  /// (a constraint past the index cap; reason stays kNone).
   Verdict verdict = Verdict::kExhausted;
   std::optional<std::vector<Label>> labels;
   /// Which engine answered first: "backtracking" or "sat[<seed>]"; empty

@@ -5,7 +5,7 @@
 #include <unordered_map>
 #include <vector>
 
-#include "src/sat/solver.hpp"
+#include "src/solver/cnf_encoding.hpp"
 #include "src/util/combinatorics.hpp"
 
 namespace slocal {
@@ -32,6 +32,20 @@ bool zero_round_white_algorithm_exists(const BipartiteGraph& g, const Problem& p
   SatSolver solver;
   std::size_t clause_count = 0;
   std::size_t scenario_count = 0;
+  const auto fill_stats = [&](Verdict verdict) {
+    if (stats != nullptr) {
+      stats->variables = solver.var_count();
+      stats->clauses = clause_count;
+      stats->black_scenarios = scenario_count;
+      stats->verdict = verdict;
+    }
+  };
+  const auto white = pi.white().automaton();
+  const auto black = pi.black().automaton();
+  if (!white || !black) {  // past the index cap: nothing is encoded
+    fill_stats(Verdict::kExhausted);
+    return false;
+  }
 
   // y[v][mask] = per set-position (ascending bit order) the label variables.
   // mask bits index into g.white_incident(v).
@@ -43,48 +57,14 @@ bool zero_round_white_algorithm_exists(const BipartiteGraph& g, const Problem& p
     for (const std::uint32_t mask : local_input_masks(deg, delta_prime)) {
       const std::size_t bits = static_cast<std::size_t>(__builtin_popcount(mask));
       auto& slots = y[v][mask];
-      slots.resize(bits);
       for (std::size_t p = 0; p < bits; ++p) {
-        slots[p].resize(alphabet);
-        for (std::size_t l = 0; l < alphabet; ++l) slots[p][l] = solver.new_var();
-        std::vector<Lit> at_least;
-        for (std::size_t l = 0; l < alphabet; ++l) {
-          at_least.push_back(Lit::positive(slots[p][l]));
-        }
-        solver.add_clause(std::move(at_least));
-        ++clause_count;
-        for (std::size_t a = 0; a < alphabet; ++a) {
-          for (std::size_t b = a + 1; b < alphabet; ++b) {
-            solver.add_clause({Lit::negative(slots[p][a]), Lit::negative(slots[p][b])});
-            ++clause_count;
-          }
-        }
+        slots.push_back(add_exactly_one(solver, alphabet, clause_count));
       }
       // White constraint when the local input has exactly Δ' edges.
       if (bits == delta_prime) {
-        std::vector<Label> prefix;
-        auto dfs = [&](auto&& self, std::size_t depth) -> void {
-          if (budget != nullptr && !budget->charge()) return;
-          const Configuration partial{std::vector<Label>(prefix)};
-          const bool ok = depth == bits ? pi.white().contains(partial)
-                                        : pi.white().extendable(partial);
-          if (!ok) {
-            std::vector<Lit> clause;
-            for (std::size_t i = 0; i < depth; ++i) {
-              clause.push_back(Lit::negative(slots[i][prefix[i]]));
-            }
-            solver.add_clause(std::move(clause));
-            ++clause_count;
-            return;
-          }
-          if (depth == bits) return;
-          for (std::size_t l = 0; l < alphabet; ++l) {
-            prefix.push_back(static_cast<Label>(l));
-            self(self, depth + 1);
-            prefix.pop_back();
-          }
-        };
-        dfs(dfs, 0);
+        std::vector<const std::vector<Var>*> slot_vars;
+        for (const auto& slot : slots) slot_vars.push_back(&slot);
+        block_bad_prefixes(solver, *white, slot_vars, alphabet, clause_count, budget);
       }
     }
   }
@@ -143,33 +123,13 @@ bool zero_round_white_algorithm_exists(const BipartiteGraph& g, const Problem& p
           }
           ++scenario_count;
           // Block bad label tuples for (v_j, T_j, e_j).
-          std::vector<Label> prefix;
-          auto dfs = [&](auto&& self2, std::size_t depth) -> void {
-            if (budget != nullptr && !budget->charge()) return;
-            const Configuration partial{std::vector<Label>(prefix)};
-            const bool ok = depth == r_prime ? pi.black().contains(partial)
-                                             : pi.black().extendable(partial);
-            if (!ok) {
-              std::vector<Lit> clause;
-              for (std::size_t i = 0; i < depth; ++i) {
-                const std::uint32_t mask = mask_options[i][family[i]];
-                const std::size_t bit = edge_position(whites[i], chosen[i]);
-                const std::size_t pos = mask_position(mask, bit);
-                clause.push_back(
-                    Lit::negative(y[whites[i]][mask][pos][prefix[i]]));
-              }
-              solver.add_clause(std::move(clause));
-              ++clause_count;
-              return;
-            }
-            if (depth == r_prime) return;
-            for (std::size_t l = 0; l < alphabet; ++l) {
-              prefix.push_back(static_cast<Label>(l));
-              self2(self2, depth + 1);
-              prefix.pop_back();
-            }
-          };
-          dfs(dfs, 0);
+          std::vector<const std::vector<Var>*> slot_vars(r_prime);
+          for (std::size_t i = 0; i < r_prime; ++i) {
+            const std::uint32_t mask = mask_options[i][family[i]];
+            const std::size_t bit = edge_position(whites[i], chosen[i]);
+            slot_vars[i] = &y[whites[i]].at(mask)[mask_position(mask, bit)];
+          }
+          block_bad_prefixes(solver, *black, slot_vars, alphabet, clause_count, budget);
           return;
         }
         for (family[j] = 0; family[j] < mask_options[j].size(); ++family[j]) {
@@ -183,14 +143,6 @@ bool zero_round_white_algorithm_exists(const BipartiteGraph& g, const Problem& p
     });
   }
 
-  const auto fill_stats = [&](Verdict verdict) {
-    if (stats != nullptr) {
-      stats->variables = solver.var_count();
-      stats->clauses = clause_count;
-      stats->black_scenarios = scenario_count;
-      stats->verdict = verdict;
-    }
-  };
   // A budget tripped mid-encoding leaves black scenarios unconstrained; a
   // kSat model would be unsound, so report exhausted without solving.
   if (budget != nullptr && budget->halted()) {

@@ -13,7 +13,8 @@
 //
 // The decider encodes this as CNF over variables "output of (v,T) on e is
 // l" and quantifies the black condition over all realizable neighborhood
-// combinations. Theorem 3.2 asserts this decision is equivalent to
+// combinations, with the clause primitives of the lift CNF
+// (cnf_encoding.hpp). Theorem 3.2 asserts this decision is equivalent to
 // solvability of lift_{Δ,r}(Π) on G — a property the test suite checks by
 // running both deciders on a corpus of instances.
 #pragma once
@@ -32,16 +33,17 @@ struct ZeroRoundStats {
   std::size_t clauses = 0;
   std::size_t black_scenarios = 0;  // realizable (b, E_b, T_1..T_r') families
   /// kYes/kNo when decided; kExhausted when a budget tripped (scenario
-  /// enumeration or the SAT solve stopped early). Without a budget the
-  /// decision is always exact.
+  /// enumeration or the SAT solve stopped early) or a constraint's
+  /// automaton is past the index cap (nothing is encoded). Within the cap
+  /// and without a budget the decision is always exact.
   Verdict verdict = Verdict::kNo;
 };
 
 /// Decides whether a deterministic 0-round white algorithm bipartitely
 /// solving `pi` exists on support `g` for input graphs with white degree
 /// <= pi.white_degree() and black degree <= pi.black_degree().
-/// Exact when `budget` is null; a tripped budget returns false with
-/// stats->verdict == kExhausted (never a wrong "does not exist").
+/// Exact when `budget` is null; a tripped budget or the index cap returns
+/// false with stats->verdict == kExhausted (never a wrong "does not exist").
 bool zero_round_white_algorithm_exists(const BipartiteGraph& g, const Problem& pi,
                                        ZeroRoundStats* stats = nullptr,
                                        SearchBudget* budget = nullptr);

@@ -75,19 +75,20 @@ TEST(DiffOracle, IndependentSeedsAllPass) {
 }
 
 TEST(DiffOracle, LiftSweepIncrementalMatchesScratchOnGadgets) {
-  // The E3 acceptance instance: a Δ=3, r=1 lift sweep over 6 nested gadget
-  // supports. Incremental and from-scratch paths must agree step for step,
-  // and the incremental path must reuse (strictly fewer distinct clauses).
+  // The E3 acceptance instance: a Δ=3, r=3 lift sweep over 6 nested gadget
+  // supports (Definition 3.1 needs r >= r', and MM_3 has r' = 3).
+  // Incremental and from-scratch paths must agree step for step, and the
+  // incremental path must reuse (strictly fewer distinct clauses).
   const Problem base = make_maximal_matching_problem(3);
-  const auto supports = make_gadget_supports(3, 1, 1, 6);
+  const auto supports = make_gadget_supports(3, 3, 1, 6);
   ASSERT_EQ(supports.size(), 6u);
   LiftSweepOptions inc;
   inc.incremental = true;
   inc.certify_cores = true;
-  const LiftSweepResult a = run_lift_sweep(base, 3, 1, supports, inc);
+  const LiftSweepResult a = run_lift_sweep(base, 3, 3, supports, inc);
   LiftSweepOptions scr;
   scr.incremental = false;
-  const LiftSweepResult b = run_lift_sweep(base, 3, 1, supports, scr);
+  const LiftSweepResult b = run_lift_sweep(base, 3, 3, supports, scr);
   ASSERT_TRUE(a.lift_materialized);
   ASSERT_TRUE(b.lift_materialized);
   ASSERT_EQ(a.steps.size(), b.steps.size());

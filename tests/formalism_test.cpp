@@ -149,6 +149,21 @@ TEST(Constraint, ExtensionIndexInvalidatedByMutation) {
   EXPECT_FALSE(c.extendable(Configuration{2, 2}));
 }
 
+TEST(Constraint, AutomatonLeavesTheConstraintUncached) {
+  // The SAT encoders take automaton() on a caller's constraint: it must not
+  // switch that constraint's extendable() off its linear scan.
+  Constraint c(3);
+  c.add(Configuration{0, 1, 2});
+  const auto fresh = c.automaton();
+  ASSERT_NE(fresh, nullptr);
+  EXPECT_EQ(fresh->size(), 8u);
+  EXPECT_FALSE(c.extension_index_built());
+  EXPECT_EQ(c.automaton(/*max_entries=*/4), nullptr);
+  // Once an index is built, automaton() hands out that same automaton.
+  ASSERT_TRUE(c.build_extension_index());
+  EXPECT_EQ(c.automaton().get(), c.extension_index());
+}
+
 TEST(Constraint, ExtensionIndexRespectsEntryCap) {
   Constraint c(3);
   c.add(Configuration{0, 1, 2});  // 8 sub-multisets

@@ -9,6 +9,8 @@
 // Every file must still load. Certificates and discover checkpoints are
 // deterministic, so saving the loaded object must reproduce the file byte
 // for byte; the RE cache iterates a hash map, so only its content is pinned.
+// The lift-unsat claim is also re-decided from scratch: the encoder and the
+// solver must emit the stored certificate again, byte for byte.
 #include <filesystem>
 #include <fstream>
 #include <sstream>
@@ -16,6 +18,7 @@
 
 #include "gtest/gtest.h"
 #include "src/cert/check.hpp"
+#include "src/cert/emit.hpp"
 #include "src/cert/format.hpp"
 #include "src/discover/checkpoint.hpp"
 #include "src/re/re_cache.hpp"
@@ -63,6 +66,30 @@ TEST(FormatCompat, CertificatesLoadCheckAndResaveByteForByte) {
     EXPECT_EQ(read_bytes(path), read_bytes(fixture(name)));
     std::filesystem::remove(path);
   }
+}
+
+TEST(FormatCompat, LiftCertificateReEmitsByteForByte) {
+  // The lift-unsat fixture carries the CNF and DRAT proof the encoder and
+  // solver produced when it was written. Re-deciding its stored claim (Π,
+  // the targets and the support) must reproduce every byte, which pins the
+  // lift encoding's variables, clauses and clause order.
+  cert::Certificate stored;
+  std::string error;
+  ASSERT_TRUE(cert::load_certificate(fixture("lift_unsat_v1.cert"), &stored, &error))
+      << error;
+  ASSERT_EQ(stored.kind, cert::CertKind::kLiftUnsat);
+  const cert::LiftUnsatCert& claim = stored.lift;
+  BipartiteGraph support(claim.white_count, claim.black_count);
+  for (const auto& [white, black] : claim.edges) {
+    ASSERT_TRUE(support.add_edge(white, black).has_value());
+  }
+  const std::optional<cert::Certificate> emitted = cert::make_lift_unsat_certificate(
+      claim.problem, claim.big_delta, claim.big_r, support);
+  ASSERT_TRUE(emitted.has_value());
+  const std::string path = temp_file("cert");
+  ASSERT_TRUE(cert::save_certificate(*emitted, path, &error)) << error;
+  EXPECT_EQ(read_bytes(path), read_bytes(fixture("lift_unsat_v1.cert")));
+  std::filesystem::remove(path);
 }
 
 TEST(FormatCompat, DiscoverCheckpointLoadsAndResavesByteForByte) {

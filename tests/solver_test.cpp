@@ -1,6 +1,7 @@
 // Edge-labeling existence deciders: backtracking vs SAT cross-checks, and
 // ground-truth instances (maximal matching on cycles, proper coloring vs
-// chromatic number, sinkless orientation on cycles and trees).
+// chromatic number, sinkless orientation on cycles and trees), and the
+// outcome of every SAT encoder on a constraint past the extension-index cap.
 #include <gtest/gtest.h>
 
 #include "src/formalism/parser.hpp"
@@ -11,6 +12,8 @@
 #include "src/problems/verifiers.hpp"
 #include "src/solver/cnf_encoding.hpp"
 #include "src/solver/edge_labeling.hpp"
+#include "src/solver/one_round.hpp"
+#include "src/solver/zero_round.hpp"
 #include "src/util/combinatorics.hpp"
 #include "src/util/rng.hpp"
 
@@ -171,6 +174,59 @@ TEST(EdgeLabeling, BudgetExhaustionIsReported) {
   const auto result = solve_bipartite_labeling(g, mm, options, &exhausted);
   EXPECT_FALSE(result.has_value());
   EXPECT_TRUE(exhausted);
+}
+
+// -- the extension-index cap: every SAT encoder walks the constraints'
+//    sub-multiset automata, so a constraint past the cap is never encoded
+//    and the encoder reports its "could not encode" outcome, not a verdict.
+
+/// White degree 23 with one member of 23 distinct labels: 2^23
+/// sub-multisets, past the default extension-index cap of 2^22.
+Problem past_index_cap_problem() {
+  constexpr std::size_t kDegree = 23;
+  LabelRegistry reg;
+  std::vector<Label> member;
+  for (std::size_t l = 0; l < kDegree; ++l) {
+    member.push_back(reg.intern("L" + std::to_string(l)));
+  }
+  Constraint white(kDegree);
+  white.add(Configuration(std::move(member)));
+  Constraint black(2);
+  black.add(Configuration{0, 0});
+  return Problem("past-index-cap", reg, white, black);
+}
+
+TEST(EncoderIndexCap, LiftCnfIsNotEncoded) {
+  const Problem pi = past_index_cap_problem();
+  EXPECT_FALSE(pi.white().build_extension_index());
+  const BipartiteGraph g = make_bipartite_cycle(3);
+  EXPECT_FALSE(encode_bipartite_labeling(g, pi).has_value());
+  SatLabelingStats stats;
+  stats.result = SatResult::kSat;
+  EXPECT_FALSE(solve_bipartite_labeling_sat(g, pi, 0, &stats).has_value());
+  EXPECT_EQ(stats.result, SatResult::kUnknown);
+}
+
+TEST(EncoderIndexCap, IncrementalSweepIsExhausted) {
+  IncrementalLabelingSweep sweep(past_index_cap_problem());
+  const BipartiteGraph g = make_bipartite_cycle(3);
+  EXPECT_EQ(sweep.solve_support(g).verdict, Verdict::kExhausted);
+  std::vector<Lit> assumptions;
+  EXPECT_FALSE(sweep.snapshot(g, &assumptions).has_value());
+}
+
+TEST(EncoderIndexCap, ZeroRoundIsExhausted) {
+  ZeroRoundStats stats;
+  EXPECT_FALSE(zero_round_white_algorithm_exists(make_bipartite_cycle(3),
+                                                 past_index_cap_problem(), &stats));
+  EXPECT_EQ(stats.verdict, Verdict::kExhausted);
+}
+
+TEST(EncoderIndexCap, TRoundIsNotDecided) {
+  const Problem pi = past_index_cap_problem();
+  const BipartiteGraph g = make_bipartite_cycle(3);
+  EXPECT_FALSE(t_round_white_algorithm_exists(g, pi, 0).has_value());
+  EXPECT_FALSE(t_round_white_algorithm_exists(g, pi, 1).has_value());
 }
 
 }  // namespace

@@ -153,6 +153,12 @@ std::vector<ExitRow> exit_rows() {
        "portfolio " + problem("no_such_problem.txt") + "cycle:4", 1},
       {"BadInstanceSpecIsInputError",
        "portfolio " + problem("two_coloring.txt") + "pentagon", 1},
+      // Support specs parse every number strictly: trailing junk or a
+      // missing number is a bad spec, never a silently truncated one.
+      {"ZeroRejectsTrailingJunkInCycle",
+       "zero " + problem("two_coloring.txt") + "cycle:4x", 1},
+      {"SolveRejectsTrailingJunkInComplete",
+       "solve " + problem("two_coloring.txt") + "complete:2x2y", 1},
       // simulate: 0 = all halted, 2 = live nodes at the round cap, 3 =
       // budget exhausted mid-run (one node / 1ms on a 20k-node instance:
       // no verdict may be printed), 1 = bad spec, 64 = missing positionals.
@@ -163,6 +169,10 @@ std::vector<ExitRow> exit_rows() {
       {"SimulateExhaustsUnderDeadline",
        "simulate luby-mis regular:20000x4 --timeout-ms=1 --rounds=1000000", 3},
       {"SimulateRejectsBadInstance", "simulate luby-mis pentagon", 1},
+      {"SimulateRejectsTrailingJunkInCycle", "simulate luby-mis cycle:10junk", 1},
+      {"SimulateRejectsTrailingJunkInTorus", "simulate luby-mis torus:4x4x", 1},
+      {"SimulateRejectsTrailingJunkInRegular",
+       "simulate luby-mis regular:10x3z", 1},
       {"SimulateRejectsUnknownAlgorithm", "simulate frobnicate cycle:10", 1},
       {"SimulateRejectsDegreeMismatch",
        "simulate ring-coloring torus:4x4", 1},  // ring needs 2-regular

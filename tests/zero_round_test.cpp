@@ -69,6 +69,7 @@ TEST(ZeroRound, Theorem32EquivalenceOnRandomCorpus) {
   // supports G; the two deciders must agree on every instance.
   Rng rng(99);
   int yes = 0, no = 0;
+  ZeroRoundStats total;
   for (int trial = 0; trial < 40; ++trial) {
     const std::size_t dw = 2;                       // Δ' = 2
     const std::size_t db = 2;                       // r' = 2
@@ -101,14 +102,53 @@ TEST(ZeroRound, Theorem32EquivalenceOnRandomCorpus) {
       g = *rb;
     }
 
-    const bool direct = zero_round_white_algorithm_exists(g, pi);
+    ZeroRoundStats stats;
+    const bool direct = zero_round_white_algorithm_exists(g, pi, &stats);
     const bool lifted = lift_solvable_bool(g, pi);
     EXPECT_EQ(direct, lifted) << "trial " << trial << "\n"
                               << pi.to_string();
     (direct ? yes : no)++;
+    total.variables += stats.variables;
+    total.clauses += stats.clauses;
+    total.black_scenarios += stats.black_scenarios;
   }
   EXPECT_GT(yes, 3);
   EXPECT_GT(no, 3);
+  // The corpus's encoding sizes, summed: pins the CNF the encoder emits.
+  EXPECT_EQ(total.variables, 2316u);
+  EXPECT_EQ(total.clauses, 8211u);
+  EXPECT_EQ(total.black_scenarios, 2172u);
+}
+
+TEST(ZeroRound, EncodingSizesArePinned) {
+  // Exact variable, clause and black-scenario counts of the instances
+  // above: the encoder's clause primitives must emit the same CNF for every
+  // instance, not just reach the same verdict.
+  struct Row {
+    const char* name;
+    BipartiteGraph g;
+    Problem pi;
+    ZeroRoundStats expected;
+  };
+  const Problem so = make_sinkless_orientation_problem(2);
+  const Problem c2 = make_proper_coloring_problem(2, 2);
+  const Problem mm = make_maximal_matching_problem(2);
+  const Row rows[] = {
+      {"so/cycle4", make_bipartite_cycle(4), so, {32, 68, 16, Verdict::kYes}},
+      {"so/cycle3", make_bipartite_cycle(3), so, {24, 51, 12, Verdict::kYes}},
+      {"c2/cycle4", make_bipartite_cycle(4), c2, {32, 72, 16, Verdict::kYes}},
+      {"c2/cycle3", make_bipartite_cycle(3), c2, {24, 54, 12, Verdict::kNo}},
+      {"mm/cycle4", make_bipartite_cycle(4), mm, {48, 152, 16, Verdict::kYes}},
+  };
+  for (const Row& row : rows) {
+    SCOPED_TRACE(row.name);
+    ZeroRoundStats stats;
+    zero_round_white_algorithm_exists(row.g, row.pi, &stats);
+    EXPECT_EQ(stats.variables, row.expected.variables);
+    EXPECT_EQ(stats.clauses, row.expected.clauses);
+    EXPECT_EQ(stats.black_scenarios, row.expected.black_scenarios);
+    EXPECT_EQ(stats.verdict, row.expected.verdict);
+  }
 }
 
 TEST(ZeroRound, StatsPopulated) {
