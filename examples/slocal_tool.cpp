@@ -210,7 +210,7 @@ int cmd_print(const Problem& pi) {
   return 0;
 }
 
-int cmd_re(const Problem& pi, int steps, const Flags& flags) {
+int cmd_re(const Problem& pi, std::uint64_t steps, const Flags& flags) {
   Problem current = pi;
   SearchBudget budget_storage;
   REOptions options;
@@ -221,19 +221,23 @@ int cmd_re(const Problem& pi, int steps, const Flags& flags) {
   options.budget = flags.configure_deadline(budget_storage);
   REStats stats;
   options.stats = &stats;
-  for (int s = 1; s <= steps; ++s) {
+  for (std::uint64_t s = 1; s <= steps; ++s) {
     const auto next = round_eliminate(current, options);
     if (!next) {
       if (stats.budget_exhausted > 0) {
-        std::fprintf(stderr, "step %d: %s\n", s, stats.to_string().c_str());
-        std::fprintf(stderr, "step %d: budget exhausted\n", s);
+        std::fprintf(stderr, "step %llu: %s\n", static_cast<unsigned long long>(s),
+                     stats.to_string().c_str());
+        std::fprintf(stderr, "step %llu: budget exhausted\n",
+                     static_cast<unsigned long long>(s));
         return kExitExhausted;
       }
-      std::fprintf(stderr, "step %d: resource cap exceeded\n", s);
+      std::fprintf(stderr, "step %llu: resource cap exceeded\n",
+                   static_cast<unsigned long long>(s));
       return 1;
     }
     current = *next;
-    std::printf("after %d step(s): |Sigma|=%zu |W|=%zu |B|=%zu\n", s,
+    std::printf("after %llu step(s): |Sigma|=%zu |W|=%zu |B|=%zu\n",
+                static_cast<unsigned long long>(s),
                 current.alphabet_size(), current.white().size(),
                 current.black().size());
   }
@@ -680,8 +684,8 @@ int cmd_client(const char* target, const std::string& line) {
     options.host = spec.substr(0, colon);
     spec.erase(0, colon + 1);
   }
-  const unsigned long port = std::strtoul(spec.c_str(), nullptr, 10);
-  if (port == 0 || port > 65535) {
+  std::uint64_t port = 0;
+  if (!parse_u64(spec, &port) || port == 0 || port > 65535) {
     std::fprintf(stderr, "client: bad port in '%s'\n", target);
     return 64;
   }
@@ -855,18 +859,34 @@ int main(int argc, char** argv) {
   }
   if (cmd == "sequence") return cmd_sequence(files, flags);
   if (cmd == "discover") return cmd_discover(files, flags);
+  // Numeric positionals parse as strictly as the numeric flags. `re`
+  // without a step count runs one step.
+  std::uint64_t numbers[2] = {1, 0};
+  const auto numeric = [&](std::size_t from, std::size_t count) {
+    for (std::size_t i = 0; i < count; ++i) {
+      if (!parse_u64(args[from + i], &numbers[i])) {
+        std::fprintf(stderr, "malformed number '%s' (want a non-negative integer)\n",
+                     args[from + i]);
+        return false;
+      }
+    }
+    return true;
+  };
   if (cmd == "sweep" && args.size() >= 5) {
-    return cmd_sweep(args[1], std::strtoul(args[2], nullptr, 10),
-                     std::strtoul(args[3], nullptr, 10), args[4], flags);
+    if (!numeric(2, 2)) return usage();
+    return cmd_sweep(args[1], numbers[0], numbers[1], args[4], flags);
   }
   const auto pi = load_problem(args[1]);
   if (!pi) return 1;
   if (cmd == "print") return cmd_print(*pi);
-  if (cmd == "re") return cmd_re(*pi, args.size() > 2 ? std::atoi(args[2]) : 1, flags);
+  if (cmd == "re") {
+    if (args.size() > 2 && !numeric(2, 1)) return usage();
+    return cmd_re(*pi, numbers[0], flags);
+  }
   if (cmd == "fixed") return cmd_fixed(*pi, flags);
   if (cmd == "lift" && args.size() >= 4) {
-    return cmd_lift(*pi, std::strtoul(args[2], nullptr, 10),
-                    std::strtoul(args[3], nullptr, 10));
+    if (!numeric(2, 2)) return usage();
+    return cmd_lift(*pi, numbers[0], numbers[1]);
   }
   if ((cmd == "solve" || cmd == "zero" || cmd == "portfolio") && args.size() >= 3) {
     const auto support = load_support(args[2]);

@@ -2,15 +2,17 @@
 
 #include <algorithm>
 #include <atomic>
-#include <bit>
 #include <cassert>
 #include <functional>
 #include <mutex>
+#include <optional>
+#include <unordered_map>
+#include <unordered_set>
 #include <utility>
 
+#include "src/formalism/hardening.hpp"
 #include "src/util/bitset.hpp"
 #include "src/util/combinatorics.hpp"
-#include "src/util/epoch_marks.hpp"
 #include "src/util/thread_pool.hpp"
 
 namespace slocal {
@@ -18,6 +20,11 @@ namespace slocal {
 namespace {
 
 constexpr std::uint64_t kUnlimitedNodes = ~std::uint64_t{0};
+
+/// Cap on the valid set-configurations the witness search's hardening of
+/// C_B(Π') enumerates. The matching family stays far below it (Π_20(0,5):
+/// 18,592); past it the search reports kExhausted.
+constexpr std::uint64_t kMaxBlackSetConfigurations = std::uint64_t{1} << 16;
 
 Configuration remap(const Configuration& c, const std::vector<Label>& map) {
   std::vector<Label> out;
@@ -171,22 +178,20 @@ std::vector<std::vector<Label>> positional_images(const Configuration& target) {
 
 /// Read-only tables of one witness search, shared by every fan-out task.
 struct WitnessTables {
-  const SubmultisetAutomaton& black_prime;  // automaton of C_B(Π')
+  std::vector<SetConfig> maximal;           // maximal set-configurations of C_B(Π')
   std::vector<Configuration> sources;       // white configurations of Π, sorted
   std::vector<std::vector<Label>> images;   // every positional image
   std::size_t black_degree = 0;
-  std::size_t black_count = 0;
   std::vector<Label> black_labels;          // black configurations of Π, concatenated
   std::vector<std::vector<std::size_t>> black_with;  // label -> configurations holding it
   /// At black degree 0 no r(·) ever matters: the empty black configuration
   /// of Π passes iff C_B(Π') holds it too.
   bool unlabeled_black_ok;
 
-  WitnessTables(const Problem& pi, const Problem& pi_prime)
-      : black_prime(*pi_prime.black().extension_index()),
+  WitnessTables(const Problem& pi, const Problem& pi_prime, std::vector<SetConfig> maximal_black)
+      : maximal(std::move(maximal_black)),
         sources(pi.white().sorted_members()),
         black_degree(pi.black_degree()),
-        black_count(pi.black().size()),
         black_with(pi.alphabet_size()),
         unlabeled_black_ok(black_degree > 0 || pi.black().empty() ||
                            pi_prime.black().contains(Configuration{})) {
@@ -206,11 +211,21 @@ struct WitnessTables {
   }
 };
 
+struct SetConfigHash {
+  std::size_t operator()(const SetConfig& sets) const noexcept {
+    std::uint64_t h = 0x9e3779b97f4a7c15ULL;
+    for (const SmallBitset s : sets) h = (h ^ s.raw()) * 0xbf58476d1ce4e5b9ULL;
+    return static_cast<std::size_t>(h ^ (h >> 31));
+  }
+};
+
 /// Backtracking over one image per source. r(·) only grows along a branch,
 /// so a black configuration that fails is final, and one whose labels' r
 /// did not grow passes as it did at the parent: after each image only the
-/// black configurations holding a grown label are re-checked, each by
-/// stepping the set of all its choice prefixes through C_B(Π')'s automaton.
+/// black configurations holding a grown label are re-checked, once per
+/// distinct image multiset and the one that failed last first. A check asks
+/// whether the sorted multiset of the configuration's r-images is dominated
+/// by a maximal set-configuration of C_B(Π'), memoized per multiset.
 struct RelaxSearch {
   const WitnessTables& tables;
   std::size_t first_lo, first_hi;  // images tried for source 0
@@ -222,48 +237,95 @@ struct RelaxSearch {
   std::vector<std::size_t> chosen;  // image index per source
   std::vector<SmallBitset> r;
   std::vector<std::pair<Label, SmallBitset>> undo;  // (label, r before growth)
-  // Scratch: dedup over automaton states and over black configurations,
-  // and the two partial-set buffers of a walk.
-  EpochMarks state_seen, config_seen;
-  std::vector<State> partials, extended;
+  /// Verdict per sorted r-image multiset; r-images never change meaning.
+  std::unordered_map<SetConfig, bool, SetConfigHash> memo;
+  // Scratch of one trial: a class per label (equal r share one, kVacuous
+  // for an empty r), the weight (d+1)^class of each class, and the image
+  // multisets already tested, keyed by the sum of their labels' weights
+  // (exact: a class occurs at most d times).
+  static constexpr std::uint32_t kVacuous = ~std::uint32_t{0};
+  std::vector<std::uint32_t> label_class;
+  std::vector<SmallBitset> class_sets;
+  std::vector<std::uint64_t> class_weight;
+  std::unordered_set<std::uint64_t> tested;
+  SetConfig sorted_images;
+  static constexpr std::size_t kNone = ~std::size_t{0};
+  std::size_t last_failed = kNone;  // black configuration that failed last
 
   RelaxSearch(const WitnessTables& t, std::size_t lo, std::size_t hi, std::uint64_t node_limit,
               SearchBudget* shared_budget, const std::atomic<bool>* stop_flag,
               std::size_t source_labels)
       : tables(t), first_lo(lo), first_hi(hi), budget(node_limit), shared(shared_budget),
         stop(stop_flag), chosen(t.sources.size()), r(source_labels),
-        state_seen(t.black_prime.state_bound()), config_seen(t.black_count) {}
+        label_class(source_labels) {}
 
-  /// Every choice over r(·) of black configuration `index` lies in C_B(Π')
-  /// (vacuously when some r is still empty).
+  /// Every choice over r(·) of black configuration `index` lies in C_B(Π'),
+  /// all of its r(·) being non-empty.
   bool black_ok(std::size_t index) {
     const Label* labels = &tables.black_labels[index * tables.black_degree];
+    sorted_images.clear();
+    for (std::size_t k = 0; k < tables.black_degree; ++k) sorted_images.push_back(r[labels[k]]);
+    std::sort(sorted_images.begin(), sorted_images.end());
+    if (const auto it = memo.find(sorted_images); it != memo.end()) return it->second;
+    const bool ok = all_choices_within(sorted_images, tables.maximal);
+    memo.emplace(sorted_images, ok);
+    return ok;
+  }
+
+  /// The image multiset of black configuration `index` as the sum of its
+  /// labels' class weights, or nullopt when some r(·) is still empty.
+  std::optional<std::uint64_t> image_key(std::size_t index) const {
+    const Label* labels = &tables.black_labels[index * tables.black_degree];
+    std::uint64_t sum = 0;
     for (std::size_t k = 0; k < tables.black_degree; ++k) {
-      if (r[labels[k]].empty()) return true;
+      const std::uint32_t c = label_class[labels[k]];
+      if (c == kVacuous) return std::nullopt;
+      sum += class_weight[c];
     }
-    partials.assign(1, tables.black_prime.root());
-    for (std::size_t k = 0; k < tables.black_degree; ++k) {
-      state_seen.clear();
-      extended.clear();
-      for (const State p : partials) {
-        for (std::uint64_t bits = r[labels[k]].raw(); bits != 0; bits &= bits - 1) {
-          const State q = tables.black_prime.next(p, static_cast<Label>(std::countr_zero(bits)));
-          if (q == SubmultisetAutomaton::kDead) return false;
-          if (state_seen.insert(q)) extended.push_back(q);
-        }
+    return sum;
+  }
+
+  /// Classes of the current r(·). Returns false when the weights of that
+  /// many classes overflow 64 bits, so the keys would not be exact.
+  bool assign_classes() {
+    class_sets.clear();
+    class_weight.clear();
+    const std::uint64_t base = tables.black_degree + 1;
+    bool exact = true;
+    for (std::size_t l = 0; l < r.size(); ++l) {
+      if (r[l].empty()) {
+        label_class[l] = kVacuous;
+        continue;
       }
-      partials.swap(extended);
+      const auto at = std::find(class_sets.begin(), class_sets.end(), r[l]);
+      label_class[l] = static_cast<std::uint32_t>(at - class_sets.begin());
+      if (at != class_sets.end()) continue;
+      const std::uint64_t weight = class_weight.empty() ? 1 : class_weight.back() * base;
+      exact = exact && weight <= ~std::uint64_t{0} / base;  // every key < base * weight
+      class_weight.push_back(exact ? weight : 0);
+      class_sets.push_back(r[l]);
     }
-    return true;
+    return exact;
   }
 
   /// Re-checks the black configurations holding a label grown since undo
-  /// position `mark`.
+  /// position `mark`, once per distinct image multiset. Configurations with
+  /// an empty r(·) pass vacuously.
   bool grown_black_ok(std::size_t mark) {
-    config_seen.clear();
+    const bool exact_keys = assign_classes();
+    tested.clear();
+    // The trial's answer is the AND over its configurations, so the order
+    // is free: the configuration that failed last is tried first. (One
+    // without a grown label passes, as it did at the parent.)
+    if (last_failed != kNone && image_key(last_failed) && !black_ok(last_failed)) return false;
     for (std::size_t u = mark; u < undo.size(); ++u) {
       for (const std::size_t index : tables.black_with[undo[u].first]) {
-        if (config_seen.insert(index) && !black_ok(index)) return false;
+        const auto multiset = image_key(index);
+        if (!multiset || (exact_keys && !tested.insert(*multiset).second)) continue;
+        if (!black_ok(index)) {
+          last_failed = index;
+          return false;
+        }
       }
     }
     return true;
@@ -422,11 +484,19 @@ WitnessResult find_relaxation_witness(const Problem& pi, const Problem& pi_prime
       pi.black_degree() != pi_prime.black_degree()) {
     return result;  // kNo
   }
-  if (!pi_prime.black().build_extension_index()) {
-    result.verdict = Verdict::kExhausted;  // resource cap, as in the map search
+  // C_B(Π')'s maximal set-configurations, built before any fan-out. The
+  // hardening charges no search nodes: its own budget only follows the
+  // caller's deadline/cancel token. Past its caps (the automaton's among
+  // them) the search stops at its resource cap, as the map search does.
+  SearchBudget harden_budget;
+  harden_budget.chain_to(options.budget);
+  auto maximal = maximal_set_configurations(pi_prime.black(), pi_prime.alphabet_size(),
+                                            kMaxBlackSetConfigurations, &harden_budget);
+  if (!maximal || (options.budget != nullptr && options.budget->halted())) {
+    result.verdict = Verdict::kExhausted;
     return result;
   }
-  const WitnessTables tables(pi, pi_prime);
+  const WitnessTables tables(pi, pi_prime, std::move(*maximal));
   const std::size_t fan = tables.sources.empty() ? 0 : tables.images.size();
   auto outcome = run_search(fan, options, [&](std::size_t lo, std::size_t hi,
                                               std::uint64_t node_limit,

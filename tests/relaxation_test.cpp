@@ -4,6 +4,7 @@
 #include <cmath>
 #include <string>
 
+#include "src/formalism/hardening.hpp"
 #include "src/formalism/parser.hpp"
 #include "src/formalism/relaxation.hpp"
 #include "src/problems/classic.hpp"
@@ -266,6 +267,98 @@ TEST(RelaxationOracle, SearchesAgreeWithDefinitionalEnumeration) {
   EXPECT_GT(witness_only, 5);
 }
 
+/// Every choice over sets[0] x ... x sets[d-1] lies in `c`, enumerated
+/// outright (vacuously true when some set is empty).
+bool every_choice_in(const Constraint& c, const std::vector<SmallBitset>& sets) {
+  std::vector<std::vector<std::size_t>> choices;
+  for (const SmallBitset s : sets) choices.push_back(s.indices());
+  return for_each_choice(choices, [&](const std::vector<std::size_t>& pick) {
+    return c.contains(Configuration(std::vector<Label>(pick.begin(), pick.end())));
+  });
+}
+
+/// `a` is dominated by `b`: some permutation of b covers a setwise.
+bool dominated_by(const std::vector<SmallBitset>& a, std::vector<SmallBitset> b) {
+  std::sort(b.begin(), b.end());
+  do {
+    bool covers = true;
+    for (std::size_t i = 0; i < a.size() && covers; ++i) covers = b[i].contains(a[i]);
+    if (covers) return true;
+  } while (std::next_permutation(b.begin(), b.end()));
+  return false;
+}
+
+/// The maximal all-choice set-configurations of `c`, straight from the
+/// definition: every multiset of non-empty subsets of the alphabet whose
+/// choices all lie in `c`, minus those dominated by a different one.
+std::vector<SetConfig> brute_force_maximal(const Constraint& c, std::size_t alphabet) {
+  const std::size_t subsets = (std::size_t{1} << alphabet) - 1;
+  std::vector<SetConfig> valid;
+  for_each_multiset(subsets, c.degree(), [&](const std::vector<std::size_t>& pick) {
+    SetConfig sets;
+    for (const std::size_t p : pick) sets.push_back(SmallBitset(p + 1));
+    if (every_choice_in(c, sets)) valid.push_back(std::move(sets));
+    return true;
+  });
+  std::vector<SetConfig> maximal;
+  for (const SetConfig& v : valid) {
+    const bool dominated = std::any_of(valid.begin(), valid.end(), [&](const SetConfig& w) {
+      return w != v && dominated_by(v, w);
+    });
+    if (!dominated) maximal.push_back(v);
+  }
+  std::sort(maximal.begin(), maximal.end());
+  return maximal;
+}
+
+TEST(RelaxationOracle, HardeningMatchesBruteForceMaximalSetConfigurations) {
+  int nonempty = 0;
+  for (std::uint64_t seed = 1; seed <= 300; ++seed) {
+    Rng rng(seed);
+    const std::size_t alphabet = 1 + static_cast<std::size_t>(rng.below(4));
+    const std::size_t degree = 1 + static_cast<std::size_t>(rng.below(3));
+    const Problem p = random_small_problem(alphabet, degree, degree, rng);
+    const auto maximal = maximal_set_configurations(p.black(), alphabet, 1'000'000);
+    ASSERT_TRUE(maximal.has_value()) << "seed " << seed;
+    std::vector<SetConfig> got = *maximal;
+    std::sort(got.begin(), got.end());
+    EXPECT_EQ(got, brute_force_maximal(p.black(), alphabet)) << "seed " << seed;
+    nonempty += !got.empty();
+  }
+  EXPECT_GT(nonempty, 100);
+}
+
+// The witness search's black test (domination by a maximal set-configuration
+// of C_B(Π')) against the definition it replaces: every choice over
+// r(l_1) x ... x r(l_d) lies in C_B(Π'). Draws include an empty C_B(Π') and
+// empty r(l).
+TEST(RelaxationOracle, MaximalBlackCheckMatchesAllChoiceEnumeration) {
+  int within = 0, outside = 0, vacuous = 0;
+  for (std::uint64_t seed = 1; seed <= 400; ++seed) {
+    Rng rng(seed);
+    const std::size_t alphabet = 1 + static_cast<std::size_t>(rng.below(4));
+    const std::size_t degree = 1 + static_cast<std::size_t>(rng.below(3));
+    Problem p = random_small_problem(alphabet, degree, degree, rng);
+    if (seed % 10 == 0) p = Problem("empty-black", p.registry(), p.white(), Constraint(degree));
+    const auto maximal = maximal_set_configurations(p.black(), alphabet, 1'000'000);
+    ASSERT_TRUE(maximal.has_value()) << "seed " << seed;
+    for (int draw = 0; draw < 20; ++draw) {
+      SetConfig r(degree);
+      for (SmallBitset& set : r) set = SmallBitset(rng.below(std::uint64_t{1} << alphabet));
+      const bool want = every_choice_in(p.black(), r);
+      EXPECT_EQ(all_choices_within(r, *maximal), want) << "seed " << seed << " draw " << draw;
+      const bool any_empty = std::any_of(r.begin(), r.end(), [](SmallBitset s) { return s.empty(); });
+      vacuous += any_empty;
+      within += want && !any_empty;
+      outside += !want;
+    }
+    if (HasFailure()) return;
+  }
+  EXPECT_GT(within, 200);
+  EXPECT_GT(outside, 200);
+  EXPECT_GT(vacuous, 200);
+}
+
 // The serial searches' node counts on the Lemma 4.5 chains: any change to
 // the search kernels must visit exactly the same nodes in the same order.
 TEST(RelaxationSearchSpace, SerialNodeCountsOnMatchingChainsArePinned) {
@@ -295,6 +388,67 @@ TEST(RelaxationSearchSpace, SerialNodeCountsOnMatchingChainsArePinned) {
       EXPECT_EQ(by_witness.verdict, Verdict::kYes) << "step " << x + 1;
       EXPECT_EQ(by_witness.nodes, witness_nodes[x]) << "step " << x + 1;
     }
+  }
+}
+
+// The case the ROADMAP quotes for the witness search's cost per node.
+TEST(RelaxationSearchSpace, SerialWitnessNodeCountOnDelta10IsPinned) {
+  RelaxationOptions serial;
+  serial.node_budget = 0;
+  serial.threads = 1;
+  const auto re10 = round_eliminate(make_matching_problem(10, 1, 2));
+  ASSERT_TRUE(re10.has_value());
+  const WitnessResult w10 = find_relaxation_witness(*re10, make_matching_problem(10, 3, 2), serial);
+  EXPECT_EQ(w10.verdict, Verdict::kYes);
+  EXPECT_EQ(w10.nodes, 52u);
+  ASSERT_TRUE(w10.mapping.has_value());
+  EXPECT_TRUE(check_relaxation_witness(*re10, make_matching_problem(10, 3, 2), *w10.mapping));
+}
+
+// C_B(Π') = pairs of distinct labels over 11 labels: every non-empty label
+// set is right-closed, and the valid set-configurations (86,526 disjoint
+// pairs) pass the witness search's hardening cap (65,536). The search must
+// then stop at its resource cap, never answer no (it would: r(A) x r(A)
+// always holds a pair of equal labels); so must a search handed an already
+// halted budget.
+TEST(RelaxationSearchSpace, HardeningPastItsCapOrAHaltedBudgetExhausts) {
+  LabelRegistry one;
+  one.intern("A");
+  Constraint white(2);
+  white.add(Configuration{0, 0});
+  Constraint black(2);
+  black.add(Configuration{0, 0});
+  const Problem pi("pi", one, white, black);
+
+  LabelRegistry many;
+  std::vector<Label> labels;
+  for (int l = 0; l < 11; ++l) labels.push_back(many.intern("L" + std::to_string(l)));
+  Constraint all_pairs(2);
+  all_pairs.add_condensed({labels, labels});
+  Constraint distinct(2);
+  for (const Label a : labels) {
+    for (const Label b : labels) {
+      if (a < b) distinct.add(Configuration{a, b});
+    }
+  }
+  const Problem wide("distinct-pairs", many, all_pairs, distinct);
+  ASSERT_FALSE(
+      maximal_set_configurations(wide.black(), wide.alphabet_size(), 65'536).has_value());
+
+  for (const std::size_t threads : {1u, 4u}) {
+    RelaxationOptions options;
+    options.node_budget = 0;
+    options.threads = threads;
+    EXPECT_EQ(find_relaxation_witness(pi, wide, options).verdict, Verdict::kExhausted)
+        << "threads " << threads;
+
+    // Π relaxes to itself, so only the halted budget stops this search.
+    ASSERT_EQ(find_relaxation_witness(pi, pi, options).verdict, Verdict::kYes);
+    SearchBudget halted;
+    halted.cancel();
+    options.budget = &halted;
+    EXPECT_EQ(find_relaxation_witness(pi, pi, options).verdict, Verdict::kExhausted)
+        << "threads " << threads;
   }
 }
 

@@ -149,6 +149,24 @@ std::vector<ExitRow> exit_rows() {
       {"SweepRejectsMisspelledBudgetFlag",
        "sweep " + problem("maximal_matching_3.txt") + "3 3 gadgets:1..2 --max-node=1",
        64},
+      // Numeric positionals parse as strictly as the flags: trailing junk,
+      // a sign or an empty string is a usage error, never a truncated run.
+      {"SweepRejectsJunkDelta",
+       "sweep " + problem("two_coloring.txt") + "2x 2 cycles:2..6", 64},
+      {"SweepRejectsNegativeR",
+       "sweep " + problem("two_coloring.txt") + "2 -1 cycles:2..6", 64},
+      {"SweepRejectsEmptyDelta",
+       "sweep " + problem("two_coloring.txt") + "'' 2 cycles:2..6", 64},
+      {"LiftRejectsJunkR", "lift " + problem("two_coloring.txt") + "2 2x", 64},
+      {"LiftRejectsNegativeDelta", "lift " + problem("two_coloring.txt") + "-1 2", 64},
+      {"LiftRejectsEmptyR", "lift " + problem("two_coloring.txt") + "2 ''", 64},
+      {"ReRejectsJunkSteps", "re " + problem("two_coloring.txt") + "2x", 64},
+      {"ReRejectsNegativeSteps", "re " + problem("two_coloring.txt") + "-1", 64},
+      {"ReRejectsEmptySteps", "re " + problem("two_coloring.txt") + "''", 64},
+      {"ReRunsGivenSteps", "re " + problem("two_coloring.txt") + "2", 0},
+      {"ClientRejectsJunkPort", "client 8080x stats", 64},
+      {"ClientRejectsNegativePort", "client -1 stats", 64},
+      {"ClientRejectsEmptyPort", "client '' stats", 64},
       {"MissingProblemFileIsInputError",
        "portfolio " + problem("no_such_problem.txt") + "cycle:4", 1},
       {"BadInstanceSpecIsInputError",
