@@ -2,7 +2,6 @@
 
 #include <algorithm>
 #include <cassert>
-#include <unordered_set>
 
 namespace slocal {
 
@@ -62,12 +61,13 @@ std::vector<SmallBitset> Diagram::right_closed_sets() const {
   // Every right-closed set is a union of principal filters reach_[l];
   // enumerate all distinct unions by breadth-first closure under union.
   std::vector<SmallBitset> result{SmallBitset{}};
-  std::unordered_set<SmallBitset> seen{SmallBitset{}};
   for (std::size_t l = 0; l < reach_.size(); ++l) {
     const std::size_t current = result.size();
     for (std::size_t i = 0; i < current; ++i) {
       const SmallBitset candidate = result[i] | reach_[l];
-      if (seen.insert(candidate).second) result.push_back(candidate);
+      if (std::find(result.begin(), result.end(), candidate) == result.end()) {
+        result.push_back(candidate);
+      }
     }
   }
   // Drop the empty set; sort for determinism.

@@ -2,6 +2,7 @@
 
 #include <algorithm>
 #include <atomic>
+#include <bit>
 #include <cassert>
 #include <functional>
 #include <mutex>
@@ -10,9 +11,9 @@
 #include <unordered_set>
 #include <utility>
 
-#include "src/formalism/hardening.hpp"
 #include "src/util/bitset.hpp"
 #include "src/util/combinatorics.hpp"
+#include "src/util/epoch_marks.hpp"
 #include "src/util/thread_pool.hpp"
 
 namespace slocal {
@@ -20,11 +21,6 @@ namespace slocal {
 namespace {
 
 constexpr std::uint64_t kUnlimitedNodes = ~std::uint64_t{0};
-
-/// Cap on the valid set-configurations the witness search's hardening of
-/// C_B(Π') enumerates. The matching family stays far below it (Π_20(0,5):
-/// 18,592); past it the search reports kExhausted.
-constexpr std::uint64_t kMaxBlackSetConfigurations = std::uint64_t{1} << 16;
 
 Configuration remap(const Configuration& c, const std::vector<Label>& map) {
   std::vector<Label> out;
@@ -178,7 +174,7 @@ std::vector<std::vector<Label>> positional_images(const Configuration& target) {
 
 /// Read-only tables of one witness search, shared by every fan-out task.
 struct WitnessTables {
-  std::vector<SetConfig> maximal;           // maximal set-configurations of C_B(Π')
+  const SubmultisetAutomaton& black_prime;  // automaton of C_B(Π')
   std::vector<Configuration> sources;       // white configurations of Π, sorted
   std::vector<std::vector<Label>> images;   // every positional image
   std::size_t black_degree = 0;
@@ -188,8 +184,8 @@ struct WitnessTables {
   /// of Π passes iff C_B(Π') holds it too.
   bool unlabeled_black_ok;
 
-  WitnessTables(const Problem& pi, const Problem& pi_prime, std::vector<SetConfig> maximal_black)
-      : maximal(std::move(maximal_black)),
+  WitnessTables(const Problem& pi, const Problem& pi_prime)
+      : black_prime(*pi_prime.black().extension_index()),
         sources(pi.white().sorted_members()),
         black_degree(pi.black_degree()),
         black_with(pi.alphabet_size()),
@@ -211,8 +207,11 @@ struct WitnessTables {
   }
 };
 
-struct SetConfigHash {
-  std::size_t operator()(const SetConfig& sets) const noexcept {
+/// The r-images of a black configuration's labels, sorted by raw bits.
+using ImageMultiset = std::vector<SmallBitset>;
+
+struct ImageMultisetHash {
+  std::size_t operator()(const ImageMultiset& sets) const noexcept {
     std::uint64_t h = 0x9e3779b97f4a7c15ULL;
     for (const SmallBitset s : sets) h = (h ^ s.raw()) * 0xbf58476d1ce4e5b9ULL;
     return static_cast<std::size_t>(h ^ (h >> 31));
@@ -223,9 +222,9 @@ struct SetConfigHash {
 /// so a black configuration that fails is final, and one whose labels' r
 /// did not grow passes as it did at the parent: after each image only the
 /// black configurations holding a grown label are re-checked, once per
-/// distinct image multiset and the one that failed last first. A check asks
-/// whether the sorted multiset of the configuration's r-images is dominated
-/// by a maximal set-configuration of C_B(Π'), memoized per multiset.
+/// distinct image multiset and the one that failed last first. A check steps
+/// the set of all choice prefixes of the configuration's r-images through
+/// C_B(Π')'s automaton, memoized per image multiset.
 struct RelaxSearch {
   const WitnessTables& tables;
   std::size_t first_lo, first_hi;  // images tried for source 0
@@ -238,7 +237,7 @@ struct RelaxSearch {
   std::vector<SmallBitset> r;
   std::vector<std::pair<Label, SmallBitset>> undo;  // (label, r before growth)
   /// Verdict per sorted r-image multiset; r-images never change meaning.
-  std::unordered_map<SetConfig, bool, SetConfigHash> memo;
+  std::unordered_map<ImageMultiset, bool, ImageMultisetHash> memo;
   // Scratch of one trial: a class per label (equal r share one, kVacuous
   // for an empty r), the weight (d+1)^class of each class, and the image
   // multisets already tested, keyed by the sum of their labels' weights
@@ -248,16 +247,20 @@ struct RelaxSearch {
   std::vector<SmallBitset> class_sets;
   std::vector<std::uint64_t> class_weight;
   std::unordered_set<std::uint64_t> tested;
-  SetConfig sorted_images;
+  ImageMultiset sorted_images;
   static constexpr std::size_t kNone = ~std::size_t{0};
   std::size_t last_failed = kNone;  // black configuration that failed last
+  // Scratch of one walk: dedup over automaton states and the two
+  // partial-set buffers.
+  EpochMarks state_seen;
+  std::vector<State> partials, extended;
 
   RelaxSearch(const WitnessTables& t, std::size_t lo, std::size_t hi, std::uint64_t node_limit,
               SearchBudget* shared_budget, const std::atomic<bool>* stop_flag,
               std::size_t source_labels)
       : tables(t), first_lo(lo), first_hi(hi), budget(node_limit), shared(shared_budget),
         stop(stop_flag), chosen(t.sources.size()), r(source_labels),
-        label_class(source_labels) {}
+        label_class(source_labels), state_seen(t.black_prime.state_bound()) {}
 
   /// Every choice over r(·) of black configuration `index` lies in C_B(Π'),
   /// all of its r(·) being non-empty.
@@ -267,9 +270,28 @@ struct RelaxSearch {
     for (std::size_t k = 0; k < tables.black_degree; ++k) sorted_images.push_back(r[labels[k]]);
     std::sort(sorted_images.begin(), sorted_images.end());
     if (const auto it = memo.find(sorted_images); it != memo.end()) return it->second;
-    const bool ok = all_choices_within(sorted_images, tables.maximal);
+    const bool ok = all_choices_within();
     memo.emplace(sorted_images, ok);
     return ok;
+  }
+
+  /// Every choice over the sets of `sorted_images` lies in C_B(Π'): steps
+  /// the set of all choice prefixes through its automaton.
+  bool all_choices_within() {
+    partials.assign(1, tables.black_prime.root());
+    for (const SmallBitset images : sorted_images) {
+      state_seen.clear();
+      extended.clear();
+      for (const State p : partials) {
+        for (std::uint64_t bits = images.raw(); bits != 0; bits &= bits - 1) {
+          const State q = tables.black_prime.next(p, static_cast<Label>(std::countr_zero(bits)));
+          if (q == SubmultisetAutomaton::kDead) return false;
+          if (state_seen.insert(q)) extended.push_back(q);
+        }
+      }
+      partials.swap(extended);
+    }
+    return true;
   }
 
   /// The image multiset of black configuration `index` as the sum of its
@@ -484,19 +506,11 @@ WitnessResult find_relaxation_witness(const Problem& pi, const Problem& pi_prime
       pi.black_degree() != pi_prime.black_degree()) {
     return result;  // kNo
   }
-  // C_B(Π')'s maximal set-configurations, built before any fan-out. The
-  // hardening charges no search nodes: its own budget only follows the
-  // caller's deadline/cancel token. Past its caps (the automaton's among
-  // them) the search stops at its resource cap, as the map search does.
-  SearchBudget harden_budget;
-  harden_budget.chain_to(options.budget);
-  auto maximal = maximal_set_configurations(pi_prime.black(), pi_prime.alphabet_size(),
-                                            kMaxBlackSetConfigurations, &harden_budget);
-  if (!maximal || (options.budget != nullptr && options.budget->halted())) {
-    result.verdict = Verdict::kExhausted;
+  if (!pi_prime.black().build_extension_index()) {
+    result.verdict = Verdict::kExhausted;  // resource cap, as in the map search
     return result;
   }
-  const WitnessTables tables(pi, pi_prime, std::move(*maximal));
+  const WitnessTables tables(pi, pi_prime);
   const std::size_t fan = tables.sources.empty() ? 0 : tables.images.size();
   auto outcome = run_search(fan, options, [&](std::size_t lo, std::size_t hi,
                                               std::uint64_t node_limit,

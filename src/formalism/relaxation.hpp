@@ -15,28 +15,21 @@
 // verdict: kYes (witness attached), kNo (definitive — the search space was
 // exhausted), or kExhausted (a budget/deadline/cancel tripped first).
 //
-// The label-map search walks the sub-multiset automata of C_W(Π') / C_B(Π')
-// (Constraint::extension_index, built on first use) through m(·).
+// The searches step through the sub-multiset automata of Π''s constraints
+// (Constraint::extension_index, built on first use): the label-map search
+// walks C_W(Π') / C_B(Π') through m(·). The witness search tests a black
+// configuration by stepping the set of all choice prefixes over
+// r(l_1) x ... x r(l_d) through C_B(Π')'s automaton, memoized per sorted
+// multiset of r-images. r(·) only grows along a branch, so after each image
+// only the black configurations holding a grown label are re-checked: once
+// per distinct image multiset in the trial (labels with equal r(·) share a
+// class), vacuously when some r(·) is still empty, and the one that failed
+// last is tried first. Past the index's size cap a search returns
+// kExhausted; so does a search whose shared budget halts.
 //
-// The witness search first hardens C_B(Π') to its maximal all-choice
-// set-configurations (hardening.hpp), once per call, before any fan-out;
-// there are a handful of them (4-6 for the matching family). "Every choice
-// over r(l_1) x ... x r(l_d) lies in C_B(Π')" then holds exactly when the
-// sorted multiset {r(l_1), ..., r(l_d)} is dominated by one of them, so a
-// black configuration is checked with at most that many superset matchings,
-// memoized per image multiset. r(·) only grows along a branch, so after each
-// image only the black configurations holding a grown label are re-checked:
-// once per distinct image multiset in the trial (labels with equal r(·)
-// share a class), vacuously when some r(·) is still empty, and the one that
-// failed last is tried first. The hardening charges no search nodes. Past
-// the automaton's size cap, past the hardening's caps (more than
-// kMaxHardenLabels labels used, more than 2^16 valid set-configurations), or
-// when the shared budget halts, a search returns kExhausted, never kNo.
-//
-// The checkers (check_relaxation_label_map / check_relaxation_witness) use
-// neither the automata nor the hardening: they enumerate the definition with
-// plain membership tests and stay the independent oracle the certificate
-// checker trusts.
+// The checkers (check_relaxation_label_map / check_relaxation_witness) do
+// not use the automata: they enumerate the definition with plain membership
+// tests and stay the independent oracle the certificate checker trusts.
 //
 // Parallelism fans the search out over the first assignment (the image of
 // label 0 for the label-map search, the image of the first white

@@ -1,16 +1,20 @@
 #include "src/re/round_elimination.hpp"
 
 #include <algorithm>
+#include <atomic>
 #include <bit>
 #include <chrono>
+#include <functional>
+#include <map>
 #include <set>
 #include <string>
 #include <unordered_set>
 
 #include "src/formalism/canonical.hpp"
-#include "src/formalism/hardening.hpp"
+#include "src/formalism/diagram.hpp"
 #include "src/re/re_cache.hpp"
 #include "src/util/combinatorics.hpp"
+#include "src/util/epoch_marks.hpp"
 #include "src/util/thread_pool.hpp"
 
 namespace slocal {
@@ -36,15 +40,266 @@ std::string set_name(SmallBitset set, const LabelRegistry& reg) {
   return out;
 }
 
+/// Is there a perfect matching pairing every set of `a` with a superset in
+/// `b` (a and b same length)? Used for the domination (non-maximality) test
+/// and for the relaxed-side witness dominance test.
+bool superset_matching(const std::vector<SmallBitset>& a,
+                       const std::vector<SmallBitset>& b) {
+  const std::size_t n = a.size();
+  std::vector<int> match_of_b(n, -1);
+  std::vector<bool> visited;
+
+  // Standard augmenting-path bipartite matching.
+  auto augment = [&](auto&& self, std::size_t i) -> bool {
+    for (std::size_t j = 0; j < n; ++j) {
+      if (visited[j] || !b[j].contains(a[i])) continue;
+      visited[j] = true;
+      if (match_of_b[j] < 0 || self(self, static_cast<std::size_t>(match_of_b[j]))) {
+        match_of_b[j] = static_cast<int>(i);
+        return true;
+      }
+    }
+    return false;
+  };
+  for (std::size_t i = 0; i < n; ++i) {
+    visited.assign(n, false);
+    if (!augment(augment, i)) return false;
+  }
+  return true;
+}
+
+/// A set-configuration: canonical (sorted by raw bits) multiset of subsets.
+using SetConfig = std::vector<SmallBitset>;
+
 using State = SubmultisetAutomaton::State;
 
-/// Adds the hardening counters into REStats' fields of the same names.
-void add_harden_stats(REStats& into, const HardenStats& from) {
-  into.dfs_nodes += from.dfs_nodes;
-  into.partials_deduped += from.partials_deduped;
-  into.extendable_calls += from.extendable_calls;
-  into.domination_tests += from.domination_tests;
-  into.domination_skipped += from.domination_skipped;
+/// Scratch of one hardened-DFS worker: the partial set of every DFS depth,
+/// as deduplicated state ids of the universal constraint's automaton.
+struct PartialSets {
+  PartialSets(const SubmultisetAutomaton& automaton, std::size_t degree)
+      : seen(automaton.state_bound()), at_depth(degree + 1) {
+    at_depth[0] = {automaton.root()};
+  }
+
+  EpochMarks seen;
+  std::vector<std::vector<State>> at_depth;
+};
+
+/// Extends every choice-prefix of depth `depth` by every label of
+/// `next_set` into depth + 1, deduplicating; fails (returns false) as soon
+/// as a prefix stops being extendable inside the universal constraint.
+bool extend_partials(const SubmultisetAutomaton& universal, PartialSets& sets,
+                     std::size_t depth, SmallBitset next_set, REStats& stats) {
+  const std::vector<State>& partials = sets.at_depth[depth];
+  std::vector<State>& out = sets.at_depth[depth + 1];
+  out.clear();
+  sets.seen.clear();
+  std::uint64_t calls = 0;
+  std::uint64_t deduped = 0;
+  const auto done = [&](bool ok) {
+    stats.extendable_calls += calls;
+    stats.partials_deduped += deduped;
+    return ok;
+  };
+  for (const State p : partials) {
+    for (std::uint64_t bits = next_set.raw(); bits != 0; bits &= bits - 1) {
+      const State q = universal.next(p, static_cast<Label>(std::countr_zero(bits)));
+      ++calls;
+      if (q == SubmultisetAutomaton::kDead) return done(false);
+      if (sets.seen.insert(q)) {
+        out.push_back(q);
+      } else {
+        ++deduped;
+      }
+    }
+  }
+  return done(true);
+}
+
+/// Shared state of the (possibly fanned-out) hardened-side DFS.
+struct DfsShared {
+  const SubmultisetAutomaton& universal;
+  std::size_t degree;
+  const std::vector<SmallBitset>& candidates;
+  std::uint64_t max_configurations;
+  SearchBudget* budget;  // may be null; charged one node per extension
+  std::atomic<std::uint64_t> total{0};
+  std::atomic<bool> overflow{false};
+};
+
+/// Serial DFS over non-decreasing candidate indices; `sets.at_depth[d]`
+/// (d = chosen.size()) holds every choice prefix of `chosen`, each of which
+/// extends to a member of the universal constraint. Appends completed
+/// configurations to `out` in canonical DFS order.
+void dfs_branch(DfsShared& shared, std::size_t min_candidate,
+                std::vector<SmallBitset>& chosen, PartialSets& sets,
+                std::vector<SetConfig>& out, REStats& stats) {
+  if (shared.overflow.load(std::memory_order_relaxed)) return;
+  if (chosen.size() == shared.degree) {
+    out.push_back(chosen);
+    if (shared.total.fetch_add(1, std::memory_order_relaxed) + 1 >
+        shared.max_configurations) {
+      shared.overflow.store(true, std::memory_order_relaxed);
+    }
+    return;
+  }
+  for (std::size_t c = min_candidate; c < shared.candidates.size(); ++c) {
+    ++stats.dfs_nodes;
+    if (shared.budget != nullptr && !shared.budget->charge()) return;
+    if (!extend_partials(shared.universal, sets, chosen.size(), shared.candidates[c], stats)) {
+      continue;
+    }
+    chosen.push_back(shared.candidates[c]);
+    dfs_branch(shared, c, chosen, sets, out, stats);
+    chosen.pop_back();
+    if (shared.overflow.load(std::memory_order_relaxed)) return;
+  }
+}
+
+/// Enumerates all valid set-configurations of size `degree` (before the
+/// maximality filter). With a pool, fans out over top-level candidate
+/// branches; branch outputs are concatenated in candidate order, which
+/// reproduces the serial DFS order exactly. Returns nullopt on cap overflow.
+std::optional<std::vector<SetConfig>> enumerate_valid_configs(
+    const SubmultisetAutomaton& universal, std::size_t degree,
+    const std::vector<SmallBitset>& candidates, std::uint64_t max_configurations,
+    ThreadPool* pool, SearchBudget* budget, REStats& stats) {
+  DfsShared shared{universal, degree, candidates, max_configurations, budget};
+  std::vector<SetConfig> valid;
+
+  if (degree == 0) {
+    valid.push_back(SetConfig{});
+    return valid;
+  }
+
+  if (pool == nullptr || candidates.size() < 2) {
+    PartialSets sets(universal, degree);
+    std::vector<SmallBitset> chosen;
+    dfs_branch(shared, 0, chosen, sets, valid, stats);
+    if (shared.overflow.load()) return std::nullopt;
+    return valid;
+  }
+
+  // One branch per top-level candidate; each task owns its output slot,
+  // stats slot and scratch, so the merge below is deterministic.
+  std::vector<std::vector<SetConfig>> slots(candidates.size());
+  std::vector<REStats> branch_stats(candidates.size());
+  std::vector<std::function<void()>> tasks;
+  tasks.reserve(candidates.size());
+  for (std::size_t c = 0; c < candidates.size(); ++c) {
+    tasks.push_back([&, c] {
+      REStats& local = branch_stats[c];
+      ++local.dfs_nodes;
+      if (budget != nullptr && !budget->charge()) return;
+      PartialSets sets(universal, degree);
+      if (!extend_partials(universal, sets, 0, candidates[c], local)) return;
+      std::vector<SmallBitset> chosen{candidates[c]};
+      dfs_branch(shared, c, chosen, sets, slots[c], local);
+    });
+  }
+  pool->run_batch(std::move(tasks));
+
+  for (const REStats& s : branch_stats) stats += s;
+  if (shared.overflow.load()) return std::nullopt;
+  std::size_t total = 0;
+  for (const auto& s : slots) total += s.size();
+  valid.reserve(total);
+  for (auto& s : slots) {
+    valid.insert(valid.end(), std::make_move_iterator(s.begin()),
+                 std::make_move_iterator(s.end()));
+  }
+  return valid;
+}
+
+/// Runs scan(lo, hi, local) over [0, n): in one piece into `stats` without a
+/// pool or below `serial_below` items, else in (workers + 1) * 8 chunks,
+/// each counting into its own REStats, merged into `stats` afterwards.
+template <typename Scan>
+void chunked_scan(std::size_t n, std::size_t serial_below, ThreadPool* pool,
+                  REStats& stats, const Scan& scan) {
+  if (pool == nullptr || n < serial_below) {
+    scan(0, n, stats);
+    return;
+  }
+  const std::size_t chunks = (pool->workers() + 1) * 8;
+  std::vector<REStats> chunk_stats(chunks);
+  std::vector<std::function<void()>> tasks;
+  for (std::size_t k = 0; k < chunks; ++k) {
+    const std::size_t lo = n * k / chunks;
+    const std::size_t hi = n * (k + 1) / chunks;
+    if (lo < hi) tasks.push_back([&, lo, hi, k] { scan(lo, hi, chunk_stats[k]); });
+  }
+  pool->run_batch(std::move(tasks));
+  for (const REStats& s : chunk_stats) stats += s;
+}
+
+/// Maximality filter: drops configurations dominated by a different one.
+/// Configurations are bucketed by signature (sorted multiset of set sizes):
+/// a config can only be dominated by one whose signature is coordinatewise
+/// >= and strictly larger somewhere (equal signatures force equality under
+/// superset matching), and whose label union is a superset.
+std::vector<SetConfig> maximality_filter(const std::vector<SetConfig>& valid,
+                                         ThreadPool* pool, SearchBudget* budget,
+                                         REStats& stats) {
+  const std::size_t n = valid.size();
+  if (n <= 1) return valid;
+
+  using Signature = std::vector<unsigned char>;
+  std::vector<Signature> sig(n);
+  std::vector<SmallBitset> unions(n);
+  for (std::size_t i = 0; i < n; ++i) {
+    sig[i].reserve(valid[i].size());
+    for (const SmallBitset s : valid[i]) {
+      sig[i].push_back(static_cast<unsigned char>(s.count()));
+      unions[i] |= s;
+    }
+    std::sort(sig[i].begin(), sig[i].end());
+  }
+
+  // Bucket indices by signature (std::map: deterministic iteration order).
+  std::map<Signature, std::vector<std::size_t>> buckets;
+  for (std::size_t i = 0; i < n; ++i) buckets[sig[i]].push_back(i);
+
+  const auto pointwise_geq = [](const Signature& a, const Signature& b) {
+    for (std::size_t k = 0; k < a.size(); ++k) {
+      if (a[k] < b[k]) return false;
+    }
+    return true;
+  };
+
+  std::vector<char> dominated(n, 0);
+  const auto scan = [&](std::size_t lo, std::size_t hi, REStats& local) {
+    for (std::size_t i = lo; i < hi; ++i) {
+      // One node per configuration scanned; a tripped budget leaves the
+      // remaining flags unset, which the caller discards wholesale.
+      if (budget != nullptr && !budget->charge()) return;
+      bool dom = false;
+      for (const auto& [key, members] : buckets) {
+        if (dom) break;
+        if (key == sig[i] || !pointwise_geq(key, sig[i])) continue;
+        for (const std::size_t j : members) {
+          if (!unions[j].contains(unions[i])) {
+            ++local.domination_skipped;
+            continue;
+          }
+          ++local.domination_tests;
+          if (superset_matching(valid[i], valid[j])) {
+            dom = true;
+            break;
+          }
+        }
+      }
+      dominated[i] = dom ? 1 : 0;
+    }
+  };
+
+  chunked_scan(n, 64, pool, stats, scan);
+
+  std::vector<SetConfig> maximal;
+  for (std::size_t i = 0; i < n; ++i) {
+    if (!dominated[i]) maximal.push_back(valid[i]);
+  }
+  return maximal;
 }
 
 /// Minimal witnesses for the relaxed-side scan: set-multisets known to admit
@@ -241,9 +496,30 @@ std::optional<REStep> re_core(const Problem& pi, bool universal_is_black,
 
   // Candidate subsets, restricted to labels actually used by the universal
   // constraint (a set containing an unused label can never appear in a
-  // valid all-choices configuration); right-closed ones only by default.
-  const std::vector<SmallBitset> candidates =
-      harden_candidates(universal, pi.alphabet_size(), options.right_closed_candidates);
+  // valid all-choices configuration). By default only right-closed sets of
+  // the universal diagram are considered: replacing any set of a valid
+  // configuration by its right-closure keeps all choices valid, so maximal
+  // configurations use right-closed sets only.
+  SmallBitset used;
+  for (const Label l : universal.used_labels()) used.set(l);
+  std::vector<SmallBitset> candidates;
+  if (options.right_closed_candidates) {
+    const Diagram diagram(universal, pi.alphabet_size());
+    for (const SmallBitset s : diagram.right_closed_sets()) {
+      if (used.contains(s)) candidates.push_back(s);
+    }
+  } else {
+    const auto used_indices = used.indices();
+    for (std::uint64_t mask = 1; mask < (std::uint64_t{1} << used_indices.size());
+         ++mask) {
+      SmallBitset s;
+      for (std::size_t i = 0; i < used_indices.size(); ++i) {
+        if (mask & (std::uint64_t{1} << i)) s.set(used_indices[i]);
+      }
+      candidates.push_back(s);
+    }
+    std::sort(candidates.begin(), candidates.end());
+  }
 
   // Hardened side. The DFS steps through the universal constraint's
   // sub-multiset automaton; it is built before the fan-out so the parallel
@@ -259,22 +535,18 @@ std::optional<REStep> re_core(const Problem& pi, bool universal_is_black,
     ++local.extension_index_builds;
   }
   local.extension_index_entries += universal.extension_index_size();
-  HardenStats harden;
   const auto valid = enumerate_valid_configs(*universal.extension_index(), universal.degree(),
                                              candidates, options.max_configurations,
                                              candidates.size() >= 8 ? pool() : nullptr,
-                                             budget, harden);
-  add_harden_stats(local, harden);
+                                             budget, local);
   if (budget != nullptr && budget->halted()) return exhausted_bail();
   if (!valid) return cap_bail();
   local.configs_enumerated += valid->size();
   local.harden_ms += ms_since(t_harden);
 
   const auto t_dominate = Clock::now();
-  HardenStats dominate;
   const std::vector<SetConfig> maximal =
-      maximality_filter(*valid, valid->size() >= 64 ? pool() : nullptr, budget, dominate);
-  add_harden_stats(local, dominate);
+      maximality_filter(*valid, valid->size() >= 64 ? pool() : nullptr, budget, local);
   local.dominate_ms += ms_since(t_dominate);
   if (budget != nullptr && budget->halted()) return exhausted_bail();
 

@@ -7,10 +7,6 @@
 // and the white constraint by all set-multisets admitting at least one
 // choice in C_W. R̄ is R with the white and black roles exchanged.
 //
-// The hardening itself (candidate sets, the valid-configuration DFS and the
-// maximality filter) lives in src/formalism/hardening.hpp, which the
-// relaxation witness search shares.
-//
 // Lemma B.1: a T-round white algorithm for Π (on high-girth supports)
 // yields a (T-1)-round black algorithm for R(Π), and symmetrically for R̄;
 // hence RE peels two rounds per application.
@@ -36,7 +32,6 @@
 #include <string>
 #include <vector>
 
-#include "src/formalism/hardening.hpp"
 #include "src/formalism/problem.hpp"
 #include "src/util/bitset.hpp"
 #include "src/util/budget.hpp"
@@ -111,7 +106,7 @@ struct REStats {
 struct REOptions {
   /// Alphabets larger than this are rejected (the subset enumeration is
   /// exponential in |Σ|).
-  std::size_t max_alphabet = kMaxHardenLabels;
+  std::size_t max_alphabet = 16;
   /// Hard cap on enumerated set-configurations (guards runaway cases).
   std::uint64_t max_configurations = 2'000'000;
   /// Candidate label-sets for the hardened side: true (default) restricts

@@ -3,7 +3,6 @@
 // renderings walk the list in order.
 #include <gtest/gtest.h>
 
-#include <algorithm>
 #include <cstddef>
 #include <set>
 #include <string>
@@ -75,19 +74,9 @@ void expect_every_member_listed(const char* type) {
 
 TEST(StatsFields, EveryDeclaredMemberIsListedOnce) {
   expect_every_member_listed<REStats>("REStats");
-  expect_every_member_listed<HardenStats>("HardenStats");
   expect_every_member_listed<discover::DiscoverStats>("DiscoverStats");
   expect_every_member_listed<serve::ServeCounters>("ServeCounters");
   expect_every_member_listed<RECacheCounters>("RECacheCounters");
-}
-
-TEST(StatsFields, HardenStatsFieldsAreREStatsFields) {
-  // Round elimination adds each hardening counter into the REStats field of
-  // the same name.
-  const std::vector<std::string> re_names = listed_names<REStats>();
-  for (const std::string& name : listed_names<HardenStats>()) {
-    EXPECT_NE(std::find(re_names.begin(), re_names.end(), name), re_names.end()) << name;
-  }
 }
 
 TEST(StatsFields, MemberCountSeesEveryMember) {
