@@ -151,6 +151,7 @@ struct SimCase {
   std::uint64_t fingerprint = 0;
   double wall_ms = 0.0;        // run() only; excludes generation
   double gen_wall_ms = 0.0;    // streaming generation + CSR build
+  double csr_build_wall_ms = 0.0;  // the CSR build part of gen_wall_ms
   double per_round_wall_ms = 0.0;
   double half_edge_rounds_per_sec = 0.0;  // rounds x half-edges / wall
 };
@@ -231,16 +232,29 @@ void print_sim_case(const SimCase& c) {
               static_cast<unsigned long long>(c.fingerprint));
 }
 
+/// Builds the streamed edge list into a CSR graph. `*gen_ms` is the wall
+/// time since `t0` (generation plus build), `*csr_ms` the build alone.
+std::optional<CsrGraph> finish_timed(CsrStreamBuilder& builder,
+                                     std::chrono::steady_clock::time_point t0,
+                                     CsrBuildError* error, double* gen_ms,
+                                     double* csr_ms) {
+  const auto t1 = std::chrono::steady_clock::now();
+  auto csr = builder.finish(error);
+  *csr_ms = ms_since(t1);
+  *gen_ms = ms_since(t0);
+  return csr;
+}
+
 CsrGraph build_streamed_regular(std::size_t n, std::size_t degree,
-                                std::uint64_t seed, double* gen_ms) {
+                                std::uint64_t seed, double* gen_ms,
+                                double* csr_ms) {
   const auto t0 = std::chrono::steady_clock::now();
   Rng rng(seed);
   CsrStreamBuilder builder(n);
   const bool ok = stream_random_regular(
       n, degree, rng, [&](NodeId u, NodeId v) { builder.add_edge(u, v); });
   CsrBuildError error;
-  auto csr = ok ? builder.finish(&error) : std::nullopt;
-  if (gen_ms != nullptr) *gen_ms = ms_since(t0);
+  auto csr = ok ? finish_timed(builder, t0, &error, gen_ms, csr_ms) : std::nullopt;
   if (!csr) {
     std::printf("  ERROR streaming regular(%zu,%zu): %s\n", n, degree,
                 error.message.c_str());
@@ -249,13 +263,13 @@ CsrGraph build_streamed_regular(std::size_t n, std::size_t degree,
   return std::move(*csr);
 }
 
-CsrGraph build_streamed_torus(std::size_t w, std::size_t h, double* gen_ms) {
+CsrGraph build_streamed_torus(std::size_t w, std::size_t h, double* gen_ms,
+                              double* csr_ms) {
   const auto t0 = std::chrono::steady_clock::now();
   CsrStreamBuilder builder(w * h);
   stream_torus(w, h, [&](NodeId u, NodeId v) { builder.add_edge(u, v); });
   CsrBuildError error;
-  auto csr = builder.finish(&error);
-  if (gen_ms != nullptr) *gen_ms = ms_since(t0);
+  auto csr = finish_timed(builder, t0, &error, gen_ms, csr_ms);
   if (!csr) {
     std::printf("  ERROR streaming torus(%zu,%zu): %s\n", w, h,
                 error.message.c_str());
@@ -324,6 +338,7 @@ void write_sim_json(const std::vector<SimCase>& cases,
     json.field("fingerprint", hex64(c.fingerprint));
     json.field("wall_ms", c.wall_ms);
     json.field("gen_wall_ms", c.gen_wall_ms);
+    json.field("csr_build_wall_ms", c.csr_build_wall_ms);
     json.field("per_round_wall_ms", c.per_round_wall_ms);
     json.field("half_edge_rounds_per_sec", c.half_edge_rounds_per_sec, 0);
     json.end();
@@ -356,14 +371,15 @@ void run_fast_cases() {
 
   // 10^5-node Δ-regular support, Luby MIS (O(log n) rounds).
   {
-    double gen_ms = 0.0;
-    CsrGraph g = build_streamed_regular(100'000, 6, 71, &gen_ms);
+    double gen_ms = 0.0, csr_ms = 0.0;
+    CsrGraph g = build_streamed_regular(100'000, 6, 71, &gen_ms, &csr_ms);
     if (g.node_count() > 0) {
       CsrNetwork net(std::move(g));
       LubyMis alg(2024);
       auto c = run_sim_case("regular-1e5", "luby-mis", net, alg, 1, 10'000,
                             [](const LubyMis& a) { return a.in_mis(); });
       c.gen_wall_ms = gen_ms;
+      c.csr_build_wall_ms = csr_ms;
       print_sim_case(c);
       cases.push_back(std::move(c));
     }
@@ -373,14 +389,15 @@ void run_fast_cases() {
   // completion at threads=1 and threads=0; the fingerprints must agree.
   ThreadInvariance invariance;
   {
-    double gen_ms = 0.0;
-    CsrGraph g = build_streamed_regular(1'000'000, 4, 72, &gen_ms);
+    double gen_ms = 0.0, csr_ms = 0.0;
+    CsrGraph g = build_streamed_regular(1'000'000, 4, 72, &gen_ms, &csr_ms);
     if (g.node_count() > 0) {
       CsrNetwork net(std::move(g));
       LubyMis alg1(2025);
       auto c1 = run_sim_case("regular-1e6", "luby-mis", net, alg1, 1, 10'000,
                              [](const LubyMis& a) { return a.in_mis(); });
       c1.gen_wall_ms = gen_ms;
+      c1.csr_build_wall_ms = csr_ms;
       print_sim_case(c1);
       LubyMis alg_all(2025);
       auto c_all =
@@ -402,14 +419,15 @@ void run_fast_cases() {
   // 10^7-node torus, fixed 8-round message exchange: pure round-throughput
   // at the largest scale (Luby here would dominate the bench's wall budget).
   {
-    double gen_ms = 0.0;
-    CsrGraph g = build_streamed_torus(2'500, 4'000, &gen_ms);
+    double gen_ms = 0.0, csr_ms = 0.0;
+    CsrGraph g = build_streamed_torus(2'500, 4'000, &gen_ms, &csr_ms);
     if (g.node_count() > 0) {
       CsrNetwork net(std::move(g));
       FixedRoundSpin alg(8);
       auto c = run_sim_case("torus-1e7", "spin-8", net, alg, 1, 100,
                             [](const Algorithm&) { return std::vector<bool>{}; });
       c.gen_wall_ms = gen_ms;
+      c.csr_build_wall_ms = csr_ms;
       print_sim_case(c);
       cases.push_back(std::move(c));
     }

@@ -30,11 +30,13 @@
 // still saves the warm cache, and the process exits 3.
 #include <signal.h>
 
+#include <chrono>
 #include <cstdint>
 #include <cstdio>
 #include <cstdlib>
 #include <cstring>
 #include <fstream>
+#include <limits>
 #include <memory>
 #include <optional>
 #include <sstream>
@@ -525,14 +527,46 @@ int cmd_discover(const std::vector<std::string>& files, const Flags& flags) {
   return command::exit_code(run.outcome, /*no_exit=*/1);
 }
 
+/// Wall time of the simulator's phases; `simulate` reports it on stderr.
+struct SimulateTimings {
+  double generate_ms = 0.0;
+  double csr_build_ms = 0.0;
+  double rounds_ms = 0.0;
+};
+
+double ms_since(std::chrono::steady_clock::time_point start) {
+  return std::chrono::duration<double, std::milli>(std::chrono::steady_clock::now() -
+                                                   start)
+      .count();
+}
+
 /// Streams an instance spec (cycle:<n>, path:<n>, torus:<w>x<h>,
 /// regular:<n>x<d>) into a validated CsrGraph without materializing
-/// per-node adjacency — million-node instances stay flat.
-std::optional<CsrGraph> load_instance(const std::string& spec, std::uint64_t seed) {
+/// per-node adjacency — million-node instances stay flat. A spec whose node
+/// or edge count does not fit the CSR's 32-bit ids is rejected before
+/// anything is generated.
+std::optional<CsrGraph> load_instance(const std::string& spec, std::uint64_t seed,
+                                      SimulateTimings* timings) {
+  constexpr std::uint64_t kMaxNodes = std::numeric_limits<NodeId>::max();
+  constexpr std::uint64_t kMaxEdges = CsrGraph::kMaxEdges;
+  const auto fits = [&](bool ok) {
+    if (!ok) {
+      std::fprintf(stderr,
+                   "instance '%s' is too large: the simulator's 32-bit ids allow "
+                   "at most %llu nodes and %llu edges\n",
+                   spec.c_str(), static_cast<unsigned long long>(kMaxNodes),
+                   static_cast<unsigned long long>(kMaxEdges));
+    }
+    return ok;
+  };
   std::optional<CsrGraph> result;
   CsrBuildError error;
+  const auto start = std::chrono::steady_clock::now();
   const auto finish = [&](CsrStreamBuilder& builder) {
+    timings->generate_ms = ms_since(start);
+    const auto build_start = std::chrono::steady_clock::now();
     result = builder.finish(&error);
+    timings->csr_build_ms = ms_since(build_start);
     if (!result) std::fprintf(stderr, "%s\n", error.message.c_str());
   };
   const std::string_view view = spec;
@@ -542,6 +576,7 @@ std::optional<CsrGraph> load_instance(const std::string& spec, std::uint64_t see
       std::fprintf(stderr, "cycle:<n> needs an integer n >= 3\n");
       return std::nullopt;
     }
+    if (!fits(n <= kMaxNodes && n <= kMaxEdges)) return std::nullopt;
     CsrStreamBuilder builder(n);
     stream_cycle(n, [&](NodeId u, NodeId v) { builder.add_edge(u, v); });
     finish(builder);
@@ -551,6 +586,7 @@ std::optional<CsrGraph> load_instance(const std::string& spec, std::uint64_t see
       std::fprintf(stderr, "path:<n> needs an integer n >= 2\n");
       return std::nullopt;
     }
+    if (!fits(n <= kMaxNodes && n - 1 <= kMaxEdges)) return std::nullopt;
     CsrStreamBuilder builder(n);
     stream_path(n, [&](NodeId u, NodeId v) { builder.add_edge(u, v); });
     finish(builder);
@@ -560,6 +596,8 @@ std::optional<CsrGraph> load_instance(const std::string& spec, std::uint64_t see
       std::fprintf(stderr, "torus:<w>x<h> needs integers w, h >= 3\n");
       return std::nullopt;
     }
+    // Divide first: w * h itself may overflow 64 bits.
+    if (!fits(w <= kMaxNodes / h && 2 * w * h <= kMaxEdges)) return std::nullopt;
     CsrStreamBuilder builder(w * h);
     stream_torus(w, h, [&](NodeId u, NodeId v) { builder.add_edge(u, v); });
     finish(builder);
@@ -567,6 +605,11 @@ std::optional<CsrGraph> load_instance(const std::string& spec, std::uint64_t see
     std::uint64_t n = 0, d = 0;
     if (!parse_dims(view.substr(8), &n, &d)) {
       std::fprintf(stderr, "regular:<n>x<d> is malformed\n");
+      return std::nullopt;
+    }
+    // d >= n has no simple graph; the generator refuses it before
+    // allocating, and below it n * d cannot overflow.
+    if (!fits(n <= kMaxNodes && (d >= n || n * d / 2 <= kMaxEdges))) {
       return std::nullopt;
     }
     Rng rng(seed);
@@ -592,7 +635,8 @@ int cmd_simulate(const std::string& alg_spec, const std::string& instance_spec,
   const std::size_t threads = flags.threads;
   const std::size_t max_rounds = flags.rounds;
   const std::uint64_t seed = flags.seed;
-  auto csr = load_instance(instance_spec, seed);
+  SimulateTimings timings;
+  auto csr = load_instance(instance_spec, seed, &timings);
   if (!csr) return 1;
 
   // color-class-mis is a Supported-model algorithm: it reads the support
@@ -634,7 +678,12 @@ int cmd_simulate(const std::string& alg_spec, const std::string& instance_spec,
   options.threads = threads;
   options.max_rounds = max_rounds;
   options.budget = flags.configure(budget_storage);
+  const auto rounds_start = std::chrono::steady_clock::now();
   const CsrRunResult result = net.run(*algorithm, options);
+  timings.rounds_ms = ms_since(rounds_start);
+  // Timings go to stderr: stdout stays a deterministic summary.
+  std::fprintf(stderr, "simulate: generate_ms=%.1f csr_build_ms=%.1f rounds_ms=%.1f\n",
+               timings.generate_ms, timings.csr_build_ms, timings.rounds_ms);
 
   if (!result.error.empty()) {
     std::fprintf(stderr, "simulate: %s\n", result.error.c_str());

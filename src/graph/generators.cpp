@@ -2,8 +2,7 @@
 
 #include <algorithm>
 #include <cassert>
-#include <map>
-#include <set>
+#include <cstdint>
 #include <numeric>
 
 #include "src/graph/metrics.hpp"
@@ -125,24 +124,100 @@ Graph make_tree(std::size_t branching, std::size_t depth) {
 
 namespace {
 
-/// Mutable edge-list view of a degree-regular multigraph under repair:
-/// pairs of endpoints plus a hash of the edge set for O(1) duplicate tests.
-struct EdgeList {
-  std::vector<std::pair<NodeId, NodeId>> edges;
-  std::set<std::pair<NodeId, NodeId>> present;
+/// Order-independent 64-bit key of an undirected edge {a, b}.
+std::uint64_t edge_key(NodeId a, NodeId b) {
+  return (std::uint64_t{std::min(a, b)} << 32) | std::max(a, b);
+}
 
-  static std::pair<NodeId, NodeId> key(NodeId a, NodeId b) {
-    return {std::min(a, b), std::max(a, b)};
+/// Flat open-addressing table over edge keys (linear probing,
+/// backward-shift deletion), sized once for m edges. Each slot records two
+/// facts about its key: how many current edges carry it (`count`) and
+/// whether it is in the repair's edge *set* (`present`). The two differ: the
+/// set loses a key when one copy of a parallel edge is rewired even though
+/// another copy remains, and the repair's swap decisions depend on exactly
+/// that. A slot is freed as soon as both facts are zero, so at most m + 2
+/// keys are ever stored and the table never grows.
+class EdgeTable {
+ public:
+  explicit EdgeTable(std::size_t m) {
+    int bits = 4;
+    while ((std::size_t{1} << bits) < 2 * (m + 2)) ++bits;
+    slots_.resize(std::size_t{1} << bits);
+    mask_ = slots_.size() - 1;
+    shift_ = 64 - bits;
   }
-  bool has(NodeId a, NodeId b) const { return present.contains(key(a, b)); }
-  bool bad(std::size_t i) const {
-    return edges[i].first == edges[i].second;  // self-loop
+
+  std::uint32_t count(std::uint64_t key) const {
+    const std::size_t i = index_of(key);
+    return i == kNotFound ? 0 : slots_[i].count;
   }
-  void set_edge(std::size_t i, NodeId a, NodeId b) {
-    present.erase(key(edges[i].first, edges[i].second));
-    edges[i] = {a, b};
-    present.insert(key(a, b));
+  bool present(std::uint64_t key) const {
+    const std::size_t i = index_of(key);
+    return i != kNotFound && slots_[i].present != 0;
   }
+
+  /// count(key) += delta; delta = -1 requires count(key) >= 1.
+  void add_count(std::uint64_t key, int delta) {
+    const std::size_t i = claim(key);
+    assert(delta > 0 || slots_[i].count > 0);
+    slots_[i].count += static_cast<std::uint32_t>(delta);
+    release_if_unused(i);
+  }
+  void insert(std::uint64_t key) { slots_[claim(key)].present = 1; }
+  void erase(std::uint64_t key) {
+    const std::size_t i = index_of(key);
+    if (i == kNotFound) return;
+    slots_[i].present = 0;
+    release_if_unused(i);
+  }
+
+ private:
+  struct Slot {
+    std::uint64_t key = 0;
+    std::uint32_t count = 0;
+    std::uint32_t present = 0;
+    bool used() const { return count != 0 || present != 0; }
+  };
+  static constexpr std::size_t kNotFound = static_cast<std::size_t>(-1);
+
+  std::size_t home(std::uint64_t key) const {
+    // Fibonacci hashing: the top bits of the product mix every key bit.
+    return static_cast<std::size_t>(((key ^ (key >> 32)) * 0x9e3779b97f4a7c15ull) >> shift_);
+  }
+  std::size_t index_of(std::uint64_t key) const {
+    for (std::size_t i = home(key);; i = (i + 1) & mask_) {
+      if (!slots_[i].used()) return kNotFound;
+      if (slots_[i].key == key) return i;
+    }
+  }
+  /// Index of key's slot, taking the first free one on its probe path if
+  /// the key is absent (the caller then makes it used).
+  std::size_t claim(std::uint64_t key) {
+    for (std::size_t i = home(key);; i = (i + 1) & mask_) {
+      if (!slots_[i].used()) {
+        slots_[i].key = key;
+        return i;
+      }
+      if (slots_[i].key == key) return i;
+    }
+  }
+  /// Frees slot i once unused, shifting later members of its probe run back
+  /// so that every lookup still reaches its key without tombstones.
+  void release_if_unused(std::size_t i) {
+    if (slots_[i].used()) return;
+    for (std::size_t j = (i + 1) & mask_; slots_[j].used(); j = (j + 1) & mask_) {
+      // Slot j may fill the hole at i iff i lies on j's probe path.
+      if (((j - home(slots_[j].key)) & mask_) >= ((j - i) & mask_)) {
+        slots_[i] = slots_[j];
+        slots_[j] = Slot{};
+        i = j;
+      }
+    }
+  }
+
+  std::vector<Slot> slots_;
+  std::size_t mask_ = 0;
+  int shift_ = 0;
 };
 
 /// Configuration model with 2-swap repair: pair stubs uniformly, then fix
@@ -152,6 +227,8 @@ struct EdgeList {
 /// asks of the substrate. Returns the repaired (simple) edge list — the
 /// single production both random_regular and stream_random_regular consume,
 /// which is what guarantees their edge-for-edge equality at equal seeds.
+/// Every duplicate test is one EdgeTable probe, so the repair runs in time
+/// linear in m plus the number of swaps tried.
 std::optional<std::vector<std::pair<NodeId, NodeId>>> regular_with_repair(
     std::size_t n, std::size_t degree, Rng& rng) {
   std::vector<NodeId> stubs;
@@ -162,41 +239,48 @@ std::optional<std::vector<std::pair<NodeId, NodeId>>> regular_with_repair(
   rng.shuffle(stubs);
 
   // Build the multigraph; count multiplicities to find parallels.
-  EdgeList list;
-  std::map<std::pair<NodeId, NodeId>, std::size_t> multiplicity;
+  const std::size_t m = stubs.size() / 2;
+  std::vector<std::pair<NodeId, NodeId>> edges;
+  edges.reserve(m);
+  EdgeTable table(m);
   for (std::size_t i = 0; i < stubs.size(); i += 2) {
-    list.edges.emplace_back(stubs[i], stubs[i + 1]);
-    ++multiplicity[EdgeList::key(stubs[i], stubs[i + 1])];
+    edges.emplace_back(stubs[i], stubs[i + 1]);
+    const std::uint64_t key = edge_key(stubs[i], stubs[i + 1]);
+    table.add_count(key, +1);
+    table.insert(key);
   }
-  for (const auto& e : list.edges) list.present.insert(EdgeList::key(e.first, e.second));
-
+  // Rewires edge i, keeping the edge set as a set (see EdgeTable).
+  const auto set_edge = [&](std::size_t i, NodeId a, NodeId b) {
+    table.erase(edge_key(edges[i].first, edges[i].second));
+    edges[i] = {a, b};
+    table.insert(edge_key(a, b));
+  };
   const auto is_defect = [&](std::size_t i) {
-    const auto& e = list.edges[i];
-    return e.first == e.second || multiplicity[EdgeList::key(e.first, e.second)] > 1;
+    const auto& e = edges[i];
+    return e.first == e.second || table.count(edge_key(e.first, e.second)) > 1;
   };
 
-  const std::size_t m = list.edges.size();
   std::size_t budget = 200 * m + 2000;
   for (std::size_t i = 0; i < m; ++i) {
     while (is_defect(i)) {
       if (budget-- == 0) return std::nullopt;
       const std::size_t j = static_cast<std::size_t>(rng.below(m));
       if (j == i) continue;
-      auto [a, b] = list.edges[i];
-      auto [c, d] = list.edges[j];
+      auto [a, b] = edges[i];
+      auto [c, d] = edges[j];
       if (rng.chance(0.5)) std::swap(c, d);
       // Proposed swap: (a,b),(c,d) -> (a,d),(c,b).
       if (a == d || c == b) continue;
-      if (list.has(a, d) || list.has(c, b)) continue;
-      --multiplicity[EdgeList::key(a, b)];
-      --multiplicity[EdgeList::key(c, d)];
-      list.set_edge(i, a, d);
-      list.set_edge(j, c, b);
-      ++multiplicity[EdgeList::key(a, d)];
-      ++multiplicity[EdgeList::key(c, b)];
+      if (table.present(edge_key(a, d)) || table.present(edge_key(c, b))) continue;
+      table.add_count(edge_key(a, b), -1);
+      table.add_count(edge_key(c, d), -1);
+      set_edge(i, a, d);
+      set_edge(j, c, b);
+      table.add_count(edge_key(a, d), +1);
+      table.add_count(edge_key(c, b), +1);
     }
   }
-  return std::move(list.edges);
+  return edges;
 }
 
 /// Shared driver: retries the repair until it yields a simple edge list.

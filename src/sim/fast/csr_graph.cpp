@@ -9,16 +9,6 @@ namespace slocal {
 
 namespace {
 
-constexpr std::size_t kMaxEdges = std::numeric_limits<EdgeId>::max() / 2;
-
-/// Order-independent 64-bit key of an undirected edge, for duplicate
-/// detection via one sort over packed keys.
-std::uint64_t edge_key(const Edge& e) {
-  const std::uint64_t lo = std::min(e.u, e.v);
-  const std::uint64_t hi = std::max(e.u, e.v);
-  return (lo << 32) | hi;
-}
-
 CsrBuildError make_error(CsrBuildErrorKind kind, std::size_t index, NodeId u,
                          NodeId v, std::string detail) {
   CsrBuildError error;
@@ -89,15 +79,17 @@ CsrGraph CsrGraph::from_graph(const Graph& graph) {
   return csr;
 }
 
-std::optional<CsrGraph> CsrGraph::from_edges(std::size_t node_count,
-                                             std::span<const Edge> edges,
-                                             CsrBuildError* error,
-                                             const CsrBuildOptions& options) {
-  const auto reject = [&](CsrBuildError e) -> std::optional<CsrGraph> {
+namespace {
+
+/// Endpoint and size checks: everything about the list except duplicates.
+/// On rejection fills `*error` (if given) and returns false.
+bool endpoints_ok(std::size_t node_count, std::span<const Edge> edges,
+                  CsrBuildError* error) {
+  const auto reject = [&](CsrBuildError e) {
     if (error != nullptr) *error = std::move(e);
-    return std::nullopt;
+    return false;
   };
-  if (edges.size() > kMaxEdges) {
+  if (edges.size() > CsrGraph::kMaxEdges) {
     return reject(make_error(CsrBuildErrorKind::kTooManyEdges, edges.size(), 0, 0,
                              "edge count overflows the 32-bit id space"));
   }
@@ -113,39 +105,75 @@ std::optional<CsrGraph> CsrGraph::from_edges(std::size_t node_count,
                                "self-loop"));
     }
   }
+  return true;
+}
 
-  // Duplicate detection by one sort over (key, original index): the first
-  // occurrence of a key survives normalization, every later one is either a
-  // structured rejection or a drop.
-  std::vector<std::uint8_t> dropped(edges.size(), 0);
-  bool any_dropped = false;
-  {
-    std::vector<std::pair<std::uint64_t, std::uint32_t>> keyed(edges.size());
-    for (std::size_t i = 0; i < edges.size(); ++i) {
-      keyed[i] = {edge_key(edges[i]), static_cast<std::uint32_t>(i)};
-    }
-    std::sort(keyed.begin(), keyed.end());
-    for (std::size_t i = 1; i < keyed.size(); ++i) {
-      if (keyed[i].first != keyed[i - 1].first) continue;
-      const std::uint32_t dup = keyed[i].second;
-      if (!options.drop_duplicate_edges) {
-        return reject(make_error(CsrBuildErrorKind::kDuplicateEdge, dup,
-                                 edges[dup].u, edges[dup].v, "duplicate edge"));
-      }
-      dropped[dup] = 1;
-      any_dropped = true;
-    }
-  }
+}  // namespace
 
+std::optional<CsrGraph> CsrGraph::from_edges(std::size_t node_count,
+                                             std::span<const Edge> edges,
+                                             CsrBuildError* error,
+                                             const CsrBuildOptions& options) {
+  if (!endpoints_ok(node_count, edges, error)) return std::nullopt;
+  return build_checked(node_count, std::vector<Edge>(edges.begin(), edges.end()),
+                       error, options);
+}
+
+std::optional<CsrGraph> CsrGraph::build_checked(std::size_t node_count,
+                                                std::vector<Edge>&& edges,
+                                                CsrBuildError* error,
+                                                const CsrBuildOptions& options) {
   CsrGraph csr;
-  csr.edges_.reserve(edges.size());
-  if (any_dropped) {
-    for (std::size_t i = 0; i < edges.size(); ++i) {
-      if (!dropped[i]) csr.edges_.push_back(edges[i]);
+  csr.edges_ = std::move(edges);
+  csr.build_csr(node_count);
+
+  // Duplicate detection on the built rows: each edge {u, v} is looked at
+  // once, in row min(u, v), and a row lists its edges in ascending id order,
+  // so a neighbour seen twice in row u is a duplicate whose first sighting
+  // is its first occurrence. `seen_in[v] == u` marks "v already seen in row
+  // u"; no valid u equals the initial value (u < v <= NodeId max).
+  std::vector<NodeId> seen_in(node_count, std::numeric_limits<NodeId>::max());
+  std::vector<std::uint8_t> dropped;
+  for (std::size_t row = 0; row < node_count; ++row) {
+    const NodeId u = static_cast<NodeId>(row);
+    const auto neighbors = csr.neighbors(u);
+    const auto ids = csr.edge_ids(u);
+    // Rejection reports the smallest duplicated key (u, v) and its second
+    // occurrence: the first repeat of the smallest repeated v in this row.
+    std::size_t first_repeat = neighbors.size();
+    for (std::size_t k = 0; k < neighbors.size(); ++k) {
+      const NodeId v = neighbors[k];
+      if (v < u) continue;
+      if (seen_in[v] != u) {
+        seen_in[v] = u;
+        continue;
+      }
+      if (!options.drop_duplicate_edges) {
+        if (first_repeat == neighbors.size() || v < neighbors[first_repeat]) {
+          first_repeat = k;
+        }
+        continue;
+      }
+      if (dropped.empty()) dropped.assign(csr.edges_.size(), 0);
+      dropped[ids[k]] = 1;
     }
-  } else {
-    csr.edges_.assign(edges.begin(), edges.end());
+    if (first_repeat != neighbors.size()) {
+      const EdgeId dup = ids[first_repeat];
+      if (error != nullptr) {
+        *error = make_error(CsrBuildErrorKind::kDuplicateEdge, dup, csr.edges_[dup].u,
+                            csr.edges_[dup].v, "duplicate edge");
+      }
+      return std::nullopt;
+    }
   }
+  if (dropped.empty()) return csr;
+
+  // Normalization (rare): keep first occurrences in list order and rebuild.
+  std::size_t kept = 0;
+  for (std::size_t i = 0; i < csr.edges_.size(); ++i) {
+    if (!dropped[i]) csr.edges_[kept++] = csr.edges_[i];
+  }
+  csr.edges_.resize(kept);
   csr.build_csr(node_count);
   return csr;
 }
@@ -162,10 +190,9 @@ Graph CsrGraph::to_graph() const {
 
 std::optional<CsrGraph> CsrStreamBuilder::finish(CsrBuildError* error,
                                                  const CsrBuildOptions& options) {
-  auto csr = CsrGraph::from_edges(node_count_, edges_, error, options);
-  edges_.clear();
-  edges_.shrink_to_fit();
-  return csr;
+  std::vector<Edge> edges = std::exchange(edges_, {});
+  if (!endpoints_ok(node_count_, edges, error)) return std::nullopt;
+  return CsrGraph::build_checked(node_count_, std::move(edges), error, options);
 }
 
 }  // namespace slocal

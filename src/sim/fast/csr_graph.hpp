@@ -23,10 +23,17 @@
 // without ever materializing per-node adjacency vectors. Validation is
 // structured: out-of-range endpoints, self-loops, and duplicate edges are
 // reported with the offending edge index, and duplicates can optionally be
-// normalized away (first occurrence kept) instead of rejected.
+// normalized away (first occurrence kept) instead of rejected. The build is
+// linear time: endpoints are checked in one pass, the CSR is laid out by a
+// counting sort, and duplicates are found in one scan of the built rows
+// with a per-node scratch array (each edge is checked once, in the row of
+// its smaller endpoint). A rejected duplicate is reported as the second
+// occurrence of the smallest duplicated (min, max) endpoint pair; with
+// normalization on, the survivors are compacted and the rows rebuilt.
 #pragma once
 
 #include <cstdint>
+#include <limits>
 #include <optional>
 #include <span>
 #include <string>
@@ -71,6 +78,9 @@ class CsrGraph {
   /// Graph::incident_edges order exactly.
   static CsrGraph from_graph(const Graph& graph);
 
+  /// Most edges a CsrGraph holds: half-edge positions must fit in 32 bits.
+  static constexpr std::size_t kMaxEdges = std::numeric_limits<EdgeId>::max() / 2;
+
   /// Validating build from a flat edge list. Edge ids are assigned in list
   /// order (after normalization, if enabled). Returns nullopt and fills
   /// `*error` on rejection.
@@ -110,6 +120,14 @@ class CsrGraph {
   Graph to_graph() const;
 
  private:
+  friend class CsrStreamBuilder;
+
+  /// Builds from an endpoint-checked list, which becomes the graph's edge
+  /// list, and runs the duplicate check.
+  static std::optional<CsrGraph> build_checked(std::size_t node_count,
+                                               std::vector<Edge>&& edges,
+                                               CsrBuildError* error,
+                                               const CsrBuildOptions& options);
   void build_csr(std::size_t node_count);
 
   std::vector<Edge> edges_;
@@ -123,8 +141,10 @@ class CsrGraph {
 
 /// Accumulates a streamed edge sequence (from the streaming generators)
 /// and finalizes it into a validated CsrGraph. Only the flat edge list is
-/// buffered — never per-node adjacency — so peak memory is 8 bytes/edge
-/// over the CSR arrays themselves.
+/// buffered — never per-node adjacency — and `finish` moves that buffer
+/// into the graph as its edge list, so the build's peak is the finished
+/// CsrGraph (8 bytes/edge of edge list plus 24 bytes/edge of CSR arrays)
+/// and a 4-byte/node scratch array for the duplicate check.
 class CsrStreamBuilder {
  public:
   explicit CsrStreamBuilder(std::size_t node_count) : node_count_(node_count) {}

@@ -1,5 +1,7 @@
 #include <gtest/gtest.h>
 
+#include <cstdint>
+
 #include "src/graph/generators.hpp"
 #include "src/graph/graph.hpp"
 #include "src/graph/hypergraph.hpp"
@@ -98,6 +100,49 @@ TEST(Generators, RandomRegularRejectsOddTotal) {
   Rng rng(1);
   EXPECT_FALSE(random_regular(5, 3, rng).has_value());
   EXPECT_FALSE(random_regular(4, 4, rng).has_value());
+}
+
+/// Digest of one random_regular call: every edge in id order, then the
+/// generator's next draw, so both the edge list and the rng consumption
+/// are pinned.
+std::uint64_t regular_fingerprint(std::size_t n, std::size_t d, std::uint64_t seed) {
+  Rng rng(seed);
+  const auto g = random_regular(n, d, rng);
+  std::uint64_t h = 0xcbf29ce484222325ull;
+  const auto mix = [&](std::uint64_t x) { h = (h ^ x) * 0x100000001b3ull; };
+  if (g) {
+    for (const Edge& e : g->edges()) {
+      mix(e.u);
+      mix(e.v);
+    }
+    mix(g->edge_count());
+  } else {
+    mix(~std::uint64_t{0});
+  }
+  mix(rng.next());
+  return h;
+}
+
+TEST(Generators, RandomRegularEdgeListsArePinned) {
+  // Every seeded instance downstream (BENCH_SIM fingerprints, the simulator
+  // oracles) depends on the configuration-model repair drawing the same
+  // numbers and making the same swaps. n=12, d=7 is repair-heavy: most
+  // stub pairings need many swaps, and with seed 3 all 500 attempts run
+  // out of swap budget, so that row pins the draws of 500 failed repairs.
+  struct Row {
+    std::size_t n, d;
+    std::uint64_t seed, fingerprint;
+  };
+  const Row rows[] = {
+      {12, 7, 1, 0x7494a195722827d5ull},  {12, 7, 2, 0xf830c0d82c985868ull},
+      {12, 7, 3, 0xa08700b29a1119f7ull},  {10, 3, 4, 0x6559e58fe89e463full},
+      {64, 5, 5, 0x94e588bec19cbc74ull},  {300, 8, 6, 0xb755c178e02a5cd3ull},
+      {20000, 4, 1, 0xc2171a217b5cb746ull},
+  };
+  for (const Row& row : rows) {
+    EXPECT_EQ(regular_fingerprint(row.n, row.d, row.seed), row.fingerprint)
+        << "n=" << row.n << " d=" << row.d << " seed=" << row.seed;
+  }
 }
 
 TEST(Generators, HighGirthSelectionImproves) {

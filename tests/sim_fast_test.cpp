@@ -6,7 +6,10 @@
 
 #include <algorithm>
 #include <cstdlib>
+#include <cstdint>
 #include <numeric>
+#include <optional>
+#include <string>
 #include <utility>
 #include <vector>
 
@@ -143,6 +146,107 @@ TEST(CsrGraph, FuzzedEdgeListsEitherRejectOrRoundTrip) {
                            again.edge_ids().begin()));
     EXPECT_EQ(csr->half_edge_count(), 2 * csr->edge_count());
     EXPECT_EQ(csr->offsets().back(), csr->half_edge_count());
+  }
+}
+
+/// Reference duplicate check, written independently of the CSR rows: one
+/// sort over (packed min/max key, list index) pairs. The reported duplicate
+/// is the second occurrence of the smallest duplicated key; normalization
+/// keeps each key's first occurrence in list order.
+struct SortedDuplicateVerdict {
+  std::optional<std::size_t> reported;
+  std::vector<Edge> kept;
+};
+
+SortedDuplicateVerdict sorted_duplicate_check(const std::vector<Edge>& edges) {
+  std::vector<std::pair<std::uint64_t, std::size_t>> keyed(edges.size());
+  for (std::size_t i = 0; i < edges.size(); ++i) {
+    const std::uint64_t lo = std::min(edges[i].u, edges[i].v);
+    const std::uint64_t hi = std::max(edges[i].u, edges[i].v);
+    keyed[i] = {(lo << 32) | hi, i};
+  }
+  std::sort(keyed.begin(), keyed.end());
+  SortedDuplicateVerdict verdict;
+  std::vector<bool> dropped(edges.size(), false);
+  for (std::size_t i = 1; i < keyed.size(); ++i) {
+    if (keyed[i].first != keyed[i - 1].first) continue;
+    if (!verdict.reported) verdict.reported = keyed[i].second;
+    dropped[keyed[i].second] = true;
+  }
+  for (std::size_t i = 0; i < edges.size(); ++i) {
+    if (!dropped[i]) verdict.kept.push_back(edges[i]);
+  }
+  return verdict;
+}
+
+TEST(CsrGraph, DuplicateCheckMatchesSortedReference) {
+  // Dense random lists over few nodes, so most lists repeat some edge (in
+  // either orientation), several times over. Both entry points — the copying
+  // span overload and the stream builder, which hands its list over — must
+  // agree with the reference on accept/reject, on the reported (kind,
+  // edge_index, u, v, message), and on the normalized edge list.
+  Rng rng(14);
+  const int trials = reduced_mode() ? 60 : 600;
+  for (int trial = 0; trial < trials; ++trial) {
+    const bool wide = trial % 10 == 9;
+    const std::size_t n = wide ? 200 + rng.below(300) : 2 + rng.below(10);
+    const std::size_t m = wide ? 400 + rng.below(800) : rng.below(40);
+    std::vector<Edge> edges;
+    while (edges.size() < m) {
+      const NodeId u = static_cast<NodeId>(rng.below(n));
+      const NodeId v = static_cast<NodeId>(rng.below(n));
+      if (u == v) continue;
+      edges.push_back({u, v});
+      // Re-add an earlier edge now and then, so wide lists repeat too.
+      if (rng.chance(0.1)) {
+        const Edge e = edges[rng.below(edges.size())];
+        edges.push_back(rng.chance(0.5) ? e : Edge{e.v, e.u});
+      }
+    }
+    const SortedDuplicateVerdict want = sorted_duplicate_check(edges);
+    const auto context = ::testing::Message() << "trial " << trial << " n=" << n
+                                              << " m=" << edges.size();
+
+    CsrBuildError error;
+    const auto strict = CsrGraph::from_edges(n, edges, &error);
+    CsrStreamBuilder builder(n);
+    for (const Edge& e : edges) builder.add_edge(e.u, e.v);
+    CsrBuildError streamed_error;
+    const auto streamed = builder.finish(&streamed_error);
+    ASSERT_EQ(strict.has_value(), !want.reported.has_value()) << context;
+    ASSERT_EQ(streamed.has_value(), strict.has_value()) << context;
+    if (want.reported) {
+      const std::size_t dup = *want.reported;
+      for (const CsrBuildError* e : {&error, &streamed_error}) {
+        EXPECT_EQ(e->kind, CsrBuildErrorKind::kDuplicateEdge) << context;
+        EXPECT_EQ(e->edge_index, dup) << context;
+        EXPECT_EQ(e->u, edges[dup].u) << context;
+        EXPECT_EQ(e->v, edges[dup].v) << context;
+        EXPECT_EQ(e->message, "csr: edge " + std::to_string(dup) + " (" +
+                                  std::to_string(edges[dup].u) + ", " +
+                                  std::to_string(edges[dup].v) +
+                                  "): duplicate edge")
+            << context;
+      }
+    }
+
+    CsrBuildOptions options;
+    options.drop_duplicate_edges = true;
+    const auto normalized = CsrGraph::from_edges(n, edges, nullptr, options);
+    ASSERT_TRUE(normalized.has_value()) << context;
+    ASSERT_EQ(normalized->edge_count(), want.kept.size()) << context;
+    for (std::size_t i = 0; i < want.kept.size(); ++i) {
+      EXPECT_EQ(normalized->edge(static_cast<EdgeId>(i)).u, want.kept[i].u) << context;
+      EXPECT_EQ(normalized->edge(static_cast<EdgeId>(i)).v, want.kept[i].v) << context;
+    }
+    // The rebuilt rows are the rows of the normalized list built directly.
+    const auto direct = CsrGraph::from_edges(n, want.kept);
+    ASSERT_TRUE(direct.has_value()) << context;
+    EXPECT_TRUE(std::ranges::equal(normalized->offsets(), direct->offsets())) << context;
+    EXPECT_TRUE(std::ranges::equal(normalized->neighbors(), direct->neighbors()))
+        << context;
+    EXPECT_TRUE(std::ranges::equal(normalized->edge_ids(), direct->edge_ids())) << context;
+    EXPECT_TRUE(std::ranges::equal(normalized->mirror(), direct->mirror())) << context;
   }
 }
 

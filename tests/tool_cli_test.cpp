@@ -196,6 +196,18 @@ std::vector<ExitRow> exit_rows() {
        "simulate ring-coloring torus:4x4", 1},  // ring needs 2-regular
       {"SimulateRejectsOddDegreeSum", "simulate luby-mis regular:5x3", 1},
       {"SimulateWithoutInstanceIsUsage", "simulate luby-mis", 64},
+      // Instances past the 32-bit node or edge ids are refused before
+      // anything is generated or allocated (the CSR caps edges at 2^31 - 1).
+      {"SimulateRejectsTorusPastNodeIds", "simulate luby-mis torus:70000x70000", 1},
+      {"SimulateRejectsTorusOverflowingSixtyFourBits",
+       "simulate luby-mis torus:4294967296x4294967296", 1},
+      {"SimulateRejectsTorusPastEdgeIds", "simulate luby-mis torus:40000x40000", 1},
+      {"SimulateRejectsCyclePastNodeIds", "simulate luby-mis cycle:5000000000", 1},
+      {"SimulateRejectsCyclePastEdgeIds", "simulate luby-mis cycle:3000000000", 1},
+      {"SimulateRejectsRegularPastNodeIds",
+       "simulate luby-mis regular:5000000000x4", 1},
+      {"SimulateRejectsRegularPastEdgeIds",
+       "simulate luby-mis regular:2000000000x4", 1},
   };
 }
 
@@ -307,6 +319,22 @@ TEST(ToolCli, SimulateOutputIsThreadCountInvariant) {
     return s.substr(s.find('\n') + 1);
   };
   EXPECT_EQ(tail(serial), tail(all_cores));
+}
+
+TEST(ToolCli, SimulateReportsPhaseTimingsOnStderr) {
+  const std::string capture = temp_file("simulate_stderr.txt");
+  const std::string cmd = std::string("'") + SLOCAL_TOOL_PATH +
+                          "' simulate ring-coloring cycle:1000 >/dev/null 2>'" +
+                          capture + "'";
+  const int status = std::system(cmd.c_str());
+  ASSERT_TRUE(status != -1 && WIFEXITED(status));
+  EXPECT_EQ(WEXITSTATUS(status), 0);
+  std::ifstream in(capture);
+  std::stringstream err;
+  err << in.rdbuf();
+  for (const char* key : {"generate_ms=", "csr_build_ms=", "rounds_ms="}) {
+    EXPECT_NE(err.str().find(key), std::string::npos) << err.str();
+  }
 }
 
 // -- Certificate emission and validation through the CLI. The 0/1/2 contract
