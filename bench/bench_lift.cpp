@@ -80,12 +80,12 @@ void print_table() {
   std::printf("\n");
 }
 
-/// E3 scaling path: the same Δ=3, r=1 sweep over nested gadget supports,
+/// E3 scaling path: the same Δ=3, r=3 sweep over nested gadget supports,
 /// once through the incremental engine and once from scratch, verdicts
 /// cross-checked.
 void print_sweep_comparison() {
   const Problem base = make_maximal_matching_problem(3);
-  const std::size_t big_delta = 3, big_r = 1;
+  const std::size_t big_delta = 3, big_r = 3;
   const auto supports = make_gadget_supports(big_delta, big_r, 1, 8);
 
   LiftSweepOptions inc;
@@ -98,7 +98,7 @@ void print_sweep_comparison() {
   const LiftSweepResult scratch =
       run_lift_sweep(base, big_delta, big_r, supports, scr);
 
-  std::printf("E3b incremental vs from-scratch lift sweep (Δ=3, r=1, %s)\n",
+  std::printf("E3b incremental vs from-scratch lift sweep (Δ=3, r=3, %s)\n",
               base.name().c_str());
   std::printf("%8s | %9s | %12s | %12s | %9s | %9s\n", "gadgets", "verdicts",
               "inc clauses+", "scr clauses", "inc ms", "scr ms");
@@ -139,11 +139,11 @@ BENCHMARK(BM_lift_materialize)->Arg(4)->Arg(6)->Arg(8)->Unit(benchmark::kMillise
 void BM_lift_sweep(benchmark::State& state) {
   const Problem base = make_maximal_matching_problem(3);
   const auto supports =
-      make_gadget_supports(3, 1, 1, static_cast<std::size_t>(state.range(0)));
+      make_gadget_supports(3, 3, 1, static_cast<std::size_t>(state.range(0)));
   LiftSweepOptions options;
   options.incremental = state.range(1) != 0;
   for (auto _ : state) {
-    benchmark::DoNotOptimize(run_lift_sweep(base, 3, 1, supports, options));
+    benchmark::DoNotOptimize(run_lift_sweep(base, 3, 3, supports, options));
   }
 }
 BENCHMARK(BM_lift_sweep)

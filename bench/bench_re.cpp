@@ -80,7 +80,7 @@ struct PortfolioDemo {
 /// invariant is verdicts_match; the tracked payoff is clauses/wall-time
 /// saved by assumption-guarded reuse.
 struct SweepDemo {
-  std::size_t big_delta = 3, big_r = 1;
+  std::size_t big_delta = 3, big_r = 3;
   std::size_t supports = 0;
   bool verdicts_match = false;
   std::size_t incremental_clauses = 0, scratch_clauses = 0;

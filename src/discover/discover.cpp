@@ -24,10 +24,10 @@ namespace {
 constexpr std::uint64_t kMinStepNodes = 1'024;
 constexpr std::uint64_t kDefaultStepNodes = 200'000;
 
-/// Sum of the deterministic node-like counters of one RE application — the
+/// The nodes RE charges its budget for (REOptions::max_nodes) — the
 /// currency the steering rule accounts in.
 std::uint64_t re_nodes(const REStats& s) {
-  return s.dfs_nodes + s.domination_tests + s.relaxed_multisets;
+  return s.dfs_nodes + s.configs_enumerated + s.relaxed_multisets;
 }
 
 /// Quotient of `p` under the merge of label `hi` into label `lo` (hi > lo):

@@ -1,8 +1,11 @@
 #include "src/formalism/constraint.hpp"
 
 #include <algorithm>
+#include <bit>
 #include <cassert>
 #include <unordered_map>
+
+#include "src/util/epoch_marks.hpp"
 
 namespace slocal {
 
@@ -67,6 +70,36 @@ SubmultisetAutomaton::State SubmultisetAutomaton::walk(std::span<const Label> la
   State s = root_;
   for (const Label l : labels) s = next(s, l);
   return s;
+}
+
+bool SubmultisetAutomaton::step_frontier(std::span<const State> from, SmallBitset labels,
+                                         EpochMarks& seen, std::vector<State>& to,
+                                         StepCounts* counts) const {
+  to.clear();
+  seen.clear();
+  std::uint64_t steps = 0;
+  std::uint64_t merged = 0;
+  bool live = true;
+  for (std::size_t i = 0; i < from.size() && live; ++i) {
+    for (std::uint64_t bits = labels.raw(); bits != 0; bits &= bits - 1) {
+      const State q = next(from[i], static_cast<Label>(std::countr_zero(bits)));
+      ++steps;
+      if (q == kDead) {
+        live = false;
+        break;
+      }
+      if (seen.insert(q)) {
+        to.push_back(q);
+      } else {
+        ++merged;
+      }
+    }
+  }
+  if (counts != nullptr) {
+    counts->steps += steps;
+    counts->merged += merged;
+  }
+  return live;
 }
 
 bool Constraint::extendable(const Configuration& partial) const {

@@ -18,8 +18,11 @@
 
 #include "src/formalism/configuration.hpp"
 #include "src/formalism/label.hpp"
+#include "src/util/bitset.hpp"
 
 namespace slocal {
+
+class EpochMarks;
 
 /// Every sub-multiset of every member of a constraint, as a deterministic
 /// automaton over labels. States are the distinct sub-multisets, numbered
@@ -45,6 +48,22 @@ class SubmultisetAutomaton {
 
   /// The state reached from root() by reading `labels` in any order.
   State walk(std::span<const Label> labels) const;
+
+  /// Transitions taken and duplicate states dropped by step_frontier().
+  struct StepCounts {
+    std::uint64_t steps = 0;
+    std::uint64_t merged = 0;
+  };
+
+  /// The one frontier step of the choice searches: reads every label of
+  /// `labels` from every state of `from` into `to` (cleared first), each
+  /// distinct state once, with `seen` as scratch over state_bound() ids.
+  /// Returns false at the first transition into kDead, i.e. as soon as some
+  /// choice leaves the constraint; `to` is then partial. Adds the
+  /// transitions taken (the failing one included) and the duplicates
+  /// dropped onto `counts` when it is given.
+  bool step_frontier(std::span<const State> from, SmallBitset labels, EpochMarks& seen,
+                     std::vector<State>& to, StepCounts* counts = nullptr) const;
 
   /// Live states (sub-multisets, the empty one included).
   std::size_t size() const { return states_ - 1; }

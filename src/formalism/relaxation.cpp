@@ -2,7 +2,6 @@
 
 #include <algorithm>
 #include <atomic>
-#include <bit>
 #include <cassert>
 #include <functional>
 #include <mutex>
@@ -280,15 +279,7 @@ struct RelaxSearch {
   bool all_choices_within() {
     partials.assign(1, tables.black_prime.root());
     for (const SmallBitset images : sorted_images) {
-      state_seen.clear();
-      extended.clear();
-      for (const State p : partials) {
-        for (std::uint64_t bits = images.raw(); bits != 0; bits &= bits - 1) {
-          const State q = tables.black_prime.next(p, static_cast<Label>(std::countr_zero(bits)));
-          if (q == SubmultisetAutomaton::kDead) return false;
-          if (state_seen.insert(q)) extended.push_back(q);
-        }
-      }
+      if (!tables.black_prime.step_frontier(partials, images, state_seen, extended)) return false;
       partials.swap(extended);
     }
     return true;

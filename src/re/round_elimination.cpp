@@ -5,8 +5,6 @@
 #include <bit>
 #include <chrono>
 #include <functional>
-#include <map>
-#include <set>
 #include <string>
 #include <unordered_set>
 
@@ -40,34 +38,6 @@ std::string set_name(SmallBitset set, const LabelRegistry& reg) {
   return out;
 }
 
-/// Is there a perfect matching pairing every set of `a` with a superset in
-/// `b` (a and b same length)? Used for the domination (non-maximality) test
-/// and for the relaxed-side witness dominance test.
-bool superset_matching(const std::vector<SmallBitset>& a,
-                       const std::vector<SmallBitset>& b) {
-  const std::size_t n = a.size();
-  std::vector<int> match_of_b(n, -1);
-  std::vector<bool> visited;
-
-  // Standard augmenting-path bipartite matching.
-  auto augment = [&](auto&& self, std::size_t i) -> bool {
-    for (std::size_t j = 0; j < n; ++j) {
-      if (visited[j] || !b[j].contains(a[i])) continue;
-      visited[j] = true;
-      if (match_of_b[j] < 0 || self(self, static_cast<std::size_t>(match_of_b[j]))) {
-        match_of_b[j] = static_cast<int>(i);
-        return true;
-      }
-    }
-    return false;
-  };
-  for (std::size_t i = 0; i < n; ++i) {
-    visited.assign(n, false);
-    if (!augment(augment, i)) return false;
-  }
-  return true;
-}
-
 /// A set-configuration: canonical (sorted by raw bits) multiset of subsets.
 using SetConfig = std::vector<SmallBitset>;
 
@@ -90,30 +60,12 @@ struct PartialSets {
 /// as a prefix stops being extendable inside the universal constraint.
 bool extend_partials(const SubmultisetAutomaton& universal, PartialSets& sets,
                      std::size_t depth, SmallBitset next_set, REStats& stats) {
-  const std::vector<State>& partials = sets.at_depth[depth];
-  std::vector<State>& out = sets.at_depth[depth + 1];
-  out.clear();
-  sets.seen.clear();
-  std::uint64_t calls = 0;
-  std::uint64_t deduped = 0;
-  const auto done = [&](bool ok) {
-    stats.extendable_calls += calls;
-    stats.partials_deduped += deduped;
-    return ok;
-  };
-  for (const State p : partials) {
-    for (std::uint64_t bits = next_set.raw(); bits != 0; bits &= bits - 1) {
-      const State q = universal.next(p, static_cast<Label>(std::countr_zero(bits)));
-      ++calls;
-      if (q == SubmultisetAutomaton::kDead) return done(false);
-      if (sets.seen.insert(q)) {
-        out.push_back(q);
-      } else {
-        ++deduped;
-      }
-    }
-  }
-  return done(true);
+  SubmultisetAutomaton::StepCounts counts;
+  const bool ok = universal.step_frontier(sets.at_depth[depth], next_set, sets.seen,
+                                          sets.at_depth[depth + 1], &counts);
+  stats.extendable_calls += counts.steps;
+  stats.partials_deduped += counts.merged;
+  return ok;
 }
 
 /// Shared state of the (possibly fanned-out) hardened-side DFS.
@@ -233,152 +185,50 @@ void chunked_scan(std::size_t n, std::size_t serial_below, ThreadPool* pool,
   for (const REStats& s : chunk_stats) stats += s;
 }
 
-/// Maximality filter: drops configurations dominated by a different one.
-/// Configurations are bucketed by signature (sorted multiset of set sizes):
-/// a config can only be dominated by one whose signature is coordinatewise
-/// >= and strictly larger somewhere (equal signatures force equality under
-/// superset matching), and whose label union is a superset.
-std::vector<SetConfig> maximality_filter(const std::vector<SetConfig>& valid,
-                                         ThreadPool* pool, SearchBudget* budget,
-                                         REStats& stats) {
-  const std::size_t n = valid.size();
-  if (n <= 1) return valid;
-
-  using Signature = std::vector<unsigned char>;
-  std::vector<Signature> sig(n);
-  std::vector<SmallBitset> unions(n);
-  for (std::size_t i = 0; i < n; ++i) {
-    sig[i].reserve(valid[i].size());
-    for (const SmallBitset s : valid[i]) {
-      sig[i].push_back(static_cast<unsigned char>(s.count()));
-      unions[i] |= s;
-    }
-    std::sort(sig[i].begin(), sig[i].end());
-  }
-
-  // Bucket indices by signature (std::map: deterministic iteration order).
-  std::map<Signature, std::vector<std::size_t>> buckets;
-  for (std::size_t i = 0; i < n; ++i) buckets[sig[i]].push_back(i);
-
-  const auto pointwise_geq = [](const Signature& a, const Signature& b) {
-    for (std::size_t k = 0; k < a.size(); ++k) {
-      if (a[k] < b[k]) return false;
-    }
-    return true;
-  };
-
-  std::vector<char> dominated(n, 0);
+/// Maximality filter: drops configurations dominated by another valid one.
+/// Validity is downward closed, so C is dominated exactly when adding one
+/// used label l ∉ C_k to one of its sets keeps every choice inside the
+/// universal constraint: the choices of the other positions, stepped
+/// through the automaton, must all survive one more step by l. Equal sets
+/// sit next to each other, so each distinct set is visited once.
+std::vector<SetConfig> maximality_filter(const SubmultisetAutomaton& universal, SmallBitset used,
+                                         const std::vector<SetConfig>& valid, ThreadPool* pool,
+                                         SearchBudget* budget, REStats& stats) {
+  std::vector<char> dominated(valid.size(), 0);
   const auto scan = [&](std::size_t lo, std::size_t hi, REStats& local) {
+    EpochMarks seen(universal.state_bound());
+    std::vector<State> others, stepped;
     for (std::size_t i = lo; i < hi; ++i) {
       // One node per configuration scanned; a tripped budget leaves the
       // remaining flags unset, which the caller discards wholesale.
       if (budget != nullptr && !budget->charge()) return;
+      const SetConfig& config = valid[i];
       bool dom = false;
-      for (const auto& [key, members] : buckets) {
-        if (dom) break;
-        if (key == sig[i] || !pointwise_geq(key, sig[i])) continue;
-        for (const std::size_t j : members) {
-          if (!unions[j].contains(unions[i])) {
-            ++local.domination_skipped;
-            continue;
-          }
-          ++local.domination_tests;
-          if (superset_matching(valid[i], valid[j])) {
-            dom = true;
-            break;
-          }
+      for (std::size_t k = 0; k < config.size() && !dom; ++k) {
+        if (k > 0 && config[k] == config[k - 1]) continue;
+        others.assign(1, universal.root());
+        for (std::size_t j = 0; j < config.size(); ++j) {
+          if (j == k) continue;
+          universal.step_frontier(others, config[j], seen, stepped);
+          others.swap(stepped);
+        }
+        for (std::uint64_t bits = (used - config[k]).raw(); bits != 0 && !dom; bits &= bits - 1) {
+          ++local.maximality_probes;
+          const SmallBitset added(bits & -bits);
+          dom = universal.step_frontier(others, added, seen, stepped);
         }
       }
       dominated[i] = dom ? 1 : 0;
     }
   };
 
-  chunked_scan(n, 64, pool, stats, scan);
+  chunked_scan(valid.size(), 64, pool, stats, scan);
 
   std::vector<SetConfig> maximal;
-  for (std::size_t i = 0; i < n; ++i) {
+  for (std::size_t i = 0; i < valid.size(); ++i) {
     if (!dominated[i]) maximal.push_back(valid[i]);
   }
   return maximal;
-}
-
-/// Minimal witnesses for the relaxed-side scan: set-multisets known to admit
-/// a choice in `existential`, derived from its members by covering each
-/// label with the minimal alphabet sets containing it. Any multiset that
-/// coordinatewise dominates a witness admits the same choice (monotonicity),
-/// so the scan tests dominance before falling back to the choice DFS.
-std::vector<std::vector<std::size_t>> seed_witnesses(
-    const Constraint& existential, const std::vector<SmallBitset>& alphabet) {
-  constexpr std::size_t kWitnessCap = 512;
-
-  // minsets[l]: alphabet indices whose set contains l and is minimal (no
-  // other containing set is a strict subset).
-  std::vector<std::vector<std::size_t>> minsets(SmallBitset::kCapacity);
-  for (std::size_t l = 0; l < SmallBitset::kCapacity; ++l) {
-    std::vector<std::size_t> containing;
-    for (std::size_t a = 0; a < alphabet.size(); ++a) {
-      if (alphabet[a].test(l)) containing.push_back(a);
-    }
-    for (const std::size_t a : containing) {
-      bool minimal = true;
-      for (const std::size_t b : containing) {
-        if (b != a && alphabet[a].contains(alphabet[b]) && alphabet[a] != alphabet[b]) {
-          minimal = false;
-          break;
-        }
-      }
-      if (minimal) minsets[l].push_back(a);
-    }
-  }
-
-  std::set<std::vector<std::size_t>> unique;
-  bool capped = false;
-  for (const Configuration& member : existential.sorted_members()) {
-    // DFS over positions, choosing one minimal covering set per label;
-    // canonicalize by sorting the index multiset.
-    std::vector<std::size_t> pick(member.size());
-    auto emit = [&](auto&& self, std::size_t pos) -> void {
-      if (capped) return;
-      if (pos == member.size()) {
-        std::vector<std::size_t> sorted = pick;
-        std::sort(sorted.begin(), sorted.end());
-        unique.insert(std::move(sorted));
-        if (unique.size() > kWitnessCap) capped = true;
-        return;
-      }
-      for (const std::size_t a : minsets[member[pos]]) {
-        pick[pos] = a;
-        self(self, pos + 1);
-      }
-    };
-    emit(emit, 0);
-    if (capped) return {};  // too many to be useful: disable seeding
-  }
-
-  std::vector<std::vector<std::size_t>> witnesses(unique.begin(), unique.end());
-  // Drop non-minimal witnesses: w2 is redundant if some other witness w1 is
-  // coordinatewise dominated by it (any pick dominating w2 dominates w1).
-  const auto to_sets = [&](const std::vector<std::size_t>& w) {
-    std::vector<SmallBitset> sets;
-    sets.reserve(w.size());
-    for (const std::size_t a : w) sets.push_back(alphabet[a]);
-    return sets;
-  };
-  std::vector<std::vector<SmallBitset>> witness_sets;
-  witness_sets.reserve(witnesses.size());
-  for (const auto& w : witnesses) witness_sets.push_back(to_sets(w));
-  std::vector<std::vector<std::size_t>> minimal;
-  for (std::size_t i = 0; i < witnesses.size(); ++i) {
-    bool redundant = false;
-    for (std::size_t j = 0; j < witnesses.size() && !redundant; ++j) {
-      if (i != j && witnesses[i] != witnesses[j] &&
-          superset_matching(witness_sets[j], witness_sets[i])) {
-        redundant = true;
-      }
-    }
-    if (!redundant) minimal.push_back(witnesses[i]);
-  }
-  return minimal;
 }
 
 /// Does the set-multiset `pick` (indices into `alphabet`) admit at least one
@@ -399,9 +249,9 @@ bool admits_choice(const SubmultisetAutomaton& existential,
 }
 
 /// Relaxed side: all multisets over the new alphabet with >= 1 choice in
-/// the existential constraint (its extension index must be built). Witness
-/// seeding + automaton choice DFS; with a pool the scan is chunked, each
-/// chunk filling its own flag range.
+/// the existential constraint (its extension index must be built), one
+/// automaton choice DFS each; with a pool the scan is chunked, each chunk
+/// filling its own flag range.
 Constraint build_relaxed(const Constraint& existential,
                          const std::vector<SmallBitset>& alphabet, ThreadPool* pool,
                          SearchBudget* budget, REStats& stats) {
@@ -409,37 +259,13 @@ Constraint build_relaxed(const Constraint& existential,
   const auto picks = multisets_of_size(alphabet.size(), degree);
   stats.relaxed_multisets += picks.size();
 
-  const auto witnesses = seed_witnesses(existential, alphabet);
-  std::vector<std::vector<SmallBitset>> witness_sets;
-  witness_sets.reserve(witnesses.size());
-  for (const auto& w : witnesses) {
-    std::vector<SmallBitset> sets;
-    sets.reserve(w.size());
-    for (const std::size_t a : w) sets.push_back(alphabet[a]);
-    witness_sets.push_back(std::move(sets));
-  }
-
   std::vector<char> admits(picks.size(), 0);
-  const auto scan = [&](std::size_t lo, std::size_t hi, REStats& local) {
-    std::vector<SmallBitset> pick_sets(degree);
+  const auto scan = [&](std::size_t lo, std::size_t hi, REStats&) {
     for (std::size_t i = lo; i < hi; ++i) {
       // One node per multiset; on a tripped budget the caller discards the
       // partially-filled flags.
       if (budget != nullptr && !budget->charge()) return;
-      for (std::size_t k = 0; k < degree; ++k) pick_sets[k] = alphabet[picks[i][k]];
-      bool some = false;
-      for (const auto& w : witness_sets) {
-        if (superset_matching(w, pick_sets)) {
-          some = true;
-          ++local.relaxed_witness_hits;
-          break;
-        }
-      }
-      if (!some) {
-        ++local.relaxed_dfs_tests;
-        some = admits_choice(*existential.extension_index(), alphabet, picks[i]);
-      }
-      admits[i] = some ? 1 : 0;
+      admits[i] = admits_choice(*existential.extension_index(), alphabet, picks[i]) ? 1 : 0;
     }
   };
 
@@ -546,7 +372,8 @@ std::optional<REStep> re_core(const Problem& pi, bool universal_is_black,
 
   const auto t_dominate = Clock::now();
   const std::vector<SetConfig> maximal =
-      maximality_filter(*valid, valid->size() >= 64 ? pool() : nullptr, budget, local);
+      maximality_filter(*universal.extension_index(), used, *valid,
+                        valid->size() >= 64 ? pool() : nullptr, budget, local);
   local.dominate_ms += ms_since(t_dominate);
   if (budget != nullptr && budget->halted()) return exhausted_bail();
 

@@ -12,9 +12,15 @@
 // hence RE peels two rounds per application.
 //
 // Engine notes (this header documents the REOptions contract):
+//  * Both sides walk a constraint's sub-multiset automaton. The hardened
+//    DFS steps the set of choice prefixes by each candidate set; the
+//    maximality filter keeps a valid configuration unless adding one label
+//    to one of its sets stays valid (validity is downward closed, so that
+//    is exactly domination); the relaxed side runs one choice DFS per
+//    multiset. The first two share SubmultisetAutomaton::step_frontier.
 //  * `threads` — 0 uses every hardware thread, 1 forces the serial path,
 //    n > 1 uses n-way parallelism (a work-stealing pool fans the hardened
-//    DFS out over top-level candidate branches and chunks the domination
+//    DFS out over top-level candidate branches and chunks the maximality
 //    filter and relaxed-side scan). Output is bit-identical for every
 //    thread count: workers fill pre-assigned slots that are merged in
 //    canonical order, never racing on shared output.
@@ -51,13 +57,10 @@ struct REStats {
   std::uint64_t extendable_calls = 0;     ///< automaton transitions taken
   std::uint64_t extension_index_entries = 0;  ///< automaton states of the constraints used
   std::uint64_t configs_enumerated = 0;   ///< valid set-configs before maximality
-  // Maximality (domination) filter.
-  std::uint64_t domination_tests = 0;     ///< superset matchings actually run
-  std::uint64_t domination_skipped = 0;   ///< candidate pairs pruned before matching
-  // Relaxed side: some-choice scan over new-alphabet multisets.
+  // Maximality filter: one-label extension tests.
+  std::uint64_t maximality_probes = 0;    ///< (config, distinct set, added label) tests
+  // Relaxed side: some-choice DFS over new-alphabet multisets.
   std::uint64_t relaxed_multisets = 0;    ///< set-multisets scanned
-  std::uint64_t relaxed_witness_hits = 0; ///< admitted by a seeded minimal witness
-  std::uint64_t relaxed_dfs_tests = 0;    ///< fell through to the choice DFS
   // Budgets.
   std::uint64_t extension_index_builds = 0;  ///< fresh index builds (cache misses)
   std::uint64_t budget_exhausted = 0;     ///< applications aborted by a budget
@@ -81,11 +84,8 @@ struct REStats {
     f("extendable_calls", &REStats::extendable_calls, Merge::kSum);
     f("extension_index_entries", &REStats::extension_index_entries, Merge::kSum);
     f("configs_enumerated", &REStats::configs_enumerated, Merge::kSum);
-    f("domination_tests", &REStats::domination_tests, Merge::kSum);
-    f("domination_skipped", &REStats::domination_skipped, Merge::kSum);
+    f("maximality_probes", &REStats::maximality_probes, Merge::kSum);
     f("relaxed_multisets", &REStats::relaxed_multisets, Merge::kSum);
-    f("relaxed_witness_hits", &REStats::relaxed_witness_hits, Merge::kSum);
-    f("relaxed_dfs_tests", &REStats::relaxed_dfs_tests, Merge::kSum);
     f("extension_index_builds", &REStats::extension_index_builds, Merge::kSum);
     f("budget_exhausted", &REStats::budget_exhausted, Merge::kSum);
     f("cache_hits", &REStats::cache_hits, Merge::kSum);
@@ -117,8 +117,10 @@ struct REOptions {
   /// Parallelism: 0 = all hardware threads, 1 = serial, n = n-way.
   /// The result is identical for every value (see header comment).
   std::size_t threads = 0;
-  /// Node cap per R / R̄ application (hardened-DFS extensions, domination
-  /// scans, and relaxed-side multisets all count as nodes); 0 = unlimited.
+  /// Node cap per R / R̄ application, in REStats units: one node per
+  /// hardened-DFS extension (dfs_nodes), per valid configuration the
+  /// maximality filter scans (configs_enumerated) and per relaxed-side
+  /// multiset (relaxed_multisets); 0 = unlimited.
   /// A finite cap forces the serial path so the exhaustion point is
   /// deterministic: the same input and cap either always complete with the
   /// identical result or always abort (nullopt, stats->budget_exhausted

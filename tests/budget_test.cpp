@@ -14,6 +14,7 @@
 #include "src/formalism/relaxation.hpp"
 #include "src/graph/generators.hpp"
 #include "src/problems/classic.hpp"
+#include "src/problems/matching_family.hpp"
 #include "src/re/round_elimination.hpp"
 #include "src/re/sequence.hpp"
 #include "src/solver/cnf_encoding.hpp"
@@ -303,10 +304,31 @@ TEST(BudgetRE, ThreadCountsAgreeUnderSameNodeBudget) {
     EXPECT_EQ(s1.dfs_nodes, s4.dfs_nodes);
     EXPECT_EQ(s1.extendable_calls, s4.extendable_calls);
     EXPECT_EQ(s1.configs_enumerated, s4.configs_enumerated);
-    EXPECT_EQ(s1.domination_tests, s4.domination_tests);
+    EXPECT_EQ(s1.maximality_probes, s4.maximality_probes);
     EXPECT_EQ(s1.relaxed_multisets, s4.relaxed_multisets);
     EXPECT_EQ(s1.budget_exhausted, s4.budget_exhausted);
     EXPECT_EQ(s1.threads_used, s4.threads_used);  // both forced serial
+  }
+}
+
+TEST(BudgetRE, ChargedNodesAreTheNodeCounters) {
+  // A completed application charges its budget exactly the REStats node
+  // counters that REOptions::max_nodes documents (and discover accounts in).
+  const Problem problems[] = {make_matching_problem(6, 0, 1), make_matching_problem(7, 1, 2),
+                              make_matching_problem(8, 2, 3)};
+  for (const Problem& pi : problems) {
+    for (const std::size_t threads : {std::size_t{1}, std::size_t{4}}) {
+      SearchBudget budget;
+      REStats stats;
+      REOptions options;
+      options.threads = threads;
+      options.budget = &budget;
+      options.stats = &stats;
+      ASSERT_TRUE(round_eliminate(pi, options).has_value()) << pi.name();
+      EXPECT_EQ(budget.nodes_used(),
+                stats.dfs_nodes + stats.configs_enumerated + stats.relaxed_multisets)
+          << pi.name() << " threads=" << threads;
+    }
   }
 }
 
