@@ -154,7 +154,8 @@ struct ServeDemo {
   // gated invariants are socket_verdicts_match (socket responses reproduce
   // the reference verdicts token-for-token), socket_batch_groups >= 1, and
   // socket_batch_peak >= 2 (the dispatcher really coalesced concurrent
-  // sweeps); throughput is reported, never gated.
+  // sweeps). No throughput is reported: the batch window, not the server,
+  // sets socket_wall_ms.
   std::size_t socket_connections = 0;
   std::size_t socket_requests = 0;
   std::uint64_t socket_batch_groups = 0;
@@ -163,7 +164,6 @@ struct ServeDemo {
   std::uint64_t socket_single_dispatch = 0;
   std::uint64_t unbatched_dispatches = 0;  // reference run, one solve per sweep
   bool socket_verdicts_match = false;
-  double socket_requests_per_sec = 0.0;
   double socket_wall_ms = 0.0;
 };
 
@@ -317,7 +317,6 @@ void write_json(const std::vector<E2Row>& rows, const REStats& totals,
   json.field("single_dispatch", serve_demo.socket_single_dispatch);
   json.field("unbatched_dispatches", serve_demo.unbatched_dispatches);
   json.field("verdicts_match", serve_demo.socket_verdicts_match);
-  json.field("requests_per_sec", serve_demo.socket_requests_per_sec, 1);
   json.field("wall_ms", serve_demo.socket_wall_ms);
   json.end();
   json.end();
@@ -910,20 +909,15 @@ void print_table() {
         serve_demo.socket_batched_requests = counters.sweep_batch_requests;
         serve_demo.socket_batch_peak = counters.sweep_batch_peak;
         serve_demo.socket_single_dispatch = counters.sweep_single_dispatch;
-        serve_demo.socket_requests_per_sec =
-            serve_demo.socket_wall_ms > 0.0
-                ? static_cast<double>(serve_demo.socket_requests) /
-                      (serve_demo.socket_wall_ms / 1000.0)
-                : 0.0;
       }
     }
     serve_demo.socket_verdicts_match =
         !verdicts_plain.empty() && verdicts_plain == verdicts_socket;
     std::printf(
-        "E2j socket, %zu clients x 1 sweep @ %.0f req/s: batch groups=%llu "
+        "E2j socket, %zu clients x 1 sweep: batch groups=%llu "
         "batched=%llu peak=%llu single=%llu (unbatched reference: %llu "
         "dispatches) | verdicts %s\n\n",
-        serve_demo.socket_connections, serve_demo.socket_requests_per_sec,
+        serve_demo.socket_connections,
         static_cast<unsigned long long>(serve_demo.socket_batch_groups),
         static_cast<unsigned long long>(serve_demo.socket_batched_requests),
         static_cast<unsigned long long>(serve_demo.socket_batch_peak),

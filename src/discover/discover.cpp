@@ -139,6 +139,11 @@ class Searcher {
     max_finds_ = std::max<std::size_t>(1, options_.max_finds);
     step_nodes_ =
         options_.step_nodes == 0 ? kDefaultStepNodes : options_.step_nodes;
+    // The family is fixed for the whole search: look at each member once.
+    for (const Problem& member : family_) {
+      family_fingerprints_.push_back(canonicalize(member).fingerprint);
+      family_trivial_.push_back(zero_round_trivial(member));
+    }
   }
 
   DiscoverStatus run() {
@@ -219,22 +224,22 @@ class Searcher {
     log() << "discover family=" << family_.size() << " target=" << target_
           << " beam=" << beam_ << '\n';
     for (std::size_t i = 0; i < family_.size(); ++i) {
-      const CanonicalForm cf = canonicalize(family_[i]);
-      log() << "root " << i << " fp=" << hex16(cf.fingerprint)
+      const std::uint64_t fingerprint = family_fingerprints_[i];
+      log() << "root " << i << " fp=" << hex16(fingerprint)
             << " sigma=" << family_[i].alphabet_size()
             << " w=" << family_[i].white().size()
             << " b=" << family_[i].black().size();
-      if (zero_round_trivial(family_[i])) {
+      if (family_trivial_[i]) {
         ++stats().candidates_trivial;
         log() << " trivial\n";
         continue;
       }
-      if (visited_.contains(cf.fingerprint)) {
+      if (visited_.contains(fingerprint)) {
         ++stats().candidates_deduped;
         log() << " deduped\n";
         continue;
       }
-      visited_.insert(cf.fingerprint);
+      visited_.insert(fingerprint);
       CandidateView view;
       view.problem = &family_[i];
       view.depth = 0;
@@ -243,7 +248,7 @@ class Searcher {
       node.score = heuristic_.score(view);
       node.seq = next_seq_++;
       node.chain.push_back(family_[i]);
-      node.fingerprints.push_back(cf.fingerprint);
+      node.fingerprints.push_back(fingerprint);
       log() << " score=" << node.score << '\n';
       frontier_.push_back(std::move(node));
     }
@@ -373,13 +378,13 @@ class Searcher {
     // in many chains (and as a root), just not twice in one.
     for (std::size_t i = 0; i < family_.size(); ++i) {
       if (finds_ >= max_finds_) return;
-      const CanonicalForm cf = canonicalize(family_[i]);
+      const std::uint64_t fingerprint = family_fingerprints_[i];
       if (std::find(node.fingerprints.begin(), node.fingerprints.end(),
-                    cf.fingerprint) != node.fingerprints.end()) {
+                    fingerprint) != node.fingerprints.end()) {
         continue;
       }
       ++stats().candidates_generated;
-      if (zero_round_trivial(family_[i])) {
+      if (family_trivial_[i]) {
         ++stats().candidates_trivial;
         continue;
       }
@@ -387,12 +392,12 @@ class Searcher {
       if (verdict != Verdict::kYes) {
         ++stats().pool_rejections;
         if (verdict == Verdict::kExhausted) definitive_ = false;
-        log() << "  pool " << i << " fp=" << hex16(cf.fingerprint) << ' '
+        log() << "  pool " << i << " fp=" << hex16(fingerprint) << ' '
               << (verdict == Verdict::kNo ? "no" : "exhausted") << '\n';
         continue;
       }
-      log() << "  pool " << i << " fp=" << hex16(cf.fingerprint) << " yes\n";
-      accept_child(node, family_[i], cf.fingerprint, false);
+      log() << "  pool " << i << " fp=" << hex16(fingerprint) << " yes\n";
+      accept_child(node, family_[i], fingerprint, false);
     }
     if (finds_ >= max_finds_) return;
 
@@ -540,6 +545,8 @@ class Searcher {
   }
 
   const std::vector<Problem>& family_;
+  std::vector<std::uint64_t> family_fingerprints_;  // canonical, per member
+  std::vector<bool> family_trivial_;                // zero_round_trivial, per member
   const DiscoverOptions& options_;
   DiscoverResult* result_;
   SmallFirstHeuristic default_heuristic_;

@@ -5,6 +5,8 @@
 // multiset equality is plain vector equality and they can key hash sets.
 #pragma once
 
+#include <algorithm>
+#include <compare>
 #include <cstdint>
 #include <functional>
 #include <initializer_list>
@@ -43,7 +45,18 @@ class Configuration {
   /// Render using a registry ("X X M O").
   std::string to_string(const LabelRegistry& reg) const;
 
-  auto operator<=>(const Configuration&) const = default;
+  bool operator==(const Configuration& other) const { return labels_ == other.labels_; }
+
+  /// Lexicographic over the sorted labels, a shorter prefix first. Spelled
+  /// out as a loop: the defaulted form inlines a memcmp into std::sort that
+  /// GCC 12 flags with -Wstringop-overread.
+  std::strong_ordering operator<=>(const Configuration& other) const {
+    const std::size_t common = std::min(size(), other.size());
+    for (std::size_t i = 0; i < common; ++i) {
+      if (labels_[i] != other.labels_[i]) return labels_[i] <=> other.labels_[i];
+    }
+    return size() <=> other.size();
+  }
 
  private:
   std::vector<Label> labels_;  // sorted ascending

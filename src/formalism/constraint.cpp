@@ -11,13 +11,11 @@ namespace slocal {
 
 bool Constraint::add(Configuration c) {
   assert(c.size() == degree_);
-  extension_index_.reset();
   return configs_.insert(std::move(c)).second;
 }
 
 std::size_t Constraint::add_condensed(const std::vector<std::vector<Label>>& alternatives) {
   assert(alternatives.size() == degree_);
-  extension_index_.reset();
   if (alternatives.empty()) {
     return add(Configuration{}) ? 1 : 0;
   }
@@ -104,23 +102,14 @@ bool SubmultisetAutomaton::step_frontier(std::span<const State> from, SmallBitse
 
 bool Constraint::extendable(const Configuration& partial) const {
   if (partial.size() > degree_) return false;
-  if (extension_index_) {
-    return extension_index_->walk(partial.labels()) != SubmultisetAutomaton::kDead;
-  }
   return std::any_of(configs_.begin(), configs_.end(), [&](const Configuration& c) {
     return partial.submultiset_of(c);
   });
 }
 
-bool Constraint::build_extension_index(std::size_t max_entries) const {
-  if (!extension_index_) extension_index_ = automaton(max_entries);
-  return extension_index_ != nullptr;
-}
-
 std::shared_ptr<const SubmultisetAutomaton> Constraint::automaton(
     std::size_t max_entries) const {
   using State = SubmultisetAutomaton::State;
-  if (extension_index_) return extension_index_;
 
   // Compress every member to (label, multiplicity) runs; labels are sorted,
   // so a run-order emission of counts is canonical. The projected state

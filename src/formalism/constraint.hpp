@@ -2,10 +2,10 @@
 //
 // Supports condensed configurations ([AB][CD]E regular-expression style):
 // a vector of per-position alternative sets expands to the product set.
-// Also provides the queries the solvers need: exact membership and
-// "is this partial multiset extendable to a member?", the latter backed by
-// a sub-multiset automaton that the search engines and SAT encoders walk
-// directly.
+// Also provides the queries the solvers need: exact membership, "is this
+// partial multiset extendable to a member?" by a linear scan, and the
+// sub-multiset automaton that the search engines and SAT encoders each build
+// and walk. A Constraint is a plain value: it caches nothing.
 #pragma once
 
 #include <cstdint>
@@ -101,46 +101,23 @@ class Constraint {
 
   bool contains(const Configuration& c) const { return configs_.contains(c); }
 
-  /// True if some member of the constraint has `partial` as a sub-multiset.
-  /// This is the per-node pruning test of the backtracking solver, which
-  /// stays an independent oracle for the engines that walk the automaton.
-  /// O(|members| * degree) by default; |partial| table lookups after
-  /// build_extension_index().
+  /// True if some member of the constraint has `partial` as a sub-multiset:
+  /// a linear scan, O(|members| * degree). This is the per-node pruning test
+  /// of the backtracking solver, which stays an independent oracle for the
+  /// engines that walk the automaton.
   bool extendable(const Configuration& partial) const;
 
   /// Default cap on the automaton's projected sub-multiset count.
   static constexpr std::size_t kMaxIndexEntries = std::size_t{1} << 22;
 
-  /// The sub-multiset automaton of the members: the built index if there
-  /// is one, otherwise a fresh automaton that is not cached, so the
-  /// constraint (and every reader of extendable()) is left as it is. The
-  /// SAT encoders walk it this way. nullptr when the projected sub-multiset
-  /// count exceeds `max_entries`, or when the projected transition table
+  /// A fresh sub-multiset automaton of the members, owned by the caller:
+  /// round elimination, both relaxation searches and the SAT encoders each
+  /// take one and walk it. nullptr when the projected sub-multiset count
+  /// exceeds `max_entries`, or when the projected transition table
   /// (sub-multisets x one past the largest label) exceeds 4 cells per
   /// allowed entry.
   std::shared_ptr<const SubmultisetAutomaton> automaton(
       std::size_t max_entries = kMaxIndexEntries) const;
-
-  /// Builds (idempotently) automaton() into the constraint, so that
-  /// extendable() becomes a walk of |partial| table lookups. Round
-  /// elimination and both relaxation searches step through it directly
-  /// (extension_index()) and need it built. The index is dropped whenever
-  /// the constraint is mutated; past the caps of automaton() building is
-  /// skipped (returns false), leaving extendable() on its linear scan and
-  /// the search engines at their resource-cap outcome. Reading the index
-  /// from many threads is safe as long as no thread mutates or (re)builds
-  /// the constraint concurrently.
-  bool build_extension_index(std::size_t max_entries = kMaxIndexEntries) const;
-
-  bool extension_index_built() const { return extension_index_ != nullptr; }
-
-  /// The automaton, or nullptr when no index is built.
-  const SubmultisetAutomaton* extension_index() const { return extension_index_.get(); }
-
-  /// Number of indexed sub-multisets (0 when no index is built).
-  std::size_t extension_index_size() const {
-    return extension_index_ ? extension_index_->size() : 0;
-  }
 
   /// All members, in unspecified but deterministic-per-build order.
   const std::unordered_set<Configuration>& members() const { return configs_; }
@@ -160,9 +137,6 @@ class Constraint {
  private:
   std::size_t degree_ = 0;
   std::unordered_set<Configuration> configs_;
-  /// Memo for extendable(): every sub-multiset of every member. Mutable
-  /// because it is a cache of configs_, rebuilt on demand after mutation.
-  mutable std::shared_ptr<const SubmultisetAutomaton> extension_index_;
 };
 
 }  // namespace slocal

@@ -56,18 +56,20 @@ struct MaxLabelBuckets {
   std::vector<Label> labels;  // every source configuration, concatenated
   std::vector<std::vector<Entry>> at;
 
-  MaxLabelBuckets(const Problem& pi, const Problem& pi_prime) {
+  /// `white_prime` / `black_prime` are the automata of Π''s constraints.
+  MaxLabelBuckets(const Problem& pi, const SubmultisetAutomaton& white_prime,
+                  const SubmultisetAutomaton& black_prime) {
     at.resize(pi.alphabet_size());
-    const auto add = [&](const Constraint& from, const Constraint& to) {
+    const auto add = [&](const Constraint& from, const SubmultisetAutomaton& to) {
       for (const Configuration& c : from.members()) {
         Label mx = 0;
         for (const Label l : c.labels()) mx = std::max(mx, l);
-        at[mx].push_back({labels.size(), c.size(), to.extension_index()});
+        at[mx].push_back({labels.size(), c.size(), &to});
         labels.insert(labels.end(), c.labels().begin(), c.labels().end());
       }
     };
-    add(pi.white(), pi_prime.white());
-    add(pi.black(), pi_prime.black());
+    add(pi.white(), white_prime);
+    add(pi.black(), black_prime);
   }
 
   /// All configurations whose labels are <= level map inside Π' under `map`
@@ -183,8 +185,9 @@ struct WitnessTables {
   /// of Π passes iff C_B(Π') holds it too.
   bool unlabeled_black_ok;
 
-  WitnessTables(const Problem& pi, const Problem& pi_prime)
-      : black_prime(*pi_prime.black().extension_index()),
+  WitnessTables(const Problem& pi, const Problem& pi_prime,
+                const SubmultisetAutomaton& black_prime_automaton)
+      : black_prime(black_prime_automaton),
         sources(pi.white().sorted_members()),
         black_degree(pi.black_degree()),
         black_with(pi.alphabet_size()),
@@ -466,13 +469,15 @@ LabelMapResult find_relaxation_label_map(const Problem& pi, const Problem& pi_pr
     }
     return result;
   }
-  // The search walks both constraints of Π'; built here, before any fan-out.
-  // Past the index size cap the search stops at its resource cap.
-  if (!pi_prime.white().build_extension_index() || !pi_prime.black().build_extension_index()) {
+  // The search walks the automata of both constraints of Π', built here,
+  // before any fan-out. Past their size cap it stops at its resource cap.
+  const auto white_prime = pi_prime.white().automaton();
+  const auto black_prime = pi_prime.black().automaton();
+  if (!white_prime || !black_prime) {
     result.verdict = Verdict::kExhausted;
     return result;
   }
-  const MaxLabelBuckets buckets(pi, pi_prime);
+  const MaxLabelBuckets buckets(pi, *white_prime, *black_prime);
   auto outcome = run_search(targets, options, [&](std::size_t lo, std::size_t hi,
                                                   std::uint64_t node_limit,
                                                   const std::atomic<bool>* stop) {
@@ -497,11 +502,12 @@ WitnessResult find_relaxation_witness(const Problem& pi, const Problem& pi_prime
       pi.black_degree() != pi_prime.black_degree()) {
     return result;  // kNo
   }
-  if (!pi_prime.black().build_extension_index()) {
+  const auto black_prime = pi_prime.black().automaton();
+  if (!black_prime) {
     result.verdict = Verdict::kExhausted;  // resource cap, as in the map search
     return result;
   }
-  const WitnessTables tables(pi, pi_prime);
+  const WitnessTables tables(pi, pi_prime, *black_prime);
   const std::size_t fan = tables.sources.empty() ? 0 : tables.images.size();
   auto outcome = run_search(fan, options, [&](std::size_t lo, std::size_t hi,
                                               std::uint64_t node_limit,

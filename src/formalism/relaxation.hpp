@@ -15,17 +15,18 @@
 // verdict: kYes (witness attached), kNo (definitive — the search space was
 // exhausted), or kExhausted (a budget/deadline/cancel tripped first).
 //
-// The searches step through the sub-multiset automata of Π''s constraints
-// (Constraint::extension_index, built on first use): the label-map search
-// walks C_W(Π') / C_B(Π') through m(·). The witness search tests a black
-// configuration by stepping the set of all choice prefixes over
-// r(l_1) x ... x r(l_d) through C_B(Π')'s automaton, memoized per sorted
-// multiset of r-images. r(·) only grows along a branch, so after each image
-// only the black configurations holding a grown label are re-checked: once
-// per distinct image multiset in the trial (labels with equal r(·) share a
-// class), vacuously when some r(·) is still empty, and the one that failed
-// last is tried first. Past the index's size cap a search returns
-// kExhausted; so does a search whose shared budget halts.
+// The searches step through the sub-multiset automata of Π''s constraints,
+// which each search builds for itself (Constraint::automaton), leaving Π'
+// untouched: the label-map search walks C_W(Π') / C_B(Π') through m(·). The
+// witness search tests a black configuration by stepping the set of all
+// choice prefixes over r(l_1) x ... x r(l_d) through C_B(Π')'s automaton,
+// memoized per sorted multiset of r-images. r(·) only grows along a branch,
+// so after each image only the black configurations holding a grown label
+// are re-checked: once per distinct image multiset in the trial (labels
+// with equal r(·) share a class), vacuously when some r(·) is still empty,
+// and the one that failed last is tried first. Past the automaton's size
+// cap a search returns kExhausted; so does a search whose shared budget
+// halts.
 //
 // The checkers (check_relaxation_label_map / check_relaxation_witness) do
 // not use the automata: they enumerate the definition with plain membership

@@ -249,13 +249,12 @@ bool admits_choice(const SubmultisetAutomaton& existential,
 }
 
 /// Relaxed side: all multisets over the new alphabet with >= 1 choice in
-/// the existential constraint (its extension index must be built), one
+/// the existential constraint (given by its automaton and degree), one
 /// automaton choice DFS each; with a pool the scan is chunked, each chunk
 /// filling its own flag range.
-Constraint build_relaxed(const Constraint& existential,
+Constraint build_relaxed(const SubmultisetAutomaton& existential, std::size_t degree,
                          const std::vector<SmallBitset>& alphabet, ThreadPool* pool,
                          SearchBudget* budget, REStats& stats) {
-  const std::size_t degree = existential.degree();
   const auto picks = multisets_of_size(alphabet.size(), degree);
   stats.relaxed_multisets += picks.size();
 
@@ -265,7 +264,7 @@ Constraint build_relaxed(const Constraint& existential,
       // One node per multiset; on a tripped budget the caller discards the
       // partially-filled flags.
       if (budget != nullptr && !budget->charge()) return;
-      admits[i] = admits_choice(*existential.extension_index(), alphabet, picks[i]) ? 1 : 0;
+      admits[i] = admits_choice(existential, alphabet, picks[i]) ? 1 : 0;
     }
   };
 
@@ -349,19 +348,17 @@ std::optional<REStep> re_core(const Problem& pi, bool universal_is_black,
 
   // Hardened side. The DFS steps through the universal constraint's
   // sub-multiset automaton; it is built before the fan-out so the parallel
-  // phase only ever reads it. Past the index's size cap the application
+  // phase only ever reads it. Past the automaton's size cap the application
   // stops at its resource cap, like max_configurations.
   const auto cap_bail = [&]() -> std::optional<REStep> {
     if (options.stats) *options.stats += local;
     return std::nullopt;
   };
   const auto t_harden = Clock::now();
-  if (!universal.extension_index_built()) {
-    if (!universal.build_extension_index()) return cap_bail();
-    ++local.extension_index_builds;
-  }
-  local.extension_index_entries += universal.extension_index_size();
-  const auto valid = enumerate_valid_configs(*universal.extension_index(), universal.degree(),
+  const auto universal_automaton = universal.automaton();
+  if (!universal_automaton) return cap_bail();
+  local.extension_index_entries += universal_automaton->size();
+  const auto valid = enumerate_valid_configs(*universal_automaton, universal.degree(),
                                              candidates, options.max_configurations,
                                              candidates.size() >= 8 ? pool() : nullptr,
                                              budget, local);
@@ -372,7 +369,7 @@ std::optional<REStep> re_core(const Problem& pi, bool universal_is_black,
 
   const auto t_dominate = Clock::now();
   const std::vector<SetConfig> maximal =
-      maximality_filter(*universal.extension_index(), used, *valid,
+      maximality_filter(*universal_automaton, used, *valid,
                         valid->size() >= 64 ? pool() : nullptr, budget, local);
   local.dominate_ms += ms_since(t_dominate);
   if (budget != nullptr && budget->halted()) return exhausted_bail();
@@ -410,12 +407,10 @@ std::optional<REStep> re_core(const Problem& pi, bool universal_is_black,
       multiset_count(alphabet.size(), existential.degree());
   if (projected > options.max_configurations) return cap_bail();
   const auto t_relax = Clock::now();
-  if (!existential.extension_index_built()) {
-    if (!existential.build_extension_index()) return cap_bail();
-    ++local.extension_index_builds;
-  }
-  local.extension_index_entries += existential.extension_index_size();
-  Constraint relaxed = build_relaxed(existential, alphabet,
+  const auto existential_automaton = existential.automaton();
+  if (!existential_automaton) return cap_bail();
+  local.extension_index_entries += existential_automaton->size();
+  Constraint relaxed = build_relaxed(*existential_automaton, existential.degree(), alphabet,
                                      projected >= 256 ? pool() : nullptr, budget, local);
   local.relax_ms += ms_since(t_relax);
   if (budget != nullptr && budget->halted()) return exhausted_bail();
@@ -465,12 +460,14 @@ std::optional<Problem> round_eliminate(const Problem& pi, const REOptions& optio
     inner.cache = nullptr;
     auto result = round_eliminate(pi, inner);
     if (result) {
-      const auto t_store = Clock::now();
-      const CanonicalForm value = canonicalize(*result);
-      if (options.stats != nullptr) {
-        options.stats->canonical_ms += ms_since(t_store);
+      // drop_unused_labels left the result in canonical label order, so its
+      // canonical form is its constraints under the synthetic names.
+      LabelRegistry synthetic;
+      for (std::size_t l = 0; l < result->alphabet_size(); ++l) {
+        synthetic.intern(std::to_string(l));
       }
-      options.cache->insert(key, value.problem);
+      options.cache->insert(
+          key, Problem(result->name(), std::move(synthetic), result->white(), result->black()));
     }
     return result;
   }
@@ -478,9 +475,11 @@ std::optional<Problem> round_eliminate(const Problem& pi, const REOptions& optio
   if (!half) return std::nullopt;
   auto full = apply_Rbar(half->problem, options);
   if (!full) return std::nullopt;
-  // Move the pieces out of the intermediate problem rather than deep-copying
-  // them; the Constraint move also carries the memoized extension index.
+  // Reindexing the survivors canonically is RE's share of canonical_ms.
+  const auto t_reindex = Clock::now();
   Problem out = drop_unused_labels(full->problem);
+  if (options.stats != nullptr) options.stats->canonical_ms += ms_since(t_reindex);
+  // Move the pieces out of the reindexed problem rather than deep-copying them.
   return Problem("RE(" + pi.name() + ")", std::move(out.registry()),
                  std::move(out.white()), std::move(out.black()));
 }

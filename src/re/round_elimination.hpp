@@ -29,8 +29,9 @@
 //    accumulating across calls to profile a whole sequence).
 //  * `max_configurations` / `max_alphabet` are unchanged from the serial
 //    engine: hard resource caps, exceeded ⇒ nullopt. So is the size cap of
-//    a constraint's sub-multiset automaton (Constraint::
-//    build_extension_index), which both half-steps walk.
+//    a constraint's sub-multiset automaton (Constraint::automaton): each
+//    half-step builds the automata of both input constraints once and walks
+//    them, leaving the input problem untouched.
 #pragma once
 
 #include <cstdint>
@@ -62,12 +63,11 @@ struct REStats {
   // Relaxed side: some-choice DFS over new-alphabet multisets.
   std::uint64_t relaxed_multisets = 0;    ///< set-multisets scanned
   // Budgets.
-  std::uint64_t extension_index_builds = 0;  ///< fresh index builds (cache misses)
   std::uint64_t budget_exhausted = 0;     ///< applications aborted by a budget
   // Cross-step RE cache (REOptions::cache; see src/re/re_cache.hpp).
   std::uint64_t cache_hits = 0;           ///< RE applications answered from cache
   std::uint64_t cache_misses = 0;         ///< cache probes that fell through
-  double canonical_ms = 0.0;              ///< time spent canonicalizing for the cache
+  double canonical_ms = 0.0;              ///< canonicalizing cache keys + RE's output
   // Execution.
   std::size_t threads_used = 0;           ///< max parallelism across merged calls
   double harden_ms = 0.0;
@@ -86,7 +86,6 @@ struct REStats {
     f("configs_enumerated", &REStats::configs_enumerated, Merge::kSum);
     f("maximality_probes", &REStats::maximality_probes, Merge::kSum);
     f("relaxed_multisets", &REStats::relaxed_multisets, Merge::kSum);
-    f("extension_index_builds", &REStats::extension_index_builds, Merge::kSum);
     f("budget_exhausted", &REStats::budget_exhausted, Merge::kSum);
     f("cache_hits", &REStats::cache_hits, Merge::kSum);
     f("cache_misses", &REStats::cache_misses, Merge::kSum);

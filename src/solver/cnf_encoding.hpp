@@ -11,8 +11,9 @@
 // bad-prefix DFS, which walks the constraint's sub-multiset automaton —
 // are shared by every SAT encoding in the repo: the lift CNF here and the
 // direct 0-round and T-round deciders (zero_round.hpp, one_round.hpp).
-// The backtracking solver (edge_labeling.hpp) keeps the definitional
-// extendable() scan and stays their independent oracle.
+// The backtracking solver (edge_labeling.hpp) keeps extendable()'s linear
+// scan over the members, which no automaton backs, and stays their
+// independent oracle.
 //
 // Two modes share the lift CNF:
 //  * encode_bipartite_labeling — one graph, one CNF, solved from scratch;

@@ -86,35 +86,43 @@ TEST(Constraint, ExtensionIndexMatchesLinearScan) {
   Constraint c(4);
   c.add_condensed({{0, 1}, {0, 1}, {2, 3}, {2}});
   c.add(Configuration{0, 0, 0, 0});
-  Constraint indexed = c;
-  ASSERT_TRUE(indexed.build_extension_index());
-  EXPECT_TRUE(indexed.extension_index_built());
-  EXPECT_FALSE(c.extension_index_built());
-  EXPECT_GT(indexed.extension_index_size(), 0u);
   // Every multiset of size <= 5 over labels {0..3} answers identically
-  // through the index and through the linear scan.
-  std::vector<Label> pick;
-  auto sweep = [&](auto&& self, Label min_label) -> void {
-    EXPECT_EQ(c.extendable(Configuration(pick)), indexed.extendable(Configuration(pick)))
-        << "size " << pick.size();
-    if (pick.size() == 5) return;
-    for (Label l = min_label; l < 4; ++l) {
-      pick.push_back(l);
-      self(self, l);
-      pick.pop_back();
-    }
+  // through a walk of the automaton and through extendable()'s linear scan.
+  const auto expect_agreement = [&c] {
+    const auto automaton = c.automaton();
+    ASSERT_NE(automaton, nullptr);
+    std::vector<Label> pick;
+    auto sweep = [&](auto&& self, Label min_label) -> void {
+      EXPECT_EQ(automaton->walk(pick) != SubmultisetAutomaton::kDead,
+                c.extendable(Configuration(pick)))
+          << "size " << pick.size();
+      if (pick.size() == 5) return;
+      for (Label l = min_label; l < 4; ++l) {
+        pick.push_back(l);
+        self(self, l);
+        pick.pop_back();
+      }
+    };
+    sweep(sweep, 0);
   };
-  sweep(sweep, 0);
+  expect_agreement();
+  // An automaton taken after add() sees the new member; one taken before
+  // is a snapshot of the members it was built from.
+  const auto before = c.automaton();
+  c.add(Configuration{1, 3, 3, 3});
+  EXPECT_EQ(before->walk(std::vector<Label>{3, 3}), SubmultisetAutomaton::kDead);
+  EXPECT_NE(c.automaton()->walk(std::vector<Label>{3, 3}), SubmultisetAutomaton::kDead);
+  expect_agreement();
 }
 
 TEST(Constraint, ExtensionAutomatonStatesAreTheSubmultisets) {
   Constraint c(3);
   c.add(Configuration{0, 1, 2});  // 8 sub-multisets
   c.add(Configuration{0, 0, 0});  // 4, sharing {} and {0}
-  ASSERT_TRUE(c.build_extension_index());
-  const SubmultisetAutomaton& a = *c.extension_index();
+  const auto automaton = c.automaton();
+  ASSERT_NE(automaton, nullptr);
+  const SubmultisetAutomaton& a = *automaton;
   EXPECT_EQ(a.size(), 10u);
-  EXPECT_EQ(c.extension_index_size(), 10u);
   using S = SubmultisetAutomaton::State;
   constexpr S kDead = SubmultisetAutomaton::kDead;
   // A state is a multiset: reading order does not matter.
@@ -130,48 +138,21 @@ TEST(Constraint, ExtensionAutomatonStatesAreTheSubmultisets) {
   EXPECT_EQ(a.next(a.root(), 200), kDead);
 
   const Constraint empty(2);
-  ASSERT_TRUE(empty.build_extension_index());
-  EXPECT_EQ(empty.extension_index()->root(), kDead);
+  const auto none = empty.automaton();
+  ASSERT_NE(none, nullptr);
+  EXPECT_EQ(none->root(), kDead);
   EXPECT_FALSE(empty.extendable(Configuration{}));
-}
-
-TEST(Constraint, ExtensionIndexInvalidatedByMutation) {
-  Constraint c(2);
-  c.add(Configuration{0, 0});
-  ASSERT_TRUE(c.build_extension_index());
-  EXPECT_FALSE(c.extendable(Configuration{1}));
-  c.add(Configuration{1, 2});
-  EXPECT_FALSE(c.extension_index_built());
-  EXPECT_TRUE(c.extendable(Configuration{1}));
-  ASSERT_TRUE(c.build_extension_index());
-  EXPECT_TRUE(c.extendable(Configuration{1}));
-  EXPECT_TRUE(c.extendable(Configuration{1, 2}));
-  EXPECT_FALSE(c.extendable(Configuration{2, 2}));
-}
-
-TEST(Constraint, AutomatonLeavesTheConstraintUncached) {
-  // The SAT encoders take automaton() on a caller's constraint: it must not
-  // switch that constraint's extendable() off its linear scan.
-  Constraint c(3);
-  c.add(Configuration{0, 1, 2});
-  const auto fresh = c.automaton();
-  ASSERT_NE(fresh, nullptr);
-  EXPECT_EQ(fresh->size(), 8u);
-  EXPECT_FALSE(c.extension_index_built());
-  EXPECT_EQ(c.automaton(/*max_entries=*/4), nullptr);
-  // Once an index is built, automaton() hands out that same automaton.
-  ASSERT_TRUE(c.build_extension_index());
-  EXPECT_EQ(c.automaton().get(), c.extension_index());
 }
 
 TEST(Constraint, ExtensionIndexRespectsEntryCap) {
   Constraint c(3);
   c.add(Configuration{0, 1, 2});  // 8 sub-multisets
-  EXPECT_FALSE(c.build_extension_index(/*max_entries=*/4));
-  EXPECT_FALSE(c.extension_index_built());
-  // The linear fallback still answers correctly.
+  EXPECT_EQ(c.automaton(/*max_entries=*/4), nullptr);
+  // The linear scan still answers correctly.
   EXPECT_TRUE(c.extendable(Configuration{0, 2}));
-  EXPECT_TRUE(c.build_extension_index(/*max_entries=*/8));
+  const auto fresh = c.automaton(/*max_entries=*/8);
+  ASSERT_NE(fresh, nullptr);
+  EXPECT_EQ(fresh->size(), 8u);
 }
 
 TEST(Constraint, ExtensionIndexChargesTableWidthAgainstEntryCap) {
@@ -180,11 +161,10 @@ TEST(Constraint, ExtensionIndexChargesTableWidthAgainstEntryCap) {
   // the table 200 cells wide.
   Constraint narrow(2);
   narrow.add(Configuration{0, 1});
-  EXPECT_TRUE(narrow.build_extension_index(/*max_entries=*/8));
+  EXPECT_NE(narrow.automaton(/*max_entries=*/8), nullptr);
   Constraint wide(2);
   wide.add(Configuration{0, 199});
-  EXPECT_FALSE(wide.build_extension_index(/*max_entries=*/8));
-  EXPECT_FALSE(wide.extension_index_built());
+  EXPECT_EQ(wide.automaton(/*max_entries=*/8), nullptr);
   EXPECT_TRUE(wide.extendable(Configuration{199}));
 
   // Every triple over 140 labels: about 3.7M projected sub-multisets fit
@@ -193,8 +173,7 @@ TEST(Constraint, ExtensionIndexChargesTableWidthAgainstEntryCap) {
   for (std::size_t l = 0; l < labels.size(); ++l) labels[l] = static_cast<Label>(l);
   Constraint triples(3);
   triples.add_condensed({labels, labels, labels});
-  EXPECT_FALSE(triples.build_extension_index());
-  EXPECT_FALSE(triples.extension_index_built());
+  EXPECT_EQ(triples.automaton(), nullptr);
 }
 
 TEST(Parser, ParsesMaximalMatchingNotation) {

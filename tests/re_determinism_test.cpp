@@ -17,8 +17,8 @@
 #include "src/problems/coloring_family.hpp"
 #include "src/problems/matching_family.hpp"
 #include "src/problems/rulingset_family.hpp"
+#include "src/re/re_cache.hpp"
 #include "src/re/round_elimination.hpp"
-#include "src/re/sequence.hpp"
 
 namespace slocal {
 namespace {
@@ -136,18 +136,22 @@ TEST(REDeterminism, PerfCountersMatchAcrossThreadCounts) {
   EXPECT_GT(parallel_stats.extension_index_entries, 0u);
 }
 
-TEST(REDeterminism, OutputsArePinnedAtScale) {
-  // Each input has at least 64 valid hardened configurations, so the
-  // maximality filter runs its chunked scan; the fingerprints were taken
-  // from the pairwise superset-matching filter this one replaced.
-  const std::vector<std::pair<Problem, std::uint64_t>> pins = {
+/// Inputs with at least 64 valid hardened configurations each, so the
+/// maximality filter runs its chunked scan, and the fingerprints of their RE
+/// outputs, taken from the pairwise superset-matching filter this one
+/// replaced.
+std::vector<std::pair<Problem, std::uint64_t>> pinned_problems() {
+  return {
       {make_matching_problem(7, 1, 2), 0x6db91bc76f897492ULL},
       {make_matching_problem(8, 2, 3), 0x21b73d769371856fULL},
       {make_matching_problem(10, 1, 2), 0x7620ebd64127b4b8ULL},
       {make_rulingset_problem(4, 2, 1), 0xc69c8a9d80d4f192ULL},
       {make_proper_coloring_problem(3, 4), 0x038e33f57d731546ULL},
   };
-  for (const auto& [pi, fingerprint] : pins) {
+}
+
+TEST(REDeterminism, OutputsArePinnedAtScale) {
+  for (const auto& [pi, fingerprint] : pinned_problems()) {
     for (const std::size_t threads : {std::size_t{1}, std::size_t{4}}) {
       REStats stats;
       REOptions options;
@@ -158,6 +162,29 @@ TEST(REDeterminism, OutputsArePinnedAtScale) {
       EXPECT_EQ(canonical_fingerprint(*re), fingerprint) << pi.name() << " threads=" << threads;
       EXPECT_GE(stats.configs_enumerated, 64u) << pi.name();
     }
+  }
+}
+
+TEST(REDeterminism, OutputIsInCanonicalFormAndCachedAsIs) {
+  // round_eliminate reindexes its output canonically, so the RE cache
+  // stores it under synthetic names without canonicalizing it again: the
+  // stored entry is the one a full canonicalization of the output gives.
+  for (const auto& [pi, fingerprint] : pinned_problems()) {
+    const auto re = round_eliminate(pi);
+    ASSERT_TRUE(re.has_value()) << pi.name();
+    const CanonicalForm canonical = canonicalize(*re);
+    EXPECT_TRUE(same_constraints(canonical.problem, *re)) << pi.name();
+
+    RECache cache;
+    REOptions options;
+    options.cache = &cache;
+    const auto cached_run = round_eliminate(pi, options);
+    ASSERT_TRUE(cached_run.has_value()) << pi.name();
+    EXPECT_TRUE(*cached_run == *re) << pi.name();
+    EXPECT_EQ(cache.counters().misses, 1u) << pi.name();
+    RECache reference;
+    reference.insert(canonicalize(pi), canonical.problem);
+    EXPECT_EQ(cache.serialize(), reference.serialize()) << pi.name();
   }
 }
 
@@ -182,52 +209,6 @@ TEST(REDeterminism, StatsAccumulateAcrossCalls) {
   EXPECT_GT(after_one, 0u);
   ASSERT_TRUE(apply_R(pi, options).has_value());
   EXPECT_EQ(stats.extendable_calls, 2 * after_one);
-}
-
-TEST(REDeterminism, ExtensionIndexSurvivesProblemCopies) {
-  // The memoized extension index is a shared_ptr cache: copying a Problem
-  // (as verify_lower_bound_sequence and the families do constantly) must
-  // carry the already-built index instead of forcing a rebuild.
-  const Problem pi = make_sinkless_orientation_problem(3);
-  EXPECT_FALSE(pi.black().extension_index_built());
-  ASSERT_TRUE(pi.black().build_extension_index());
-  EXPECT_TRUE(pi.black().extension_index_built());
-
-  const Problem copy = pi;  // NOLINT: the copy is the point
-  EXPECT_TRUE(copy.black().extension_index_built());
-  EXPECT_EQ(copy.black().extension_index_size(), pi.black().extension_index_size());
-
-  Problem moved = copy;
-  const Problem moved_to = std::move(moved);
-  EXPECT_TRUE(moved_to.black().extension_index_built());
-}
-
-TEST(REDeterminism, ExtensionIndexBuildCountFlatAcrossSequenceRuns) {
-  // Verifying the same sequence repeatedly must not rebuild the extension
-  // indexes of the caller-held problems: run 1 pays their cache misses and
-  // memoizes the index on the (shared, copy-surviving) constraint caches.
-  // Later runs only rebuild on the fresh intermediate problem that
-  // round_eliminate creates internally, so the build count drops after run
-  // 1 and then stays exactly flat.
-  const auto re = round_eliminate(make_sinkless_orientation_problem(3), {});
-  ASSERT_TRUE(re.has_value());
-  // A fresh Π_0: its index cache is cold, so run 1 provably builds it.
-  const std::vector<Problem> sequence = {make_sinkless_orientation_problem(3), *re};
-
-  auto builds_for_run = [&sequence]() {
-    REStats stats;
-    REOptions options;
-    options.stats = &stats;
-    const SequenceReport report = verify_lower_bound_sequence(sequence, options);
-    EXPECT_TRUE(report.valid);
-    return stats.extension_index_builds;
-  };
-  const std::uint64_t run1 = builds_for_run();
-  const std::uint64_t run2 = builds_for_run();
-  const std::uint64_t run3 = builds_for_run();
-  EXPECT_GT(run1, 0u);    // first run actually built something
-  EXPECT_LT(run2, run1);  // the input problems' indexes were memoized
-  EXPECT_EQ(run2, run3);  // and the count stays flat from then on
 }
 
 }  // namespace

@@ -1,7 +1,7 @@
 // Brute-force oracle for the round elimination half-steps R and R̄.
 //
 // Written from the definition alone (Appendix B), sharing nothing with the
-// engine: no right-closed candidate filter, no extension index, no
+// engine: no right-closed candidate filter, no sub-multiset automaton, no
 // signature buckets, no witness seeding. For a hardened constraint C of
 // degree d over Σ it enumerates every multiset of d non-empty subsets of Σ,
 // keeps those whose every choice lies in C, and drops each one dominated by

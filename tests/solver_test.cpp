@@ -198,7 +198,7 @@ Problem past_index_cap_problem() {
 
 TEST(EncoderIndexCap, LiftCnfIsNotEncoded) {
   const Problem pi = past_index_cap_problem();
-  EXPECT_FALSE(pi.white().build_extension_index());
+  EXPECT_EQ(pi.white().automaton(), nullptr);
   const BipartiteGraph g = make_bipartite_cycle(3);
   EXPECT_FALSE(encode_bipartite_labeling(g, pi).has_value());
   SatLabelingStats stats;

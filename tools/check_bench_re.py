@@ -282,8 +282,7 @@ def main(argv):
                 )
             print(
                 f"info: serve_demo.socket {socket['connections']} connections, "
-                f"{socket['requests']} sweeps @ "
-                f"{socket['requests_per_sec']:.0f} req/s (not gated): "
+                f"{socket['requests']} sweeps: "
                 f"{socket['batch_groups']} group(s) of peak "
                 f"{socket['batch_peak']} covering "
                 f"{socket['batched_requests']} requests vs "
