@@ -11,9 +11,11 @@
 // across PRs.
 #include <benchmark/benchmark.h>
 
+#include <algorithm>
 #include <chrono>
 #include <cstdio>
 #include <filesystem>
+#include <limits>
 #include <map>
 #include <mutex>
 #include <string>
@@ -555,23 +557,34 @@ void print_table() {
     const auto [off, off_wall] = run(nullptr, &off_stats);
     cache_demo.off_wall_ms = off_wall;
 
-    RECache cache;
-    REStats cold_stats;
-    const auto [cold, cold_wall] = run(&cache, &cold_stats);
-    cache_demo.cold_wall_ms = cold_wall;
-    cache_demo.cold_hits = cold_stats.cache_hits;
-    cache_demo.cold_misses = cold_stats.cache_misses;
+    // The (fresh cache -> cold -> warm) pair runs kCachePairs times and each
+    // side reports its minimum wall: one pair of single runs of a few ms is
+    // at the mercy of scheduler noise, and warm <= cold is gated. Every
+    // pair computes the same counters and verdicts; the last one's are kept.
+    constexpr int kCachePairs = 3;
+    cache_demo.verdicts_match = true;
+    cache_demo.cold_wall_ms = cache_demo.warm_wall_ms =
+        std::numeric_limits<double>::infinity();
+    for (int pair = 0; pair < kCachePairs; ++pair) {
+      RECache cache;
+      REStats cold_stats;
+      const auto [cold, cold_wall] = run(&cache, &cold_stats);
+      cache_demo.cold_wall_ms = std::min(cache_demo.cold_wall_ms, cold_wall);
+      cache_demo.cold_hits = cold_stats.cache_hits;
+      cache_demo.cold_misses = cold_stats.cache_misses;
 
-    REStats warm_stats;
-    const auto [warm, warm_wall] = run(&cache, &warm_stats);
-    cache_demo.warm_wall_ms = warm_wall;
-    cache_demo.warm_hits = warm_stats.cache_hits;
-    cache_demo.warm_misses = warm_stats.cache_misses;
-    cache_demo.warm_dfs_nodes = warm_stats.dfs_nodes;
-    cache_demo.warm_canonical_ms = warm_stats.canonical_ms;
+      REStats warm_stats;
+      const auto [warm, warm_wall] = run(&cache, &warm_stats);
+      cache_demo.warm_wall_ms = std::min(cache_demo.warm_wall_ms, warm_wall);
+      cache_demo.warm_hits = warm_stats.cache_hits;
+      cache_demo.warm_misses = warm_stats.cache_misses;
+      cache_demo.warm_dfs_nodes = warm_stats.dfs_nodes;
+      cache_demo.warm_canonical_ms = warm_stats.canonical_ms;
 
-    cache_demo.verdicts_match = off.to_string() == cold.to_string() &&
-                                off.to_string() == warm.to_string();
+      cache_demo.verdicts_match = cache_demo.verdicts_match &&
+                                  off.to_string() == cold.to_string() &&
+                                  off.to_string() == warm.to_string();
+    }
 
     // Fixed-point chain: Π_4(3) (Lemma 5.4) repeated under label rotations;
     // every step after the first must short-circuit within one cold run.

@@ -31,11 +31,6 @@ Var SatSolver::new_var() {
   return v;
 }
 
-void SatSolver::set_phases(std::span<const std::uint8_t> phases) {
-  const std::size_t n = std::min(phases.size(), phase_.size());
-  for (std::size_t v = 0; v < n; ++v) phase_[v] = phases[v];
-}
-
 void SatSolver::start_proof() {
   assert(clauses_.empty() && trail_.empty() && !unsat_ &&
          "proof logging must start before any clause is added");
@@ -345,7 +340,6 @@ void SatSolver::reduce_learned() {
     if (clauses_[cr].learned && clauses_[cr].lits.size() > 2) learned.push_back(cr);
   }
   if (learned.size() < 2000) return;
-  ++learned_gc_runs_;
   std::sort(learned.begin(), learned.end(), [&](ClauseRef a, ClauseRef b) {
     return clauses_[a].activity < clauses_[b].activity;
   });
@@ -369,7 +363,6 @@ void SatSolver::reduce_learned() {
       if (logging_) log_step(true, clauses_[cr].lits);
       clauses_[cr].lits.clear();
       clauses_[cr].lits.shrink_to_fit();
-      --learned_count_;
     }
   }
 }
@@ -424,7 +417,6 @@ SatResult SatSolver::solve_under_assumptions(std::span<const Lit> assumptions,
       } else {
         const ClauseRef cr = static_cast<ClauseRef>(clauses_.size());
         clauses_.push_back(Clause{learned, true, clause_inc_});
-        ++learned_count_;
         attach(cr);
         enqueue(learned[0], cr);
       }

@@ -145,11 +145,9 @@ class SatSolver {
   /// input clauses have to be captured in original form (the solver stores
   /// root-simplified versions and moves units straight onto the trail, so
   /// they cannot be recovered later). The trace accumulates across solve
-  /// calls until clear_proof().
+  /// calls.
   void start_proof();
-  bool proof_logging() const { return logging_; }
   const SatProof& proof() const { return proof_; }
-  void clear_proof() { proof_.clear(); }
 
   const SatStats& stats() const { return stats_; }
 
@@ -157,10 +155,7 @@ class SatSolver {
   /// positive (true) first, 1 = negative first, 2 = no preference (fall back
   /// to the seed rule). The solver keeps this current via phase saving —
   /// every unassignment records the variable's last value — so after a kSat
-  /// solve phases() reflects the model. set_phases() preloads the vector
-  /// (e.g. a portfolio winner's phases into a restarted losing engine);
-  /// shorter input only overwrites a prefix.
-  void set_phases(std::span<const std::uint8_t> phases);
+  /// solve phases() reflects the model.
   const std::vector<std::uint8_t>& phases() const { return phase_; }
 
   /// Diversifies the branching heuristic for portfolio racing: seed != 0
@@ -178,10 +173,6 @@ class SatSolver {
   std::uint64_t conflicts() const { return conflicts_; }
   std::uint64_t decisions() const { return decisions_; }
   std::uint64_t propagations() const { return propagations_; }
-  /// Learned clauses currently retained (survivors of the activity GC).
-  std::size_t learned_clauses() const { return learned_count_; }
-  /// Activity-based learned-clause GC sweeps run so far.
-  std::uint64_t learned_gc_runs() const { return learned_gc_runs_; }
 
  private:
   enum : std::uint8_t { kTrue = 0, kFalse = 1, kUndef = 2 };
@@ -233,8 +224,6 @@ class SatSolver {
   std::uint64_t conflicts_ = 0;
   std::uint64_t decisions_ = 0;
   std::uint64_t propagations_ = 0;
-  std::size_t learned_count_ = 0;
-  std::uint64_t learned_gc_runs_ = 0;
 
   std::vector<std::uint8_t> model_;  // assigns_ snapshot of the last kSat
   std::vector<Lit> failed_assumptions_;

@@ -100,8 +100,6 @@ class FaultInjector {
     return plan_.drop_connection.fires_at(++accepts_);
   }
 
-  std::uint64_t checkpoints_counted() const { return checkpoints_.load(); }
-  std::uint64_t requests_counted() const { return requests_.load(); }
   std::uint64_t accepts_counted() const { return accepts_.load(); }
 
  private:

@@ -185,7 +185,7 @@ bool IncrementalLabelingSweep::encode_support(const BipartiteGraph& g,
     Var guard;
     if (it != guards_.end()) {
       guard = it->second;
-      if (step != nullptr) ++step->reused_guards;
+      ++step->reused_guards;
     } else {
       guard = solver_.new_var();
       std::vector<const std::vector<Var>*> incident_vars;
@@ -199,7 +199,7 @@ bool IncrementalLabelingSweep::encode_support(const BipartiteGraph& g,
       // never registered, so a later retry re-encodes under a fresh one).
       if (budget != nullptr && budget->halted()) return false;
       guards_.emplace(std::move(key), guard);
-      if (step != nullptr) ++step->new_guards;
+      ++step->new_guards;
     }
     assumptions->push_back(Lit::positive(guard));
     owners->push_back(NodeRef{white, node});
@@ -281,24 +281,6 @@ Verdict IncrementalLabelingSweep::check_last_core(SearchBudget* budget) {
       break;
   }
   return Verdict::kExhausted;
-}
-
-std::optional<LabelingCnf> IncrementalLabelingSweep::snapshot(
-    const BipartiteGraph& g, std::vector<Lit>* assumptions, SearchBudget* budget) {
-  assumptions->clear();
-  std::vector<NodeRef> owners;
-  if (!encode_support(g, assumptions, &owners, nullptr, budget)) {
-    assumptions->clear();
-    return std::nullopt;
-  }
-  LabelingCnf cnf;
-  cnf.solver = solver_;
-  cnf.clause_count = clause_count_;
-  cnf.edge_label_vars.resize(g.edge_count());
-  for (EdgeId e = 0; e < g.edge_count(); ++e) {
-    cnf.edge_label_vars[e] = edge_vars_.at(edge_key(g.edge(e).white, g.edge(e).black));
-  }
-  return cnf;
 }
 
 }  // namespace slocal

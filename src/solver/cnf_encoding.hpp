@@ -170,21 +170,9 @@ class IncrementalLabelingSweep {
   /// check_last_core has confirmed it).
   std::span<const Lit> last_core() const { return last_core_; }
 
-  /// Copyable snapshot of the accumulated solver restricted to `g` for
-  /// portfolio racing: encodes any structure of `g` still missing, returns
-  /// a LabelingCnf whose edge_label_vars are indexed by g's edge ids, and
-  /// fills `assumptions` with the guard literals activating g's
-  /// constraints (pass them to solve_under_assumptions on each copy).
-  /// nullopt if `budget` tripped while completing the encoding, or past
-  /// the index cap.
-  std::optional<LabelingCnf> snapshot(const BipartiteGraph& g,
-                                      std::vector<Lit>* assumptions,
-                                      SearchBudget* budget = nullptr);
-
   const Problem& problem() const { return pi_; }
   const SatSolver& solver() const { return solver_; }
   std::size_t clause_count() const { return clause_count_; }
-  std::size_t guard_count() const { return guards_.size(); }
   std::size_t edge_count() const { return edge_vars_.size(); }
 
  private:

@@ -27,34 +27,26 @@ PortfolioResult solve_labeling_portfolio(const BipartiteGraph& g, const Problem&
 
   // Encode once; every CDCL copy races the same clauses. The encoding runs
   // under a child budget so its DFS nodes do not pollute the race's
-  // backtracking-node counter. A caller-supplied pre-encoded instance
-  // (incremental sweep snapshot) skips this step entirely.
-  std::optional<LabelingCnf> local_cnf;
-  const LabelingCnf* cnf = options.encoded;
-  if (cnf == nullptr) {
-    SearchBudget encode_budget;
-    encode_budget.chain_to(&race);
-    local_cnf = encode_bipartite_labeling(g, pi, &encode_budget);
-    if (!local_cnf.has_value()) {
-      result.reason = race.halted() ? race.reason() : encode_budget.reason();
-      result.wall_ms = race.elapsed_ms();
-      return result;  // kExhausted before the race even started
-    }
-    cnf = &*local_cnf;
+  // backtracking-node counter.
+  SearchBudget encode_budget;
+  encode_budget.chain_to(&race);
+  const std::optional<LabelingCnf> cnf = encode_bipartite_labeling(g, pi, &encode_budget);
+  if (!cnf.has_value()) {
+    result.reason = race.halted() ? race.reason() : encode_budget.reason();
+    result.wall_ms = race.elapsed_ms();
+    return result;  // kExhausted before the race even started
   }
 
   std::mutex claim;
   bool claimed = false;
   const auto offer = [&](Verdict verdict, std::optional<std::vector<Label>> labels,
-                         std::string winner,
-                         const std::vector<std::uint8_t>* phases = nullptr) {
+                         std::string winner) {
     const std::lock_guard<std::mutex> lock(claim);
     if (claimed) return;  // a second engine finishing must agree; keep first
     claimed = true;
     result.verdict = verdict;
     result.labels = std::move(labels);
     result.winner = std::move(winner);
-    if (phases != nullptr) result.winner_phase = *phases;
     race.cancel();
   };
 
@@ -78,17 +70,12 @@ PortfolioResult solve_labeling_portfolio(const BipartiteGraph& g, const Problem&
     tasks.push_back([&, seed] {
       LabelingCnf copy = *cnf;  // SatSolver is copyable by design
       copy.solver.set_branch_seed(static_cast<std::uint64_t>(seed));
-      if (!options.initial_phase.empty()) {
-        copy.solver.set_phases(options.initial_phase);
-      }
-      const SatResult sat = copy.solver.solve_under_assumptions(
-          options.assumptions, options.conflict_budget, &race);
+      const SatResult sat = copy.solver.solve(options.conflict_budget, &race);
       if (sat == SatResult::kSat) {
         offer(Verdict::kYes, decode_bipartite_labeling(copy, alphabet),
-              "sat[" + std::to_string(seed) + "]", &copy.solver.phases());
+              "sat[" + std::to_string(seed) + "]");
       } else if (sat == SatResult::kUnsat) {
-        offer(Verdict::kNo, std::nullopt, "sat[" + std::to_string(seed) + "]",
-              &copy.solver.phases());
+        offer(Verdict::kNo, std::nullopt, "sat[" + std::to_string(seed) + "]");
       }
     });
   }

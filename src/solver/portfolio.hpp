@@ -42,20 +42,6 @@ struct PortfolioOptions {
   /// Optional external budget: cancelling it (or its deadline) stops the
   /// whole race.
   SearchBudget* budget = nullptr;
-  /// Pre-encoded instance (e.g. IncrementalLabelingSweep::snapshot): skips
-  /// the in-call encoding and races copies of *encoded, each solving under
-  /// `assumptions` (the guard literals activating g's constraints). Must
-  /// outlive the call, agree with (g, pi), and have edge_label_vars indexed
-  /// by g's edge ids. The backtracking engine is unaffected — it answers
-  /// the same question directly on (g, pi).
-  const LabelingCnf* encoded = nullptr;
-  std::vector<Lit> assumptions;
-  /// Branching-polarity preload for every CDCL copy (see
-  /// SatSolver::set_phases). Feed a previous race's winner_phase back in to
-  /// restart losing engines with the winner's saved phases — on a sweep of
-  /// related instances the next race then starts from a polarity vector that
-  /// already satisfied a sibling instance. Empty = no preload.
-  std::vector<std::uint8_t> initial_phase;
 };
 
 struct PortfolioResult {
@@ -72,10 +58,6 @@ struct PortfolioResult {
   std::uint64_t nodes = 0;      // backtracking nodes charged to the race
   std::uint64_t conflicts = 0;  // CDCL conflicts summed across all copies
   double wall_ms = 0.0;
-  /// The winning CDCL engine's saved-phase vector (empty when the
-  /// backtracker won or the race exhausted). Pass as initial_phase of the
-  /// next related race; after a kYes it encodes the winner's model.
-  std::vector<std::uint8_t> winner_phase;
 };
 
 /// Decides whether `pi` admits a bipartite solution on `g` by racing the

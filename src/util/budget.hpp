@@ -114,7 +114,6 @@ class SearchBudget {
     return conflicts_.load(std::memory_order_relaxed);
   }
   std::uint64_t node_limit() const { return node_limit_; }
-  std::uint64_t conflict_limit() const { return conflict_limit_; }
   double elapsed_ms() const;
   /// Coherent snapshot of the consumption counters plus the trip reason.
   BudgetConsumption consumption() const;

@@ -414,45 +414,5 @@ TEST(BudgetPortfolio, RepeatedRacesLeakNothing) {
   EXPECT_EQ(last.verdict, Verdict::kYes);
 }
 
-TEST(BudgetPortfolio, WinnerPhasesSeedTheNextRace) {
-  // Phase transplant across races: a one-node budget knocks the backtracker
-  // out, so the single CDCL engine must win and report its saved phases.
-  const Problem pi = parity_problem();
-  const BipartiteGraph g = make_bipartite_cycle(6);
-  PortfolioOptions options;
-  options.sat_seeds = 1;
-  options.node_budget = 1;
-  const PortfolioResult first = solve_labeling_portfolio(g, pi, options);
-  ASSERT_EQ(first.verdict, Verdict::kYes);
-  EXPECT_EQ(first.winner, "sat[0]");
-  ASSERT_TRUE(first.labels.has_value());
-  ASSERT_FALSE(first.winner_phase.empty());
-
-  // Re-running primed with the winner's phases must deterministically
-  // re-derive the same model: every branch follows the saved polarity, and
-  // propagation from a model-consistent prefix only derives model-true
-  // literals — so the race cannot even conflict, let alone diverge.
-  PortfolioOptions primed = options;
-  primed.initial_phase = first.winner_phase;
-  const PortfolioResult second = solve_labeling_portfolio(g, pi, primed);
-  ASSERT_EQ(second.verdict, Verdict::kYes);
-  EXPECT_EQ(second.winner, "sat[0]");
-  ASSERT_TRUE(second.labels.has_value());
-  EXPECT_TRUE(check_bipartite_labeling(g, pi, *second.labels));
-  EXPECT_EQ(*second.labels, *first.labels);
-}
-
-TEST(BudgetPortfolio, BacktrackerWinLeavesWinnerPhaseEmpty) {
-  // The phase vector is a CDCL artifact; a backtracking win reports none.
-  const PortfolioResult result =
-      solve_labeling_portfolio(make_bipartite_cycle(6), parity_problem());
-  ASSERT_EQ(result.verdict, Verdict::kYes);
-  if (result.winner == "backtracking") {
-    EXPECT_TRUE(result.winner_phase.empty());
-  } else {
-    EXPECT_FALSE(result.winner_phase.empty());
-  }
-}
-
 }  // namespace
 }  // namespace slocal

@@ -424,47 +424,26 @@ TEST(SatMetamorphic, IncrementalSolveMatchesFromScratchAtEveryPrefix) {
 }
 
 // ---------------------------------------------------------------------------
-// Phase saving: the solver remembers branch polarities across solves, and
-// callers (the portfolio) can transplant them between engines.
+// Phase saving: the solver remembers branch polarities across solves.
 // ---------------------------------------------------------------------------
-
-TEST(Sat, SetPhasesSteersFreeVariableAssignments) {
-  // Eight nearly-free variables: only one weak clause constrains v0/v1, so
-  // every branch follows the preloaded phase (0 = prefer positive).
-  SatSolver s;
-  std::vector<Var> v;
-  for (int i = 0; i < 8; ++i) v.push_back(s.new_var());
-  s.add_clause({pos(v[0]), pos(v[1])});
-  const std::vector<std::uint8_t> pattern = {0, 1, 1, 0, 0, 1, 0, 1};
-  s.set_phases(pattern);
-  ASSERT_EQ(s.solve(), SatResult::kSat);
-  for (int i = 0; i < 8; ++i) {
-    EXPECT_EQ(s.value(v[i]), pattern[static_cast<std::size_t>(i)] == 0)
-        << "variable " << i << " ignored its preloaded phase";
-  }
-}
 
 TEST(Sat, PhasesReflectModelAfterSatSolve) {
   // No root units here: every variable is decided or propagated above level
   // zero, so the final backtrack phase-saves the full model — including the
-  // propagated (not just decided) polarities.
+  // propagated (not just decided) polarities. Each pair (v[i] ∨ v[i+1]) has
+  // one variable decided negative first and the other propagated positive.
   SatSolver s;
   std::vector<Var> v;
   for (int i = 0; i < 6; ++i) v.push_back(s.new_var());
-  for (int i = 0; i + 1 < 6; i += 2) s.add_clause({neg(v[i]), neg(v[i + 1])});
-  const std::vector<std::uint8_t> positive(6, 0);  // prefer positive everywhere
-  s.set_phases(positive);
+  for (int i = 0; i + 1 < 6; i += 2) s.add_clause({pos(v[i]), pos(v[i + 1])});
   ASSERT_EQ(s.solve(), SatResult::kSat);
   const auto& phases = s.phases();
   for (int i = 0; i < 6; ++i) {
     EXPECT_EQ(phases[v[i]] == 0, s.value(v[i]))
         << "phases() disagrees with the model at variable " << i;
   }
-  // The even variables followed their preloaded positive phase; each odd one
-  // was then forced negative by its binary clause.
   for (int i = 0; i < 6; i += 2) {
-    EXPECT_TRUE(s.value(v[i]));
-    EXPECT_FALSE(s.value(v[i + 1]));
+    EXPECT_NE(s.value(v[i]), s.value(v[i + 1])) << "pair " << i;
   }
 }
 

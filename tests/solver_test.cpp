@@ -211,8 +211,6 @@ TEST(EncoderIndexCap, IncrementalSweepIsExhausted) {
   IncrementalLabelingSweep sweep(past_index_cap_problem());
   const BipartiteGraph g = make_bipartite_cycle(3);
   EXPECT_EQ(sweep.solve_support(g).verdict, Verdict::kExhausted);
-  std::vector<Lit> assumptions;
-  EXPECT_FALSE(sweep.snapshot(g, &assumptions).has_value());
 }
 
 TEST(EncoderIndexCap, ZeroRoundIsExhausted) {

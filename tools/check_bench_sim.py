@@ -5,113 +5,31 @@ The fast simulator is deterministic by contract: rounds, message counts,
 and output fingerprints are bit-identical across thread counts and across
 machines (the generators use the repo's own Rng). So those fields are gated
 EXACTLY — any drift is a behavior change in the simulator or an algorithm,
-which must come with a baseline update. Wall-clock fields, throughput, and
-peak RSS are reported but never gate (hardware varies).
-
-Hard boolean gates, independent of the baseline:
-  - every case must have completed (all nodes halted within max_rounds)
-  - thread_invariance.identical (threads=1 vs all-cores outputs agree)
-  - reference_diff.identical (CSR fast path matches the reference Network)
+which must come with a baseline update. Every case must have completed,
+threads=1 and all-cores outputs must agree, and the CSR fast path must
+match the reference Network. Wall-clock fields, throughput, and peak RSS
+are reported but never gate (hardware varies). SECTIONS below is the whole
+list of gates; the gate kinds are described in bench_gates.py.
 
 Usage: check_bench_sim.py <current.json> <baseline.json>
 Exit codes: 0 ok, 1 regression/mismatch, 2 bad input.
 """
 
-import json
 import sys
 
+from bench_gates import Cmp, Equal, Flag, Section, run
+
 # Deterministic per-case fields gated by exact equality.
-EXACT_FIELDS = ["n", "delta", "edges", "rounds", "messages", "fingerprint"]
+EXACT_FIELDS = ("n", "delta", "edges", "rounds", "messages", "fingerprint")
 
-
-def fail(msg):
-    print(f"FAIL: {msg}")
-    return 1
-
-
-def main(argv):
-    if len(argv) != 3:
-        print(__doc__)
-        return 2
-    try:
-        with open(argv[1]) as f:
-            current = json.load(f)
-        with open(argv[2]) as f:
-            baseline = json.load(f)
-    except (OSError, json.JSONDecodeError) as e:
-        print(f"cannot load inputs: {e}")
-        return 2
-
-    rc = 0
-    if current.get("bench") != "bench_sim":
-        return fail("current file is not a bench_sim report")
-
-    cur_cases = {c["name"]: c for c in current.get("cases", [])}
-    for base_case in baseline.get("cases", []):
-        name = base_case["name"]
-        case = cur_cases.get(name)
-        if case is None:
-            rc |= fail(f"case {name!r} missing from current report")
-            continue
-        if not case["completed"]:
-            rc |= fail(f"case {name!r}: run did not complete")
-        for field in EXACT_FIELDS:
-            if field not in base_case:
-                continue  # baseline predates this field
-            if case.get(field) != base_case[field]:
-                rc |= fail(
-                    f"case {name!r}: {field} drifted "
-                    f"({base_case[field]!r} -> {case.get(field)!r}; "
-                    "deterministic fields must match exactly)"
-                )
-        print(
-            f"info: {name} n={case['n']} rounds={case['rounds']} "
-            f"wall={case['wall_ms']:.1f}ms "
-            f"({case['half_edge_rounds_per_sec'] / 1e6:.1f}M he·r/s, not gated)"
-        )
-
-    for name, case in sorted(cur_cases.items()):
-        if not case["completed"]:
-            rc |= fail(f"case {name!r}: run did not complete")
-
-    inv = current.get("thread_invariance")
-    if inv is None:
-        rc |= fail("thread_invariance block missing")
-    elif not inv["identical"]:
-        rc |= fail(
-            f"thread_invariance: case {inv.get('case')!r} diverged across "
-            "thread counts (outputs must be bit-identical)"
-        )
-    else:
-        print(
-            f"ok: thread_invariance {inv['case']} n={inv['n']} "
-            f"fingerprint={inv['fingerprint']}"
-        )
-        base_inv = baseline.get("thread_invariance")
-        if base_inv and base_inv.get("fingerprint") != inv["fingerprint"]:
-            rc |= fail(
-                "thread_invariance fingerprint drifted "
-                f"({base_inv['fingerprint']} -> {inv['fingerprint']})"
-            )
-
-    diff = current.get("reference_diff")
-    if diff is None:
-        rc |= fail("reference_diff block missing")
-    elif not diff["identical"]:
-        rc |= fail(
-            f"reference_diff: case {diff.get('case')!r} — fast path no longer "
-            "matches the reference simulator"
-        )
-    else:
-        print(f"ok: reference_diff {diff['case']} n={diff['n']} identical")
-
-    rss = current.get("peak_rss_mb")
-    if isinstance(rss, (int, float)):
-        print(f"info: peak RSS {rss:.1f} MB (not gated)")
-
-    print("bench_sim deterministic fields match" if rc == 0 else "bench_sim check FAILED")
-    return rc
-
+SECTIONS = (
+    Section("", (Cmp("bench", "==", "bench_sim"),), info=("peak_rss_mb",)),
+    Section("cases", key=("name",),
+            gates=(Flag("completed"), *(Equal(f) for f in EXACT_FIELDS)),
+            info=("wall_ms", "half_edge_rounds_per_sec")),
+    Section("thread_invariance", (Flag("identical"), Equal("fingerprint"))),
+    Section("reference_diff", (Flag("identical"),)),
+)
 
 if __name__ == "__main__":
-    sys.exit(main(sys.argv))
+    sys.exit(run(sys.argv, __doc__, "bench_sim", SECTIONS))
