@@ -18,16 +18,20 @@ CertCheckResult check_sequence(const SequenceCert& seq) {
   if (seq.steps.size() + 1 != seq.problems.size()) {
     return invalid("sequence: step count does not match problem count");
   }
+  // Each problem's fingerprint is computed here, once: the next problem of
+  // step j is the previous problem of step j + 1.
+  std::uint64_t prev = canonical_fingerprint(seq.problems[0]);
   for (std::size_t j = 0; j < seq.steps.size(); ++j) {
     const SequenceStepCert& step = seq.steps[j];
     const std::string name = "step " + std::to_string(j + 1);
-    if (canonical_fingerprint(seq.problems[j]) != step.prev_fingerprint) {
+    if (prev != step.prev_fingerprint) {
       return invalid(name + ": fingerprint of the previous problem does not match");
     }
     if (canonical_fingerprint(step.re_problem) != step.re_fingerprint) {
       return invalid(name + ": fingerprint of the recorded RE problem does not match");
     }
-    if (canonical_fingerprint(seq.problems[j + 1]) != step.next_fingerprint) {
+    prev = canonical_fingerprint(seq.problems[j + 1]);
+    if (prev != step.next_fingerprint) {
       return invalid(name + ": fingerprint of the next problem does not match");
     }
     if (step.label_map.has_value() == step.config_mapping.has_value()) {

@@ -19,12 +19,19 @@ std::optional<Certificate> make_sequence_certificate(
   if (valid) {
     cert.sequence.problems = problems;
     cert.sequence.steps.reserve(local.steps.size());
-    for (const SequenceStepReport& step : local.steps) {
+    // Each chain problem is the next of one step and the previous of the
+    // following one: fingerprint it once.
+    std::vector<std::uint64_t> fingerprints;
+    fingerprints.reserve(problems.size());
+    for (const Problem& p : problems) fingerprints.push_back(canonical_fingerprint(p));
+    for (SequenceStepReport& step : local.steps) {
       SequenceStepCert out;
-      out.prev_fingerprint = canonical_fingerprint(problems[step.index - 1]);
-      out.next_fingerprint = canonical_fingerprint(problems[step.index]);
-      out.re_problem = *step.re_problem;
-      out.re_fingerprint = canonical_fingerprint(out.re_problem);
+      out.prev_fingerprint = fingerprints[step.index - 1];
+      out.next_fingerprint = fingerprints[step.index];
+      // The caller's report keeps its copy of RE(Π_{i-1}); otherwise move it.
+      out.re_problem =
+          report != nullptr ? *step.re_problem : std::move(*step.re_problem);
+      out.re_fingerprint = step.re_fingerprint;
       out.label_map = step.relaxation_map;
       if (!out.label_map.has_value()) out.config_mapping = step.relaxation_mapping;
       cert.sequence.steps.push_back(std::move(out));

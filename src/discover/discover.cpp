@@ -141,7 +141,7 @@ class Searcher {
         options_.step_nodes == 0 ? kDefaultStepNodes : options_.step_nodes;
     // The family is fixed for the whole search: look at each member once.
     for (const Problem& member : family_) {
-      family_fingerprints_.push_back(canonicalize(member).fingerprint);
+      family_fingerprints_.push_back(canonical_fingerprint(member));
       family_trivial_.push_back(zero_round_trivial(member));
     }
   }
@@ -339,7 +339,8 @@ class Searcher {
     re_options.cache = &cache_;
     REStats re_stats;
     re_options.stats = &re_stats;
-    const std::optional<Problem> re = round_eliminate(tip, re_options);
+    std::uint64_t re_fingerprint = 0;
+    const std::optional<Problem> re = round_eliminate(tip, re_options, &re_fingerprint);
     charge(re_nodes(re_stats));
     stats().cache_hits += re_stats.cache_hits;
     stats().cache_misses += re_stats.cache_misses;
@@ -350,7 +351,7 @@ class Searcher {
             << '\n';
       return;
     }
-    log() << "  re fp=" << hex16(canonical_fingerprint(*re))
+    log() << "  re fp=" << hex16(re_fingerprint)
           << " sigma=" << re->alphabet_size() << " w=" << re->white().size()
           << " b=" << re->black().size() << '\n';
 
@@ -442,15 +443,15 @@ class Searcher {
       ++stats().candidates_trivial;
       return;
     }
-    const CanonicalForm cf = canonicalize(candidate);
-    if (visited_.contains(cf.fingerprint)) {
+    const std::uint64_t fingerprint = canonical_fingerprint(candidate);
+    if (visited_.contains(fingerprint)) {
       ++stats().candidates_deduped;
       return;
     }
-    visited_.insert(cf.fingerprint);
-    log() << "  " << tag << " fp=" << hex16(cf.fingerprint)
+    visited_.insert(fingerprint);
+    log() << "  " << tag << " fp=" << hex16(fingerprint)
           << " sigma=" << candidate.alphabet_size() << '\n';
-    accept_child(parent, std::move(candidate), cf.fingerprint, true);
+    accept_child(parent, std::move(candidate), fingerprint, true);
   }
 
   void accept_child(const FrontierNode& parent, Problem candidate,

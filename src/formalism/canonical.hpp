@@ -9,12 +9,14 @@
 // same 64-bit fingerprint, so "already seen up to renaming?" becomes one
 // hash probe instead of a pairwise bijection search.
 //
-// Algorithm: iterated signature refinement (a 1-dimensional Weisfeler-Leman
+// Algorithm: iterated signature refinement (a 1-dimensional Weisfeiler-Leman
 // pass over the labels' occurrence patterns, the `LabelSignature` idea from
 // problem.cpp driven to a fixpoint), then individualization-refinement
 // backtracking over the surviving label classes, keeping the permutation
 // whose constraint encoding is lexicographically least. Exact — never a
-// heuristic tie-break — so the canonical form is a total invariant.
+// heuristic tie-break — so the canonical form is a total invariant. The
+// labeling is an on-disk format (fingerprints key certificates, the RE cache
+// and discover checkpoints); tests/canonical_test.cpp pins it.
 #pragma once
 
 #include <cstdint>
@@ -39,13 +41,17 @@ struct CanonicalForm {
   std::uint64_t fingerprint = 0;
 };
 
-/// Computes the canonical form. Cost: refinement is linear in the constraint
-/// size per round; the backtracking only branches inside label classes the
-/// refinement could not split (symmetric labels), which stay tiny for every
-/// problem family in this repository.
+/// Computes the canonical form. Cost per refinement round, with R
+/// configurations of degree d and n labels: each configuration's colour
+/// tuple is sorted (O(R d log d)) and the tuples are ranked by a radix sort
+/// (O(R d)); the labels' keys are filled in one pass over the occurrences
+/// (at most R d) and n labels are sorted by key. A leaf of the search pays
+/// one more such sort for its encoding. The backtracking only branches
+/// inside label classes the refinement could not split (symmetric labels),
+/// which stay tiny for every problem family in this repository.
 CanonicalForm canonicalize(const Problem& p);
 
-/// Fingerprint shorthand (computes the full canonical form internally).
+/// The same search without building the canonical problem.
 std::uint64_t canonical_fingerprint(const Problem& p);
 
 /// Applies a label bijection: configuration labels are remapped through

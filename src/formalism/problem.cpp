@@ -113,7 +113,7 @@ std::optional<std::vector<Label>> equivalent_up_to_renaming_bruteforce(
   return std::nullopt;
 }
 
-Problem drop_unused_labels(const Problem& p) {
+Problem drop_unused_labels(const Problem& p, std::uint64_t* fingerprint) {
   std::vector<bool> used(p.alphabet_size(), false);
   for (const Label l : p.white().used_labels()) used[l] = true;
   for (const Label l : p.black().used_labels()) used[l] = true;
@@ -134,7 +134,8 @@ Problem drop_unused_labels(const Problem& p) {
   // Reindex the survivors canonically so the result's constraint structure
   // depends only on the renaming class of the input, not on which indices
   // happened to be used. Names still travel with their labels.
-  const CanonicalForm cf = canonicalize(compact);
+  CanonicalForm cf = canonicalize(compact);
+  if (fingerprint != nullptr) *fingerprint = cf.fingerprint;
   std::vector<Label> inverse(cf.perm.size(), 0);
   for (std::size_t l = 0; l < cf.perm.size(); ++l) {
     inverse[cf.perm[l]] = static_cast<Label>(l);
@@ -143,7 +144,8 @@ Problem drop_unused_labels(const Problem& p) {
   for (std::size_t c = 0; c < cf.perm.size(); ++c) {
     named.intern(compact.registry().name(inverse[c]));
   }
-  return Problem(p.name(), std::move(named), cf.problem.white(), cf.problem.black());
+  return Problem(p.name(), std::move(named), std::move(cf.problem.white()),
+                 std::move(cf.problem.black()));
 }
 
 }  // namespace slocal

@@ -5,6 +5,7 @@
 // lives here as `equivalent_up_to_renaming`.
 #pragma once
 
+#include <cstdint>
 #include <optional>
 #include <string>
 #include <vector>
@@ -65,7 +66,8 @@ std::optional<std::vector<Label>> equivalent_up_to_renaming_bruteforce(
 /// survivors in canonical order (names preserved for surviving labels), so
 /// renaming-equivalent inputs yield structurally identical constraint sets.
 /// (The old used-label-order reindexing made two renaming-equivalent
-/// problems disagree after dropping.)
-Problem drop_unused_labels(const Problem& p);
+/// problems disagree after dropping.) When `fingerprint` is set it receives
+/// the result's canonical fingerprint, which the reindex computes anyway.
+Problem drop_unused_labels(const Problem& p, std::uint64_t* fingerprint = nullptr);
 
 }  // namespace slocal

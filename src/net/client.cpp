@@ -3,6 +3,7 @@
 #include <arpa/inet.h>
 #include <errno.h>
 #include <netinet/in.h>
+#include <netinet/tcp.h>
 #include <poll.h>
 #include <sys/socket.h>
 #include <unistd.h>
@@ -85,6 +86,9 @@ bool Client::connect(const ClientOptions& options, std::string* error) {
   io_timeout_ms_ = options.io_timeout_ms;
   fd_ = ::socket(AF_INET, SOCK_STREAM | SOCK_NONBLOCK | SOCK_CLOEXEC, 0);
   if (fd_ < 0) return fail(error, "socket: " + std::string(strerror(errno)));
+  // Requests are single lines: no Nagle delay behind the server's ACK.
+  const int on = 1;
+  ::setsockopt(fd_, IPPROTO_TCP, TCP_NODELAY, &on, sizeof(on));
   sockaddr_in addr = {};
   addr.sin_family = AF_INET;
   addr.sin_port = htons(options.port);

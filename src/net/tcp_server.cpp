@@ -3,6 +3,7 @@
 #include <arpa/inet.h>
 #include <errno.h>
 #include <netinet/in.h>
+#include <netinet/tcp.h>
 #include <sys/socket.h>
 #include <unistd.h>
 
@@ -100,6 +101,10 @@ void TcpServer::accept_ready() {
       if (errno == EINTR) continue;
       break;  // EAGAIN or transient accept error: next poll retries
     }
+    // Responses are single lines: send each at once instead of letting
+    // Nagle hold it back for the client's delayed ACK.
+    const int on = 1;
+    ::setsockopt(fd, IPPROTO_TCP, TCP_NODELAY, &on, sizeof(on));
     {
       const std::lock_guard<std::mutex> lock(counter_mutex_);
       ++counters_.accepted;

@@ -442,13 +442,15 @@ std::optional<REStep> apply_Rbar(const Problem& pi, const REOptions& options) {
   return re_core(pi, /*universal_is_black=*/false, options);
 }
 
-std::optional<Problem> round_eliminate(const Problem& pi, const REOptions& options) {
+std::optional<Problem> round_eliminate(const Problem& pi, const REOptions& options,
+                                       std::uint64_t* fingerprint) {
   if (options.cache != nullptr) {
     const auto t_canon = Clock::now();
     const CanonicalForm key = canonicalize(pi);
     if (options.stats != nullptr) options.stats->canonical_ms += ms_since(t_canon);
     if (auto cached = options.cache->lookup(key)) {
       if (options.stats != nullptr) ++options.stats->cache_hits;
+      if (fingerprint != nullptr) *fingerprint = canonical_fingerprint(*cached);
       // The cached value is the canonical form of RE of this renaming
       // class — a legal renaming of the true output. Only the derived name
       // is restored; no search runs at all.
@@ -458,7 +460,7 @@ std::optional<Problem> round_eliminate(const Problem& pi, const REOptions& optio
     if (options.stats != nullptr) ++options.stats->cache_misses;
     REOptions inner = options;
     inner.cache = nullptr;
-    auto result = round_eliminate(pi, inner);
+    auto result = round_eliminate(pi, inner, fingerprint);
     if (result) {
       // drop_unused_labels left the result in canonical label order, so its
       // canonical form is its constraints under the synthetic names.
@@ -477,7 +479,7 @@ std::optional<Problem> round_eliminate(const Problem& pi, const REOptions& optio
   if (!full) return std::nullopt;
   // Reindexing the survivors canonically is RE's share of canonical_ms.
   const auto t_reindex = Clock::now();
-  Problem out = drop_unused_labels(full->problem);
+  Problem out = drop_unused_labels(full->problem, fingerprint);
   if (options.stats != nullptr) options.stats->canonical_ms += ms_since(t_reindex);
   // Move the pieces out of the reindexed problem rather than deep-copying them.
   return Problem("RE(" + pi.name() + ")", std::move(out.registry()),

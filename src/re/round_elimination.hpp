@@ -155,8 +155,11 @@ std::optional<REStep> apply_R(const Problem& pi, const REOptions& options = {});
 /// R̄: same with white and black exchanged.
 std::optional<REStep> apply_Rbar(const Problem& pi, const REOptions& options = {});
 
-/// RE(Π) = R̄(R(Π)), with unused labels dropped.
-std::optional<Problem> round_eliminate(const Problem& pi, const REOptions& options = {});
+/// RE(Π) = R̄(R(Π)), with unused labels dropped. When `fingerprint` is set
+/// it receives the result's canonical fingerprint: the output's canonical
+/// reindex computes it anyway, so only a cache hit pays for it.
+std::optional<Problem> round_eliminate(const Problem& pi, const REOptions& options = {},
+                                       std::uint64_t* fingerprint = nullptr);
 
 /// True if RE(Π) and Π are the same problem up to label renaming — the
 /// fixed-point property of Lemma 5.4.

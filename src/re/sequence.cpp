@@ -37,7 +37,8 @@ SequenceReport verify_lower_bound_sequence(const std::vector<Problem>& problems,
     REOptions step_options = options;
     REStats local;
     step_options.stats = &local;
-    const auto re = round_eliminate(problems[i - 1], step_options);
+    auto re = round_eliminate(problems[i - 1], step_options,
+                              keep_witnesses ? &step.re_fingerprint : nullptr);
     step.re_dfs_nodes = local.dfs_nodes;
     step.re_budget_exhausted = local.budget_exhausted > 0;
     step.re_cache_hit = local.cache_hits > 0;
@@ -74,10 +75,10 @@ SequenceReport verify_lower_bound_sequence(const std::vector<Problem>& problems,
         }
       }
       step.relaxation_found = step.relaxation_verdict == Verdict::kYes;
-      if (keep_witnesses) step.re_problem = *re;
+      if (keep_witnesses) step.re_problem = std::move(*re);
     }
     report.valid = report.valid && step.re_computed && step.relaxation_found;
-    report.steps.push_back(step);
+    report.steps.push_back(std::move(step));
   }
   return report;
 }

@@ -40,10 +40,11 @@ struct SequenceStepReport {
   bool re_cache_hit = false;
   /// Witness material, captured only when verify_lower_bound_sequence is
   /// called with keep_witnesses = true (certificate emission): RE(Π_{i-1})
-  /// as computed, and whichever relaxation witness the search found. None
-  /// of this is printed by to_string, so reports stay byte-identical
-  /// across the flag.
+  /// as computed with its canonical fingerprint (round_eliminate's), and
+  /// whichever relaxation witness the search found. None of this is
+  /// printed by to_string, so reports stay byte-identical across the flag.
   std::optional<Problem> re_problem;
+  std::uint64_t re_fingerprint = 0;
   std::optional<std::vector<Label>> relaxation_map;
   std::optional<ConfigMapping> relaxation_mapping;
 };

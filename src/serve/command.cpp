@@ -103,7 +103,7 @@ std::optional<SweepPlan> plan_sweep(const std::string& path, std::size_t big_del
 }
 
 std::string sweep_key(const SweepPlan& plan) {
-  return hex16(canonicalize(plan.problem).fingerprint) + "/" +
+  return hex16(canonical_fingerprint(plan.problem)) + "/" +
          std::to_string(plan.big_delta) + "/" + std::to_string(plan.big_r) + "/";
 }
 

@@ -9,13 +9,16 @@
 // (canonical-form based) against the legacy brute-force bijection search on
 // both positive and negative pairs (negatives by mutating one
 // configuration). It also pins the `drop_unused_labels` fix: dropping must
-// commute with renaming.
+// commute with renaming, and a golden corpus pins the canonical labeling
+// itself (fingerprint and permutation per problem).
 #include "src/formalism/canonical.hpp"
 
 #include <gtest/gtest.h>
 
 #include <algorithm>
+#include <iterator>
 #include <numeric>
+#include <string>
 #include <vector>
 
 #include "src/formalism/problem.hpp"
@@ -82,6 +85,226 @@ std::optional<Problem> draw_problem(Rng& rng) {
   const std::size_t db = 2 + static_cast<std::size_t>(rng.below(2));
   const std::size_t alphabet = 2 + static_cast<std::size_t>(rng.below(3));
   return random_problem(dw, db, alphabet, rng);
+}
+
+// Golden corpus. Fingerprints are stored on disk (certificate steps, RE cache
+// keys, discover checkpoints), so the canonical labeling itself — not just
+// its renaming invariance — is a format: every fingerprint and permutation
+// below was produced by the std::map-keyed refinement that preceded the flat
+// one, and any change to the labeling a refactor makes fails here first.
+
+/// Golden-corpus problem `seed`: degrees 1..4 on each side, 1..8 labels,
+/// each side up to 12 random label tuples (duplicates collapse). Every third
+/// seed draws black from the first half of the alphabet only, so some labels
+/// are absent from one side; every fifth makes white complete, which leaves
+/// labels that only black can split.
+Problem golden_problem(std::uint64_t seed) {
+  Rng rng(seed);
+  const std::size_t dw = 1 + static_cast<std::size_t>(rng.below(4));
+  const std::size_t db = 1 + static_cast<std::size_t>(rng.below(4));
+  const std::size_t n = 1 + static_cast<std::size_t>(rng.below(8));
+  LabelRegistry reg;
+  for (std::size_t l = 0; l < n; ++l) reg.intern("L" + std::to_string(l));
+  const auto draw = [&](std::size_t degree, std::size_t alphabet) {
+    Constraint c(degree);
+    const std::size_t rows = 1 + static_cast<std::size_t>(rng.below(12));
+    for (std::size_t r = 0; r < rows; ++r) {
+      std::vector<Label> labels(degree);
+      for (Label& l : labels) l = static_cast<Label>(rng.below(alphabet));
+      c.add(Configuration(std::move(labels)));
+    }
+    return c;
+  };
+  Constraint white(dw);
+  if (seed % 5 == 0) {
+    for_each_multiset(n, dw, [&](const std::vector<std::size_t>& pick) {
+      white.add(Configuration(std::vector<Label>(pick.begin(), pick.end())));
+      return true;
+    });
+  } else {
+    white = draw(dw, n);
+  }
+  Constraint black = draw(db, seed % 3 == 0 ? (n + 1) / 2 : n);
+  return Problem("golden-" + std::to_string(seed), std::move(reg), std::move(white),
+                 std::move(black));
+}
+
+/// Hand-built problem over labels 0..n-1 from explicit configuration lists.
+Problem build_problem(std::size_t n, std::size_t dw,
+                      const std::vector<std::vector<Label>>& white, std::size_t db,
+                      const std::vector<std::vector<Label>>& black) {
+  LabelRegistry reg;
+  for (std::size_t l = 0; l < n; ++l) reg.intern("L" + std::to_string(l));
+  Constraint w(dw);
+  for (const auto& cfg : white) w.add(Configuration(cfg));
+  Constraint b(db);
+  for (const auto& cfg : black) b.add(Configuration(cfg));
+  return Problem("hand", std::move(reg), std::move(w), std::move(b));
+}
+
+/// perm as one decimal digit per label (every pinned alphabet is below 10).
+std::string perm_digits(const std::vector<Label>& perm) {
+  std::string out;
+  for (const Label l : perm) out += static_cast<char>('0' + l);
+  return out;
+}
+
+struct GoldenEntry {
+  std::uint64_t fingerprint;
+  const char* perm;  // perm_digits of CanonicalForm::perm
+};
+
+/// golden_problem(1) .. golden_problem(200), in seed order.
+constexpr GoldenEntry kGoldenCorpus[] = {
+    {0x6afd588b82cda092ULL, "10243"}, {0x2d48f52234bc8262ULL, "204315"},
+    {0xf5c977248b796a5eULL, "10"}, {0x13fd951130d1c1a5ULL, "0263154"},
+    {0xfffb9cd33628a295ULL, "0123456"}, {0xbbd8954ef454acaaULL, "0"},
+    {0x257634eed73598d0ULL, "6143205"}, {0x0e86db421eff9044ULL, "0351246"},
+    {0x471f4660f5395336ULL, "12374056"}, {0xc201156043488785ULL, "012"},
+    {0x3afa6b7346355298ULL, "013254"}, {0x2c2ec137c105fe1fULL, "1320"},
+    {0x23b49beab3c770bbULL, "0"}, {0x3557a2cf302bdd2fULL, "0"},
+    {0xefeae1b52250e034ULL, "534012"}, {0x50fe9dbaa9dfab2eULL, "60273145"},
+    {0xc95964c8dcfd939dULL, "01"}, {0x7bf6e0a46e84e73fULL, "1203"},
+    {0xa758a99c0948d5f9ULL, "10"}, {0xfb8df84b399b5ad8ULL, "350412"},
+    {0xc5f89c0888c4415dULL, "2310"}, {0x3510f4decfd92f79ULL, "10"},
+    {0xf37b97f4e4210a4fULL, "540132"}, {0x8c254f0704115738ULL, "71042356"},
+    {0x72daa83f5ade33caULL, "0"}, {0xc1c9a3a5b742fb9fULL, "01"},
+    {0x01e291e6dc3f3a2fULL, "10"}, {0xbbd8954ef454acaaULL, "0"},
+    {0x614fd23a6e3ffb3bULL, "3102"}, {0x7041402d04eed918ULL, "120"},
+    {0xcd3c1f62be2ea8f6ULL, "102"}, {0xa2c7c3f89190545fULL, "0"},
+    {0x204dbfbdb8ce5c39ULL, "201"}, {0x2b101b39abef3002ULL, "2635014"},
+    {0xde70a2987cf92a03ULL, "021"}, {0xccec34424e75b421ULL, "354102"},
+    {0xda5010efa07ac8eaULL, "540123"}, {0xc10413ecae9f683cULL, "0"},
+    {0xd2f74e5d8b9a611aULL, "01"}, {0x66060c5c08854d79ULL, "01"},
+    {0x6d09007bc0b3ec4aULL, "012"}, {0xdff7b6005d28ce7cULL, "01"},
+    {0x494311e0819daee3ULL, "24073156"}, {0xb6b3f32df790d57eULL, "0"},
+    {0x417c99072ec05ecfULL, "120"}, {0xb7b101bc1489c6c1ULL, "10423"},
+    {0xcdaafb72b6734d3eULL, "4250613"}, {0x48bb6c6d5de643deULL, "0"},
+    {0x214a85b3ad5a93f1ULL, "523140"}, {0x48162d62b1febc1fULL, "543012"},
+    {0xd27ac3a59d8e1588ULL, "5320416"}, {0x05c020eb9f2217b6ULL, "1204653"},
+    {0x688ff08a7cb7249fULL, "10"}, {0x8dbb0ddd7a4c0284ULL, "75601234"},
+    {0x1c2e55727564d933ULL, "102"}, {0x458ab17733902b9fULL, "0635241"},
+    {0x8d6990929639adfeULL, "10342"}, {0xbbd8954ef454acaaULL, "0"},
+    {0x079210ede0e722a2ULL, "045123"}, {0x2cd44a9483691d0bULL, "0"},
+    {0x544319298ac39892ULL, "102"}, {0x8dadfeec6b1b59a4ULL, "3012"},
+    {0xbab587ee1ad30d39ULL, "0516342"}, {0x262288857a5fd8a8ULL, "120"},
+    {0x827d7084d2e6923bULL, "012"}, {0x99bc36af0e7371ccULL, "3465210"},
+    {0xead7aa39762c65acULL, "021"}, {0xbce2b6f25e7ac06bULL, "012"},
+    {0x5f5f74d74967b25cULL, "34201"}, {0xf0468e785ee1e62dULL, "20314"},
+    {0xa99f93ae94cf371dULL, "0123"}, {0x5741023f868f11ebULL, "1320"},
+    {0x05c072564838bb00ULL, "421530"}, {0xd84b2b6587d42fcaULL, "201"},
+    {0xb3578e0d5fcf7a00ULL, "345012"}, {0xe568d07c6f95ec5cULL, "23410"},
+    {0xeef32eb83e98423cULL, "6520143"}, {0x51b0888970669a55ULL, "57021643"},
+    {0xe93bdfa132d1e98cULL, "0"}, {0x0db41627ca4b63c6ULL, "4012356"},
+    {0x32d10f014d8acc4cULL, "10"}, {0x1241e17f09e5388cULL, "13420"},
+    {0x8146997cd142b74fULL, "01"}, {0x746f0dab5d414c3eULL, "74053612"},
+    {0x1306dc94b7d81654ULL, "012"}, {0x2cd44a9483691d0bULL, "0"},
+    {0x2f672ca9de55063eULL, "3201"}, {0x930a64cbb2c83ee5ULL, "4056123"},
+    {0xecdae1d3fb74a8b1ULL, "01234"}, {0xbb75e1e36af8f7e2ULL, "345012"},
+    {0x1e7dad1042addb69ULL, "120"}, {0x78ed8c0d507d4b44ULL, "104325"},
+    {0x088a6778b13799a8ULL, "2031"}, {0x7728efb22b1e5c74ULL, "6105234"},
+    {0x5244c1c54b1648b8ULL, "13024"}, {0x023743007695cdbaULL, "0132"},
+    {0xee4045fbf2c7e98cULL, "1456230"}, {0xc10413ecae9f683cULL, "0"},
+    {0x48ce6ab034e0d50fULL, "1230"}, {0x6b485d3cc712861aULL, "041532"},
+    {0x23716360ea921269ULL, "0"}, {0xe012785d2761a85eULL, "210"},
+    {0x1728d96ed4cb0dc5ULL, "3051462"}, {0x666269774f3827f6ULL, "47652103"},
+    {0x2b025d0f39a2bffeULL, "10"}, {0x2bfba9312dc154abULL, "3210"},
+    {0x0380b7966fdeaebdULL, "01"}, {0x3eb5fd23d0d035b6ULL, "23401"},
+    {0x9ae6694cf5851e0fULL, "01"}, {0x41a82accfcb9c9acULL, "01"},
+    {0x28970a74ed25c997ULL, "02143"}, {0x9880167563c23abbULL, "24301"},
+    {0xa2c7c3f89190545fULL, "0"}, {0x88ae43b4dd6f54bfULL, "01"},
+    {0x745befc664cc9fabULL, "2564301"}, {0xf2b6471b4784b40fULL, "3012"},
+    {0x20fb3dfa27bcd7e9ULL, "21034"}, {0x448f450cbc5e7949ULL, "540123"},
+    {0x9b3897ad19127047ULL, "56074231"}, {0x66060c5c08854d79ULL, "10"},
+    {0xe2af807ebb505a00ULL, "41357260"}, {0xbbd8954ef454acaaULL, "0"},
+    {0xfa09d08103932557ULL, "57342106"}, {0xc8549d9edde05b17ULL, "235041"},
+    {0x67a0a7e9fb828d82ULL, "201435"}, {0xef5c6f522958084aULL, "1230"},
+    {0xbbd8954ef454acaaULL, "0"}, {0x35910ddf44bd5f1cULL, "0615423"},
+    {0xbbd8954ef454acaaULL, "0"}, {0x6187370a11251d53ULL, "01234576"},
+    {0x95e6c742d84291baULL, "3014562"}, {0x405b2a31b0965f8eULL, "3120"},
+    {0x0144865ec7853122ULL, "10423"}, {0x53a5f44e7499a5ccULL, "201"},
+    {0x058bdf85575307f0ULL, "05761234"}, {0x3557a2cf302bdd2fULL, "0"},
+    {0x0d8dd4461e19df6aULL, "23014"}, {0x7ff3c87597ce0e7fULL, "3012"},
+    {0xe19ad3a1badb74cfULL, "10"}, {0xb21f5f3150a90a05ULL, "65371240"},
+    {0xe84a9205b503949eULL, "34201"}, {0x4c86442d49f58c9dULL, "0"},
+    {0xb6b3f32df790d57eULL, "0"}, {0x4a5949c82844060dULL, "10"},
+    {0xa39ddbac3fe16f0eULL, "2031"}, {0x25fff91c5e3aeddcULL, "304512"},
+    {0x2cd44a9483691d0bULL, "0"}, {0x72daa83f5ade33caULL, "0"},
+    {0xd0c590ea8729f11bULL, "73561402"}, {0xacc2cf142efb7cacULL, "3201"},
+    {0xfcd0a0621c1d92efULL, "234150"}, {0xb78be90223492e38ULL, "521043"},
+    {0x420db4d6552243cfULL, "0132"}, {0xc2800bbc671509d6ULL, "1364205"},
+    {0xa2c7c3f89190545fULL, "0"}, {0xe609df380ae51b8bULL, "10"},
+    {0xccbcece28453977eULL, "102"}, {0x07a5f5e7cdf581e9ULL, "251034"},
+    {0xedb43de2d9cc8caaULL, "012"}, {0xfa148e69a3621a82ULL, "34021"},
+    {0xeec81c4693d123f2ULL, "5614203"}, {0x2a94972fedd69b3bULL, "10"},
+    {0x406d2328e415131fULL, "431250"}, {0x5a037dbfc8e17604ULL, "420531"},
+    {0xa6a31710eb84e19dULL, "345012"}, {0x2cd44a9483691d0bULL, "0"},
+    {0xd219ec7552d6c12cULL, "12457630"}, {0xc10413ecae9f683cULL, "0"},
+    {0x7b99b041f5f4001fULL, "0231"}, {0x1306dc94b7d81654ULL, "012"},
+    {0xe93bdfa132d1e98cULL, "0"}, {0xe62a71de374c02edULL, "71653402"},
+    {0xa2c7c3f89190545fULL, "0"}, {0xdff7b6005d28ce7cULL, "01"},
+    {0x92c33d9fafd5a4dbULL, "42071356"}, {0x876df4af78d2dbbfULL, "10"},
+    {0xd78f3b5554a3c9b0ULL, "20431"}, {0x552c1158315c68fbULL, "120"},
+    {0xb6b3f32df790d57eULL, "0"}, {0xb6b3f32df790d57eULL, "0"},
+    {0x3f4cee6bc949a51bULL, "01"}, {0xaf404ce074db17dbULL, "10"},
+    {0xba3393db826d728bULL, "36475012"}, {0x213fdc0188c9446fULL, "120435"},
+    {0x955e0bfef030888bULL, "2103"}, {0x4c30ad34c8748601ULL, "4321065"},
+    {0x1ed3fd62e49fc890ULL, "2031"}, {0x2dac941dcc173b53ULL, "403152"},
+    {0xbb31a57d1dfddfcdULL, "0"}, {0xf07cb2519704cdb4ULL, "301542"},
+    {0x83333cd04f8156c9ULL, "54760231"}, {0x5229238b8c425362ULL, "45760123"},
+    {0xfe1187f6500bc623ULL, "31204"}, {0x3557a2cf302bdd2fULL, "0"},
+    {0x23716360ea921269ULL, "0"}, {0xf0acf8ede7b05ab8ULL, "1032"},
+    {0x692c256cc5bd5cbbULL, "41023"}, {0x05f63c48603a8e8bULL, "120543"},
+    {0x2531a8e29e41260dULL, "0312"}, {0x726d490a00f7b027ULL, "201"},
+};
+
+TEST(CanonicalGolden, SeededCorpusFingerprintsAndPermutationsArePinned) {
+  ASSERT_EQ(std::size(kGoldenCorpus), 200u);
+  for (std::size_t i = 0; i < std::size(kGoldenCorpus); ++i) {
+    const std::uint64_t seed = i + 1;
+    const CanonicalForm cf = canonicalize(golden_problem(seed));
+    EXPECT_EQ(cf.fingerprint, kGoldenCorpus[i].fingerprint) << "seed " << seed;
+    EXPECT_EQ(perm_digits(cf.perm), kGoldenCorpus[i].perm) << "seed " << seed;
+  }
+}
+
+// Refinement orders labels by their occurrence keys: own colour, then the
+// white rows, then the black rows, each side's rows sorted. When one label's
+// rows on a side are a proper prefix of another's, the longer white list sorts
+// first but the shorter black list does — the order of the old concatenated
+// keys, where a row separator sorted below the side separator and nothing
+// followed the black rows.
+
+TEST(CanonicalGolden, LongerWhiteListSortsFirst) {
+  // White rows: L0 and L1 have [(1, t)], L2 has [(1, t), (1, t)]; black ties.
+  const CanonicalForm cf =
+      canonicalize(build_problem(3, 2, {{0, 2}, {1, 2}}, 3, {{0, 1, 2}}));
+  EXPECT_EQ(cf.fingerprint, 0x8e81b503438bfc4cULL);
+  EXPECT_EQ(perm_digits(cf.perm), "120");
+}
+
+TEST(CanonicalGolden, ShorterBlackListSortsFirst) {
+  // White ties; black rows: L0 [(1, t)], L1 [(1, t), (2, t)], L2 none.
+  const CanonicalForm cf =
+      canonicalize(build_problem(3, 1, {{0}, {1}, {2}}, 2, {{0, 1}, {1, 1}}));
+  EXPECT_EQ(cf.fingerprint, 0x8770bf777f686f0cULL);
+  EXPECT_EQ(perm_digits(cf.perm), "120");
+}
+
+TEST(CanonicalGolden, UnequalDegreesAndOneSidedLabelsArePinned) {
+  // Degrees 3 / 1; L2 is white-only, L3 black-only, L4 on neither side.
+  const CanonicalForm cf =
+      canonicalize(build_problem(5, 3, {{0, 0, 1}, {1, 2, 2}}, 1, {{0}, {3}}));
+  EXPECT_EQ(cf.fingerprint, 0x0e45f5ca89f7ffbcULL);
+  EXPECT_EQ(perm_digits(cf.perm), "20143");
+}
+
+TEST(CanonicalGolden, FullySymmetricLabelsArePinned) {
+  // Every label is interchangeable, so the search branches down to 3! leaves.
+  const CanonicalForm cf = canonicalize(build_problem(
+      3, 2, {{0, 0}, {0, 1}, {0, 2}, {1, 1}, {1, 2}, {2, 2}}, 3, {{0, 1, 2}}));
+  EXPECT_EQ(cf.fingerprint, 0x2f8a25bf6041245bULL);
+  EXPECT_EQ(perm_digits(cf.perm), "012");
 }
 
 constexpr int kSeeds = 520;  // ISSUE floor is 500

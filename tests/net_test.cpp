@@ -24,6 +24,7 @@
 //    slocal_tool client verb, and SIGTERM drains and exits 0.
 #include <arpa/inet.h>
 #include <netinet/in.h>
+#include <netinet/tcp.h>
 #include <poll.h>
 #include <signal.h>
 #include <sys/socket.h>
@@ -406,6 +407,62 @@ TEST(NetSocket, ClientLibraryCorrelatesRequestsAndTimesOut) {
   ASSERT_TRUE(impatient.connect(quick, &error)) << error;
   EXPECT_FALSE(impatient.read_line(&error).has_value());
   EXPECT_NE(error.find("timed out"), std::string::npos) << error;
+}
+
+/// TCP_NODELAY as read back from a socket (-1 when getsockopt fails).
+int nodelay(int fd) {
+  int on = 0;
+  socklen_t len = sizeof(on);
+  return ::getsockopt(fd, IPPROTO_TCP, TCP_NODELAY, &on, &len) == 0 ? on : -1;
+}
+
+/// This process's descriptor for the other end of the loopback connection
+/// `fd`: the socket whose own address is fd's peer and whose peer is fd's
+/// own address. -1 when no descriptor below 4096 matches.
+int other_end_in_process(int fd) {
+  const auto addresses = [](int s, sockaddr_in* self, sockaddr_in* peer) {
+    socklen_t self_len = sizeof(*self), peer_len = sizeof(*peer);
+    return ::getsockname(s, reinterpret_cast<sockaddr*>(self), &self_len) == 0 &&
+           ::getpeername(s, reinterpret_cast<sockaddr*>(peer), &peer_len) == 0 &&
+           self->sin_family == AF_INET;
+  };
+  const auto same = [](const sockaddr_in& a, const sockaddr_in& b) {
+    return a.sin_port == b.sin_port && a.sin_addr.s_addr == b.sin_addr.s_addr;
+  };
+  sockaddr_in self{}, peer{};
+  if (!addresses(fd, &self, &peer)) return -1;
+  for (int other = 0; other < 4096; ++other) {
+    sockaddr_in other_self{}, other_peer{};
+    if (other != fd && addresses(other, &other_self, &other_peer) &&
+        same(other_self, peer) && same(other_peer, self)) {
+      return other;
+    }
+  }
+  return -1;
+}
+
+TEST(NetSocket, BothEndsDisableNagle) {
+  SocketFixture fx;
+  ASSERT_TRUE(fx.started);
+  std::string error;
+
+  // A plain socket keeps the kernel default, so the server's end shows
+  // what accept sets on its own.
+  RawConn raw(fx.tcp.port());
+  ASSERT_GE(raw.fd, 0);
+  ASSERT_TRUE(raw.send("ping\n"));
+  ASSERT_EQ(raw.read_line(), "pong");  // accepted by now
+  EXPECT_EQ(nodelay(raw.fd), 0);
+  const int accepted = other_end_in_process(raw.fd);
+  ASSERT_GE(accepted, 0);
+  EXPECT_EQ(nodelay(accepted), 1);
+
+  Client client = fx.connect();
+  ASSERT_TRUE(client.request("ping", &error).has_value()) << error;
+  EXPECT_EQ(nodelay(client.fd()), 1);
+  const int served = other_end_in_process(client.fd());
+  ASSERT_GE(served, 0);
+  EXPECT_EQ(nodelay(served), 1);
 }
 
 TEST(NetSocket, ConnectionCapShedsWithRetryableAndKeepsFirstClient) {

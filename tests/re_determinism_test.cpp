@@ -2,7 +2,8 @@
 // serial path: same registry order, same constraints, same label meanings,
 // for every thread count. Exercised on the seed problems shipped in
 // examples/problems/ and on generated families, plus the resource-cap and
-// deterministic-counter contracts.
+// deterministic-counter contracts, and the fingerprint round_eliminate
+// hands to the sequence report and the certificate.
 #include <gtest/gtest.h>
 
 #include <fstream>
@@ -11,6 +12,8 @@
 #include <utility>
 #include <vector>
 
+#include "src/cert/check.hpp"
+#include "src/cert/emit.hpp"
 #include "src/formalism/canonical.hpp"
 #include "src/formalism/parser.hpp"
 #include "src/problems/classic.hpp"
@@ -185,6 +188,67 @@ TEST(REDeterminism, OutputIsInCanonicalFormAndCachedAsIs) {
     RECache reference;
     reference.insert(canonicalize(pi), canonical.problem);
     EXPECT_EQ(cache.serialize(), reference.serialize()) << pi.name();
+  }
+}
+
+TEST(REDeterminism, ReusedFingerprintsMatchAFreshCanonicalization) {
+  // round_eliminate hands out the fingerprint its canonical reindex already
+  // computed, and the sequence report and the certificate carry it instead
+  // of canonicalizing RE(Π) again. Each must equal a fresh canonicalization
+  // on every path: cache off, a cold cache (miss) and a warm one (hit), at
+  // threads 1 and 4.
+  for (const auto& [pi, fingerprint] : pinned_problems()) {
+    // One step onto the one-label problem that allows everything: a
+    // relaxation of any problem with its degrees, found by a label map.
+    LabelRegistry one;
+    const Label a = one.intern("A");
+    Constraint white(pi.white_degree());
+    white.add(Configuration(std::vector<Label>(pi.white_degree(), a)));
+    Constraint black(pi.black_degree());
+    black.add(Configuration(std::vector<Label>(pi.black_degree(), a)));
+    const Problem anything("anything", std::move(one), std::move(white), std::move(black));
+    const std::vector<Problem> chain = {pi, anything};
+    for (const std::size_t threads : {std::size_t{1}, std::size_t{4}}) {
+      RECache cache;
+      for (const char* mode : {"off", "cold", "warm"}) {
+        const std::string where =
+            pi.name() + " threads=" + std::to_string(threads) + " cache=" + mode;
+        REOptions options;
+        options.threads = threads;
+        if (std::string(mode) != "off") options.cache = &cache;
+
+        SequenceReport report;
+        const auto cert = cert::make_sequence_certificate(chain, options, &report);
+        ASSERT_TRUE(cert.has_value()) << where;
+        ASSERT_EQ(report.steps.size(), 1u) << where;
+        const SequenceStepReport& step = report.steps[0];
+        EXPECT_EQ(step.re_cache_hit, std::string(mode) == "warm") << where;
+        ASSERT_TRUE(step.re_problem.has_value()) << where;
+        EXPECT_EQ(step.re_fingerprint, canonical_fingerprint(*step.re_problem)) << where;
+        EXPECT_EQ(step.re_fingerprint, fingerprint) << where;
+        const cert::SequenceStepCert& emitted = cert->sequence.steps[0];
+        EXPECT_EQ(emitted.re_fingerprint, canonical_fingerprint(emitted.re_problem)) << where;
+        EXPECT_EQ(emitted.re_fingerprint, fingerprint) << where;
+        EXPECT_EQ(emitted.prev_fingerprint, canonical_fingerprint(pi)) << where;
+        EXPECT_EQ(emitted.next_fingerprint, canonical_fingerprint(anything)) << where;
+        EXPECT_EQ(cert::check_certificate(*cert).status, cert::CertStatus::kValid) << where;
+      }
+
+      // The same through round_eliminate directly: off, a miss on a fresh
+      // cache, and a hit on the now warm one.
+      RECache fresh;
+      for (RECache* direct_cache : {static_cast<RECache*>(nullptr), &fresh, &fresh}) {
+        REOptions direct;
+        direct.threads = threads;
+        direct.cache = direct_cache;
+        std::uint64_t reported = 0;
+        const auto out = round_eliminate(pi, direct, &reported);
+        ASSERT_TRUE(out.has_value()) << pi.name();
+        EXPECT_EQ(reported, canonical_fingerprint(*out)) << pi.name();
+        EXPECT_EQ(reported, fingerprint) << pi.name() << " threads=" << threads;
+      }
+      EXPECT_EQ(fresh.counters().hits, 1u) << pi.name();
+    }
   }
 }
 
