@@ -41,8 +41,6 @@ class Client {
   /// Connects within connect_timeout_ms. false with *error set on failure.
   bool connect(const ClientOptions& options, std::string* error);
   bool connected() const { return fd_ >= 0; }
-  /// The socket descriptor (-1 when not connected).
-  int fd() const { return fd_; }
   void close();
 
   /// Sends one line ('\n' appended). EINTR-safe, honors io_timeout_ms.

@@ -31,6 +31,7 @@
 #include <sys/wait.h>
 #include <unistd.h>
 
+#include <algorithm>
 #include <atomic>
 #include <cerrno>
 #include <chrono>
@@ -416,53 +417,60 @@ int nodelay(int fd) {
   return ::getsockopt(fd, IPPROTO_TCP, TCP_NODELAY, &on, &len) == 0 ? on : -1;
 }
 
-/// This process's descriptor for the other end of the loopback connection
-/// `fd`: the socket whose own address is fd's peer and whose peer is fd's
-/// own address. -1 when no descriptor below 4096 matches.
-int other_end_in_process(int fd) {
-  const auto addresses = [](int s, sockaddr_in* self, sockaddr_in* peer) {
-    socklen_t self_len = sizeof(*self), peer_len = sizeof(*peer);
-    return ::getsockname(s, reinterpret_cast<sockaddr*>(self), &self_len) == 0 &&
-           ::getpeername(s, reinterpret_cast<sockaddr*>(peer), &peer_len) == 0 &&
-           self->sin_family == AF_INET;
-  };
-  const auto same = [](const sockaddr_in& a, const sockaddr_in& b) {
-    return a.sin_port == b.sin_port && a.sin_addr.s_addr == b.sin_addr.s_addr;
-  };
+/// A connected IPv4 socket of this process, with its own and its peer's
+/// address.
+struct SocketEnd {
+  int fd = -1;
   sockaddr_in self{}, peer{};
-  if (!addresses(fd, &self, &peer)) return -1;
-  for (int other = 0; other < 4096; ++other) {
-    sockaddr_in other_self{}, other_peer{};
-    if (other != fd && addresses(other, &other_self, &other_peer) &&
-        same(other_self, peer) && same(other_peer, self)) {
-      return other;
+};
+
+/// Every connected IPv4 socket among this process's descriptors below 4096.
+std::vector<SocketEnd> connected_sockets() {
+  std::vector<SocketEnd> out;
+  for (int fd = 0; fd < 4096; ++fd) {
+    SocketEnd end;
+    end.fd = fd;
+    socklen_t self_len = sizeof(end.self), peer_len = sizeof(end.peer);
+    if (::getsockname(fd, reinterpret_cast<sockaddr*>(&end.self), &self_len) == 0 &&
+        ::getpeername(fd, reinterpret_cast<sockaddr*>(&end.peer), &peer_len) == 0 &&
+        end.self.sin_family == AF_INET) {
+      out.push_back(end);
     }
   }
-  return -1;
+  return out;
+}
+
+bool same_address(const sockaddr_in& a, const sockaddr_in& b) {
+  return a.sin_port == b.sin_port && a.sin_addr.s_addr == b.sin_addr.s_addr;
 }
 
 TEST(NetSocket, BothEndsDisableNagle) {
   SocketFixture fx;
   ASSERT_TRUE(fx.started);
   std::string error;
-
-  // A plain socket keeps the kernel default, so the server's end shows
-  // what accept sets on its own.
+  // A plain socket keeps the kernel default, so its accepted end shows what
+  // the server sets on its own; a Client sets it on its end too.
   RawConn raw(fx.tcp.port());
   ASSERT_GE(raw.fd, 0);
   ASSERT_TRUE(raw.send("ping\n"));
   ASSERT_EQ(raw.read_line(), "pong");  // accepted by now
-  EXPECT_EQ(nodelay(raw.fd), 0);
-  const int accepted = other_end_in_process(raw.fd);
-  ASSERT_GE(accepted, 0);
-  EXPECT_EQ(nodelay(accepted), 1);
-
   Client client = fx.connect();
   ASSERT_TRUE(client.request("ping", &error).has_value()) << error;
-  EXPECT_EQ(nodelay(client.fd()), 1);
-  const int served = other_end_in_process(client.fd());
-  ASSERT_GE(served, 0);
-  EXPECT_EQ(nodelay(served), 1);
+
+  // Both ends of every connection to the server live in this process.
+  const std::vector<SocketEnd> sockets = connected_sockets();
+  int connections = 0;
+  for (const SocketEnd& end : sockets) {
+    if (ntohs(end.peer.sin_port) != fx.tcp.port()) continue;  // not a client end
+    ++connections;
+    EXPECT_EQ(nodelay(end.fd), end.fd == raw.fd ? 0 : 1) << "client end " << end.fd;
+    const auto accepted = std::find_if(sockets.begin(), sockets.end(), [&](const SocketEnd& s) {
+      return same_address(s.self, end.peer) && same_address(s.peer, end.self);
+    });
+    ASSERT_NE(accepted, sockets.end()) << "client end " << end.fd;
+    EXPECT_EQ(nodelay(accepted->fd), 1) << "accepted end " << accepted->fd;
+  }
+  EXPECT_EQ(connections, 2);
 }
 
 TEST(NetSocket, ConnectionCapShedsWithRetryableAndKeepsFirstClient) {
