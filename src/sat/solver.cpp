@@ -24,6 +24,8 @@ Var SatSolver::new_var() {
   level_.push_back(0);
   reason_.push_back(kNoReason);
   activity_.push_back(0.0);
+  heap_pos_.push_back(kNotInHeap);
+  heap_insert(v);
   seen_.push_back(0);
   phase_.push_back(kUndef);
   watches_.emplace_back();
@@ -178,7 +180,66 @@ void SatSolver::bump_var(Var v) {
   if (activity_[v] > 1e100) {
     for (auto& a : activity_) a *= 1e-100;
     var_inc_ *= 1e-100;
+    // Scaling keeps the order but can round distinct activities to equal
+    // values, whose tie the index now breaks.
+    heap_rebuild();
+  } else if (heap_pos_[v] != kNotInHeap) {
+    heap_up(heap_pos_[v]);
   }
+}
+
+bool SatSolver::heap_before(Var a, Var b) const {
+  return activity_[a] > activity_[b] || (activity_[a] == activity_[b] && a < b);
+}
+
+void SatSolver::heap_insert(Var v) {
+  if (heap_pos_[v] != kNotInHeap) return;
+  heap_.push_back(v);
+  heap_up(heap_.size() - 1);
+}
+
+Var SatSolver::heap_pop() {
+  const Var top = heap_.front();
+  heap_pos_[top] = kNotInHeap;
+  const Var last = heap_.back();
+  heap_.pop_back();
+  if (!heap_.empty()) {
+    heap_.front() = last;
+    heap_down(0);
+  }
+  return top;
+}
+
+void SatSolver::heap_up(std::size_t i) {
+  const Var v = heap_[i];
+  while (i > 0) {
+    const std::size_t parent = (i - 1) / 2;
+    if (!heap_before(v, heap_[parent])) break;
+    heap_[i] = heap_[parent];
+    heap_pos_[heap_[i]] = static_cast<std::uint32_t>(i);
+    i = parent;
+  }
+  heap_[i] = v;
+  heap_pos_[v] = static_cast<std::uint32_t>(i);
+}
+
+void SatSolver::heap_down(std::size_t i) {
+  const Var v = heap_[i];
+  for (;;) {
+    std::size_t child = 2 * i + 1;
+    if (child >= heap_.size()) break;
+    if (child + 1 < heap_.size() && heap_before(heap_[child + 1], heap_[child])) ++child;
+    if (!heap_before(heap_[child], v)) break;
+    heap_[i] = heap_[child];
+    heap_pos_[heap_[i]] = static_cast<std::uint32_t>(i);
+    i = child;
+  }
+  heap_[i] = v;
+  heap_pos_[v] = static_cast<std::uint32_t>(i);
+}
+
+void SatSolver::heap_rebuild() {
+  for (std::size_t i = heap_.size() / 2; i-- > 0;) heap_down(i);
 }
 
 void SatSolver::decay_activities() {
@@ -292,6 +353,7 @@ void SatSolver::backtrack(int target_level) {
       phase_[v] = assigns_[v];  // phase saving: remember the last polarity
       assigns_[v] = kUndef;
       reason_[v] = kNoReason;
+      heap_insert(v);
       trail_.pop_back();
     }
   }
@@ -306,20 +368,26 @@ void SatSolver::set_branch_seed(std::uint64_t seed) {
   for (Var v = 0; v < activity_.size(); ++v) {
     activity_[v] += 1e-9 * static_cast<double>(mix64(seed ^ v) >> 40);
   }
+  heap_rebuild();
 }
 
 std::optional<Lit> SatSolver::pick_branch() {
-  Var best = 0;
-  double best_activity = -1.0;
-  bool found = false;
+  while (!heap_.empty() && assigns_[heap_.front()] != kUndef) heap_pop();
+  const std::optional<Var> picked =
+      heap_.empty() ? std::nullopt : std::optional<Var>(heap_pop());
+#ifndef NDEBUG
+  // Oracle: the heap picks what a scan of every variable picks, the
+  // unassigned one of maximum activity, the lowest index among ties.
+  std::optional<Var> scanned;
   for (Var v = 0; v < assigns_.size(); ++v) {
-    if (assigns_[v] == kUndef && activity_[v] > best_activity) {
-      best = v;
-      best_activity = activity_[v];
-      found = true;
+    if (assigns_[v] == kUndef && (!scanned || activity_[v] > activity_[*scanned])) {
+      scanned = v;
     }
   }
-  if (!found) return std::nullopt;
+  assert(picked == scanned && "order heap disagrees with a scan of all variables");
+#endif
+  if (!picked) return std::nullopt;
+  const Var best = *picked;
   ++decisions_;
   // Saved phase first (the polarity this variable last held), then the
   // seed-derived polarity, then the fixed negative-first default.

@@ -8,6 +8,13 @@
 // conflict analysis with clause learning, VSIDS-style activity ordering,
 // geometric restarts, and activity-based learned-clause reduction.
 //
+// Decisions come from a binary heap of variables (MiniSat's order heap)
+// ordered by activity descending, then variable index ascending: the top is
+// exactly the variable a scan for the first strict maximum would pick, so
+// decisions, learned clauses and DRAT proofs do not depend on the heap's
+// layout. Every unassigned variable is in the heap; assigned ones leave it
+// lazily when they reach the top.
+//
 // The solver is *incremental* in the MiniSat sense: clauses can be added
 // between solve calls (learned clauses are retained across them), and
 // solve_under_assumptions() decides satisfiability under a conjunction of
@@ -202,6 +209,13 @@ class SatSolver {
   void bump_var(Var v);
   void decay_activities();
   std::optional<Lit> pick_branch();
+  /// Heap order: higher activity first, the lower index among equal ones.
+  bool heap_before(Var a, Var b) const;
+  void heap_insert(Var v);
+  Var heap_pop();
+  void heap_up(std::size_t i);
+  void heap_down(std::size_t i);
+  void heap_rebuild();  // after activities changed other than by a bump
   void attach(ClauseRef cr);
   void reduce_learned();
   void log_step(bool is_delete, std::span<const Lit> lits);
@@ -216,6 +230,9 @@ class SatSolver {
   std::size_t propagate_head_ = 0;
 
   std::vector<double> activity_;  // per var
+  static constexpr std::uint32_t kNotInHeap = 0xffffffffu;
+  std::vector<Var> heap_;                // order heap of decision candidates
+  std::vector<std::uint32_t> heap_pos_;  // per var: index in heap_ or kNotInHeap
   double var_inc_ = 1.0;
   double clause_inc_ = 1.0;
 
