@@ -515,7 +515,6 @@ TEST(Sat, MinimizeCoreStatsExposeProbeWork) {
   EXPECT_EQ(s.stats().core_literals_removed, dropped);
 }
 
-
 // ---------------------------------------------------------------------------
 // Golden decisions: lift certificates embed the solver's DRAT proofs byte for
 // byte, so the branching order is part of its contract. Each case pins the
@@ -661,17 +660,16 @@ std::vector<GoldenSolve> run_branch_seed_copies() {
   const std::vector<Var> vars = fresh_vars(base, 70);
   add_random_3sat(base, rng, vars, 300);
   std::vector<GoldenSolve> out;
-  for (std::uint64_t seed = 1; seed <= 4; ++seed) {
-    SatSolver copy = base;
-    copy.set_branch_seed(seed);
-    out.push_back(observe(copy, copy.solve()));
-  }
+  const auto solve_seeded_copies = [&] {
+    for (std::uint64_t seed = 1; seed <= 4; ++seed) {
+      SatSolver copy = base;
+      copy.set_branch_seed(seed);
+      out.push_back(observe(copy, copy.solve()));
+    }
+  };
+  solve_seeded_copies();
   const SatResult budgeted = base.solve(/*conflict_budget=*/3);
-  for (std::uint64_t seed = 1; seed <= 4; ++seed) {
-    SatSolver copy = base;
-    copy.set_branch_seed(seed);
-    out.push_back(observe(copy, copy.solve()));
-  }
+  solve_seeded_copies();
   out.push_back(observe(base, budgeted));
   return out;
 }
